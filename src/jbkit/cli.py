@@ -15,9 +15,9 @@ import argparse
 import json
 import os
 import random
+import re
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
 from importlib import resources
 
@@ -35,7 +35,6 @@ from .jbcomplex import (
     verify_d_squared,
 )
 from .jbcomplex.sela import _parse_simplex, _simplex_name
-from .jbcomplex.factories import nonabelian_triangle
 from .schemes import (
     PolyComplex,
     hypersurface_tangent_dgla,
@@ -44,22 +43,19 @@ from .schemes import (
     parse_poly,
 )
 
-__all__ = ["RunConfig", "main", "run"]
+__all__ = ["main", "run"]
 
 
 class _Usage(Exception):
     """Malformed invocation; rendered as a synopsis plus message."""
 
 
-@dataclass
-class RunConfig:
-    """Everything a subcommand run depends on, normalized from argv."""
+class _Invalid(ValueError):
+    """Readable input that fails validation; rendered with its problems."""
 
-    subcommand: str
-    paths: list = field(default_factory=list)
-    caps: dict = field(default_factory=dict)
-    fmt: str = "json"
-    seed: int = 0
+    def __init__(self, message, problems):
+        super().__init__(message)
+        self.problems = problems
 
 
 def _cap(value, what):
@@ -93,11 +89,21 @@ def _load_json(path):
         raise ValueError("%s is not valid JSON: %s" % (path, e))
 
 
+_NAME = re.compile(r"[A-Za-z_][A-Za-z_0-9]*\Z")
+
+
 def _vars_arg(text):
     names = tuple(v.strip() for v in text.split(",") if v.strip())
-    if not names:
-        raise _Usage("--vars needs a comma-separated list of names")
+    if not names or len(set(names)) < len(names) or not all(map(_NAME.match, names)):
+        raise _Usage("--vars needs a comma-separated list of distinct names")
     return names
+
+
+def _poly_arg(flag, text, vars):
+    try:
+        return parse_poly(text, vars)
+    except ValueError as e:
+        raise _Usage("%s: %s" % (flag, e))
 
 
 # -- subcommands --------------------------------------------------------------
@@ -146,11 +152,13 @@ def cmd_bch(args):
 
 
 def _load_sela(data):
-    if "sela" in data:
+    if isinstance(data, dict) and "sela" in data:
         data = data["sela"]
     sela = Sela.from_json(data)
     _cap(sela.artin_order, "artin order")
-    sela.validate()
+    problems = sela.validate()
+    if problems:
+        raise _Invalid("gluing datum fails validation", problems)
     return sela
 
 
@@ -173,15 +181,15 @@ def _element_from_json(sela, simplex, records):
 def _load_family(data):
     """A gluing datum with a cochain: {"sela": …, "phi": …, "psi": …}."""
     sela = _load_sela(data)
-    phi = {}
-    for key, records in data.get("phi", {}).items():
-        simplex = _parse_simplex(key, sela.indices)
-        phi[simplex] = _element_from_json(sela, simplex, records)
-    psi = {}
-    for key, records in data.get("psi", {}).items():
-        simplex = _parse_simplex(key, sela.indices)
-        psi[simplex] = _element_from_json(sela, simplex, records)
-    return sela, phi, psi
+    chains = {"phi": {}, "psi": {}}
+    try:
+        for part, chain in chains.items():
+            for key, records in data.get(part, {}).items():
+                simplex = _parse_simplex(key, sela.indices)
+                chain[simplex] = _element_from_json(sela, simplex, records)
+    except (KeyError, TypeError, AttributeError) as e:
+        raise ValueError("malformed family (%s: %s)" % (type(e).__name__, e)) from None
+    return sela, chains["phi"], chains["psi"]
 
 
 def _class_json(sela, cls):
@@ -298,7 +306,7 @@ def cmd_jb(args):
 
 
 def cmd_milnor(args):
-    f = parse_poly(args.poly, _vars_arg(args.vars))
+    f = _poly_arg("--poly", args.poly, _vars_arg(args.vars))
     try:
         dim = milnor_dim(f)
     except ValueError as e:
@@ -309,7 +317,7 @@ def cmd_milnor(args):
 
 
 def cmd_tangent_dgla(args):
-    f = parse_poly(args.poly, _vars_arg(args.vars))
+    f = _poly_arg("--poly", args.poly, _vars_arg(args.vars))
     try:
         tc = hypersurface_tangent_dgla(f)
     except ValueError as e:
@@ -339,8 +347,8 @@ def cmd_deform(args):
     if args.action != "lift":
         raise _Usage("unknown deform action %r" % args.action)
     vars = _vars_arg(args.vars)
-    f = parse_poly(args.poly, vars)
-    g = parse_poly(args.direction, vars)
+    f = _poly_arg("--poly", args.poly, vars)
+    g = _poly_arg("--direction", args.direction, vars)
     _cap(args.to_order, "--to-order")
     try:
         rep = lift_deformation(f, g, args.from_order, args.to_order)
@@ -373,7 +381,7 @@ def cmd_resolution(args):
     data = _load_json(args.file)
     try:
         pc = PolyComplex.from_json(data)
-    except (ValueError, KeyError) as e:
+    except ValueError as e:
         _emit({"ok": False, "error": str(e)})
         return 1
     _emit(
@@ -429,7 +437,9 @@ def _suite_bch(seed):
 
 def _suite_jb(seed):
     sela = Sela.from_json(_fixture("triangle_sela.json"))
-    sela.validate()
+    problems = sela.validate()
+    if problems:
+        return False, "bundled datum fails validation: %s" % "; ".join(problems)
     jb = jb_assemble(sela)
     bad = verify_d_squared(jb)
     if bad:
@@ -483,7 +493,7 @@ def cmd_selfcheck(args):
         start = time.perf_counter()
         try:
             ok, detail = _SUITES[name](args.seed)
-        except Exception as e:
+        except (ValueError, AssertionError) as e:
             ok, detail = False, "%s: %s" % (type(e).__name__, e)
         results.append((name, ok, time.perf_counter() - start, detail))
     if args.fmt == "json":
@@ -527,7 +537,8 @@ def _build_parser():
     q.add_argument("--to-order", type=int, default=3)
     q.set_defaults(fn=cmd_jb)
 
-    q = sub.add_parser("milnor", help="dimension of the quotient by an equation and its partials")
+    q = sub.add_parser("milnor", help="dim Q[x]/(f, df), the Tjurina number; it is the "
+                       "Milnor number when f is quasi-homogeneous")
     q.add_argument("--vars", required=True)
     q.add_argument("--poly", required=True)
     q.set_defaults(fn=cmd_milnor)
@@ -568,24 +579,15 @@ def run(argv=None):
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 2 if e.code not in (0, None) else 0
-    config = RunConfig(
-        subcommand=args.subcommand,
-        paths=[v for v in (getattr(args, "data", None), getattr(args, "file", None)) if v],
-        caps={
-            k: getattr(args, k)
-            for k in ("max", "max_degree", "to_order", "truncate")
-            if getattr(args, k, None) is not None
-        },
-        fmt=getattr(args, "fmt", "json"),
-        seed=getattr(args, "seed", 0),
-    )
-    args.fmt = config.fmt
     try:
         return args.fn(args)
     except _Usage as e:
         parser.print_usage(sys.stderr)
         print("jbkit: error: %s" % e, file=sys.stderr)
         return 2
+    except _Invalid as e:
+        _emit({"error": str(e), "problems": e.problems})
+        return 1
     except ValueError as e:
         _emit({"error": str(e)})
         return 1

@@ -9,7 +9,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, factorial, gcd
+from heapq import heapify, heappop, heappush
+from math import comb, factorial, gcd, lcm
 
 Rational = Fraction
 
@@ -22,6 +23,8 @@ def parse_rational(text: str) -> Fraction:
     s = text.strip()
     if "/" in s:
         num, den = s.split("/", 1)
+        if int(den) == 0:
+            raise ValueError("zero denominator in %r" % text)
         return Fraction(int(num), int(den))
     return Fraction(int(s))
 
@@ -213,30 +216,46 @@ class SparseRatMatrix:
         return m
 
 
+def _primitive(row: dict[int, int]) -> dict[int, int]:
+    """Divide an integer row by the gcd of its entries."""
+    g = 0
+    for v in row.values():
+        g = gcd(g, v)
+    if g > 1:
+        row = {j: v // g for j, v in row.items()}
+    return row
+
+
+def _integer_row(row: dict[int, Fraction]) -> dict[int, int]:
+    """Clear the denominators of one row and divide out its content."""
+    scale = lcm(*(v.denominator for v in row.values()))
+    return _primitive({j: int(v * scale) for j, v in row.items()})
+
+
 def _integer_rows(matrix: SparseRatMatrix) -> list[dict[int, int]]:
     """Clear denominators row by row; elimination then stays in Z."""
-    rows = []
-    for _, row in sorted(matrix.rows().items()):
-        scale = 1
-        for v in row.values():
-            scale = scale * v.denominator // gcd(scale, v.denominator)
-        irow = {j: int(v * scale) for j, v in row.items()}
-        g = 0
-        for v in irow.values():
-            g = gcd(g, v)
-        if g > 1:
-            irow = {j: v // g for j, v in irow.items()}
-        rows.append(irow)
-    return rows
+    return [_integer_row(row) for _, row in sorted(matrix.rows().items())]
+
+
+def _combine(p: int, r: dict[int, int], a: int, q: dict[int, int]) -> dict[int, int]:
+    """The fraction-free row update p*r - a*q, divided by its content."""
+    new = {j: p * v for j, v in r.items()}
+    for j, v in q.items():
+        w = new.get(j, 0) - a * v
+        if w:
+            new[j] = w
+        else:
+            new.pop(j, None)
+    return _primitive(new)
 
 
 def _eliminate(rows: list[dict[int, int]]) -> dict[int, dict[int, int]]:
     """Fraction-free forward elimination.
 
-    Returns echelon rows keyed by pivot column.  Row combinations use the
-    cross-multiplication update p*r - a*q followed by a gcd division, so
-    every intermediate value is an exact integer of controlled size.
-    Pivot rows are chosen by smallest nonzero pivot magnitude.
+    Returns echelon rows keyed by pivot column, the smallest column of
+    each row.  Row combinations use ``_combine``, so every intermediate
+    value is an exact integer of controlled size.  Pivot rows are chosen
+    by smallest nonzero pivot magnitude.
     """
     echelon: dict[int, dict[int, int]] = {}
     pending = [r for r in rows if r]
@@ -257,25 +276,74 @@ def _eliminate(rows: list[dict[int, int]]) -> dict[int, dict[int, int]]:
             echelon[lead] = pivot_row
         p = pivot_row[lead]
         for r in candidates:
-            a = r[lead]
-            new: dict[int, int] = {}
-            for j, v in r.items():
-                new[j] = p * v
-            for j, v in pivot_row.items():
-                w = new.get(j, 0) - a * v
-                if w:
-                    new[j] = w
-                else:
-                    new.pop(j, None)
+            new = _combine(p, r, r[lead], pivot_row)
             if new:
-                g = 0
-                for v in new.values():
-                    g = gcd(g, v)
-                if g > 1:
-                    new = {j: v // g for j, v in new.items()}
                 work.append(new)
         pending = work
     return echelon
+
+
+def column_echelon(matrix: SparseRatMatrix) -> dict[int, dict[int, int]]:
+    """Echelon rows spanning the column space of matrix, keyed by pivot."""
+    return _eliminate(_integer_rows(matrix.transpose()))
+
+
+def remainder(
+    echelon: dict[int, dict[int, int]], vec: dict[int, Fraction]
+) -> dict[int, Fraction]:
+    """Remainder of a sparse vector modulo the span of echelon rows.
+
+    ``echelon`` is in the form ``_eliminate`` returns.  Pivots are
+    eliminated in ascending order by ``_combine``, with the common
+    denominator carried along as coordinate -1.  The remainder is zero
+    on every pivot column, so it depends only on the span and not on
+    the echelon form chosen for it.
+    """
+    v = _integer_row({j: x for j, x in vec.items() if x} | {-1: ONE})
+    todo = [j for j in v if j in echelon]
+    heapify(todo)
+    while todo:
+        c = heappop(todo)
+        if c in v:
+            row = echelon[c]
+            v = _combine(row[c], v, v[c], row)
+            for j in row:
+                if j != c and j in echelon:
+                    heappush(todo, j)
+    den = v.pop(-1)
+    return {j: Fraction(x, den) for j, x in v.items()}
+
+
+def insert(echelon: dict[int, dict[int, int]], vec: dict[int, Fraction]) -> bool:
+    """Add vec to the span of echelon; report whether it was independent."""
+    rest = remainder(echelon, vec)
+    if rest:
+        echelon[min(rest)] = _integer_row(rest)
+    return bool(rest)
+
+
+def _back_substitute(echelon: dict[int, dict[int, int]], starts) -> list[dict[int, Fraction]]:
+    """Complete each start vector so that every echelon row annihilates it.
+
+    A start vector holds the non-pivot coordinates; the pivot ones are
+    solved from the largest pivot down.
+    """
+    order = sorted(echelon, reverse=True)
+    out = []
+    for x in starts:
+        for c in order:
+            row = echelon[c]
+            s = ZERO
+            for j, a in row.items():
+                if j == c:
+                    continue
+                xv = x.get(j)
+                if xv:
+                    s += a * xv
+            if s:
+                x[c] = -s / row[c]
+        out.append(x)
+    return out
 
 
 def rank_kernel(matrix: SparseRatMatrix) -> tuple[int, list[dict[int, Fraction]]]:
@@ -285,26 +353,8 @@ def rank_kernel(matrix: SparseRatMatrix) -> tuple[int, list[dict[int, Fraction]]
     produced per free column, with that free coordinate set to 1.
     """
     echelon = _eliminate(_integer_rows(matrix))
-    rank = len(echelon)
-    pivots = sorted(echelon)
-    free_cols = [j for j in range(matrix.ncols) if j not in echelon]
-    kernel: list[dict[int, Fraction]] = []
-    for f in free_cols:
-        v: dict[int, Fraction] = {f: ONE}
-        # back-substitute pivot coordinates from the bottom up
-        for c in reversed(pivots):
-            row = echelon[c]
-            s = ZERO
-            for j, a in row.items():
-                if j == c:
-                    continue
-                x = v.get(j)
-                if x:
-                    s += a * x
-            if s:
-                v[c] = -s / row[c]
-        kernel.append(v)
-    return rank, kernel
+    free = ({f: ONE} for f in range(matrix.ncols) if f not in echelon)
+    return len(echelon), _back_substitute(echelon, free)
 
 
 def rank(matrix: SparseRatMatrix) -> int:
@@ -314,26 +364,19 @@ def rank(matrix: SparseRatMatrix) -> int:
 def solve(matrix: SparseRatMatrix, rhs: dict[int, Fraction]):
     """One exact solution of A x = b, or None when the system is inconsistent.
 
-    ``rhs`` is a sparse column vector {row index: Fraction}.
+    ``rhs`` is a sparse column vector {row index: Fraction}.  Free
+    coordinates of the solution are 0: it is the kernel vector of the
+    augmented matrix [A | b] whose last coordinate is -1.
     """
-    aug = SparseRatMatrix(matrix.nrows, matrix.ncols + 1)
+    n = matrix.ncols
+    aug = SparseRatMatrix(matrix.nrows, n + 1)
     aug.entries = dict(matrix.entries)
     for i, v in rhs.items():
         if v:
-            aug[i, matrix.ncols] = v
+            aug[i, n] = v
     echelon = _eliminate(_integer_rows(aug))
-    if matrix.ncols in echelon:
+    if n in echelon:
         return None  # a row reduced to 0 = nonzero
-    x: dict[int, Fraction] = {}
-    for c in sorted(echelon, reverse=True):
-        row = echelon[c]
-        s = Fraction(row.get(matrix.ncols, 0))
-        for j, a in row.items():
-            if j == c or j == matrix.ncols:
-                continue
-            xv = x.get(j)
-            if xv:
-                s -= a * xv
-        if s:
-            x[c] = s / row[c]
+    x = _back_substitute(echelon, [{n: -ONE}])[0]
+    del x[n]
     return x

@@ -50,7 +50,9 @@ from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations
 
 from ..bch import build_table
-from ..exactnum import ONE, ZERO, SparseRatMatrix, bernoulli_normalized, rank_kernel
+from ..exactnum import (
+    ONE, ZERO, SparseRatMatrix, bernoulli_normalized, column_echelon, insert, rank_kernel,
+)
 from ..freelie import Alphabet, FreeLieElement, evaluate_lie
 from .sela import coface_sign, _simplex_name
 
@@ -604,38 +606,15 @@ def graded_pieces(jb, count):
     return out
 
 
-class _ClassReducer:
-    """Incremental row reduction used to pick cohomology representatives."""
-
-    def __init__(self):
-        self.rows = {}
-
-    def insert(self, vec):
-        """Reduce against stored rows; store and report True if new."""
-        v = dict(vec)
-        while v:
-            p = min(v)
-            row = self.rows.get(p)
-            if row is None:
-                pivot = v[p]
-                self.rows[p] = {j: w / pivot for j, w in v.items()}
-                return True
-            c = v[p]
-            for j, w in row.items():
-                s = v.get(j, ZERO) - c * w
-                if s:
-                    v[j] = s
-                else:
-                    v.pop(j, None)
-        return False
-
-
 def jb_cohomology(jb, degree):
     """Dimension and representative chains in one degree.
 
-    Needs the degrees degree-1 .. degree+1 inside the window; the
-    representatives are kernel vectors of d that stay independent after
-    the image columns of the previous d are swept in first.
+    Needs the degrees degree-1 .. degree+1 inside the window.  The
+    dimension is the kernel dimension of d minus the rank of the
+    previous d, which is refused unless their composite vanishes; the
+    representatives are the first kernel vectors that stay independent
+    modulo the image of the previous d and the representatives before
+    them.
     """
     if jb.window is not None:
         lo, hi = jb.window
@@ -644,20 +623,23 @@ def jb_cohomology(jb, degree):
                 "degree window %s too small for cohomology in degree %d"
                 % (jb.window, degree)
             )
-    _, kernel = rank_kernel(jb.matrix(degree))
-    reducer = _ClassReducer()
-    prev = jb.matrix(degree - 1)
-    image_cols = {}
-    for (r, c), v in prev.entries.items():
-        image_cols.setdefault(c, {})[r] = v
-    for c in sorted(image_cols):
-        reducer.insert(image_cols[c])
+    d, prev = jb.matrix(degree), jb.matrix(degree - 1)
+    if not d.mul(prev).is_zero():
+        raise ValueError(
+            "d*d does not vanish from degree %d; no cohomology in degree %d"
+            % (degree - 1, degree)
+        )
+    _, kernel = rank_kernel(d)
+    span = column_echelon(prev)
+    dim = len(kernel) - len(span)
     monos = jb.basis.get(degree, [])
     reps = []
     for vec in kernel:
-        if reducer.insert(vec):
+        if len(reps) == dim:
+            break
+        if insert(span, vec):
             reps.append({monos[i]: v for i, v in sorted(vec.items())})
-    return len(reps), reps
+    return dim, reps
 
 
 def deformation_ring_dimension(jb):

@@ -16,12 +16,10 @@ linear in the correction.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
-from ..exactnum import ZERO, solve
+from ..exactnum import ZERO, column_echelon, remainder, solve
 from ..liecore import ArtinLine, LieElement
 from .assemble import _shared_table, chain_differential, format_monomial
-from .cocycle import SpecialCocycle, element_chain, exp_chain, special_cocycle
+from .cocycle import element_chain, exp_chain, special_cocycle
 from .sela import TotalComplex, _simplex_name
 
 __all__ = ["ObstructionResult", "obstruction"]
@@ -59,54 +57,6 @@ class ObstructionResult:
         return "ObstructionResult(power=%d, vanishes=%r, class terms=%d)" % (
             self.power, self.vanishes, len(self.cls)
         )
-
-
-def _echelon_image(mat):
-    """Fully reduced echelon rows spanning the column space of mat."""
-    rows = []
-    cols = {}
-    for (r, c), v in mat.entries.items():
-        cols.setdefault(c, {})[r] = v
-    pivots = {}
-    for c in sorted(cols):
-        v = _sweep(pivots, cols[c])
-        if not v:
-            continue
-        p = min(v)
-        inv = v[p]
-        row = {j: w / inv for j, w in v.items()}
-        for q, other in pivots.items():
-            w = other.get(p)
-            if w:
-                for j, x in row.items():
-                    s = other.get(j, ZERO) - w * x
-                    if s:
-                        other[j] = s
-                    else:
-                        other.pop(j, None)
-        pivots[p] = row
-    return pivots
-
-
-def _sweep(pivots, vec):
-    v = dict(vec)
-    changed = True
-    while changed:
-        changed = False
-        for p in sorted(v):
-            row = pivots.get(p)
-            if row is None:
-                continue
-            c = v[p]
-            for j, w in row.items():
-                s = v.get(j, ZERO) - c * w
-                if s:
-                    v[j] = s
-                else:
-                    v.pop(j, None)
-            changed = True
-            break
-    return v
 
 
 def _extended(elt, lie, ring):
@@ -201,9 +151,7 @@ def obstruction(cocycle, to_order, pad=None):
         raise AssertionError("defect vector is not closed")
 
     basis2 = tot.basis.get(2, [])
-    image = _echelon_image(tot.matrix(1))
-    reduced = _sweep(image, vec)
-    cls = {basis2[r]: c for r, c in reduced.items()}
+    cls = {basis2[r]: c for r, c in remainder(column_echelon(tot.matrix(1)), vec).items()}
 
     lift = None
     if not cls:

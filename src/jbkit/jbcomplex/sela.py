@@ -229,19 +229,25 @@ class Sela:
 
     @staticmethod
     def from_json(data):
-        indices = tuple(data["indices"])
-        order = int(data.get("artin_order", 2))
-        algebras = {}
-        for key, alg in data.get("algebras", {}).items():
-            algebras[_parse_simplex(key, indices)] = StructLie.from_json(alg)
-        cofaces = {}
-        for entry in data.get("cofaces", []):
-            inner = _parse_simplex(entry["from"], indices)
-            outer = _parse_simplex(entry["to"], indices)
-            dst = algebras.get(outer, _EMPTY)
-            src = algebras.get(inner, _EMPTY)
-            cofaces[(inner, outer)] = _matrix_from_json(entry["matrix"], dst.dim, src.dim)
-        return Sela(indices, algebras, cofaces, order)
+        """Parse the to_json schema; malformed data raises ValueError."""
+        try:
+            indices = tuple(data["indices"])
+            order = int(data.get("artin_order", 2))
+            algebras = {}
+            for key, alg in data.get("algebras", {}).items():
+                algebras[_parse_simplex(key, indices)] = StructLie.from_json(alg)
+            cofaces = {}
+            for entry in data.get("cofaces", []):
+                inner = _parse_simplex(entry["from"], indices)
+                outer = _parse_simplex(entry["to"], indices)
+                dst = algebras.get(outer, _EMPTY)
+                src = algebras.get(inner, _EMPTY)
+                cofaces[(inner, outer)] = _matrix_from_json(entry["matrix"], dst.dim, src.dim)
+            return Sela(indices, algebras, cofaces, order)
+        except (KeyError, IndexError, TypeError, AttributeError) as e:
+            raise ValueError(
+                "malformed gluing datum (%s: %s)" % (type(e).__name__, e)
+            ) from None
 
 
 def _simplex_name(simplex):

@@ -541,7 +541,7 @@ def evaluate(element: FreeLieElement, assignment: dict) -> LieElement:
     missing = [
         lab for lab in element.alphabet.labels
         if lab not in assignment and any(
-            element.alphabet.index[lab] in w for w in element.terms
+            element.alphabet.index(lab) in w for w in element.terms
         )
     ]
     if missing:

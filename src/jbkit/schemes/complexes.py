@@ -128,13 +128,19 @@ class PolyComplex:
 
     @staticmethod
     def from_json(data):
-        vars = tuple(data["vars"])
-        order = data.get("order", "grevlex")
-        maps = [
-            [[parse_poly(s, vars, order) for s in row] for row in mat]
-            for mat in data["maps"]
-        ]
-        return PolyComplex(vars, data.get("start", 0), data["ranks"], maps, order)
+        """Parse {"vars", "maps", "ranks", ...}; malformed data raises ValueError."""
+        try:
+            vars = tuple(data["vars"])
+            order = data.get("order", "grevlex")
+            maps = [
+                [[parse_poly(s, vars, order) for s in row] for row in mat]
+                for mat in data["maps"]
+            ]
+            return PolyComplex(vars, data.get("start", 0), data["ranks"], maps, order)
+        except (KeyError, IndexError, TypeError, AttributeError) as e:
+            raise ValueError(
+                "malformed complex (%s: %s)" % (type(e).__name__, e)
+            ) from None
 
 
 def koszul_resolution(fs, order="grevlex"):

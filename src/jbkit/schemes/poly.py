@@ -11,7 +11,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from ..exactnum import ZERO, format_rational
+from ..exactnum import ZERO, format_rational, parse_rational
 
 __all__ = [
     "Poly",
@@ -337,7 +337,7 @@ class _Parser:
         kind, val, at = self.peek()
         if kind == "num":
             self.take()
-            return Poly.constant(self.vars, Fraction(val), self.order)
+            return Poly.constant(self.vars, parse_rational(val), self.order)
         if kind == "var":
             self.take()
             if val not in self.vars:

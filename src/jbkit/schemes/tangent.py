@@ -85,7 +85,13 @@ def hypersurface_tangent_dgla(f: Poly) -> TangentComplex:
 
 
 def milnor_dim(f: Poly) -> int:
-    """Dimension of the ring modulo the equation and all its partials."""
+    """Dimension of Q[x]/(f, df/dx_1, ..., df/dx_n): the Tjurina number.
+
+    It equals the Milnor number dim Q[x]/(df/dx_1, ..., df/dx_n) when f
+    is quasi-homogeneous (then f lies in the ideal of its partials), as
+    for every row of the bundled table, but not in general: for
+    x^4 + y^5 + x^2*y^3 it is 11, while the Milnor number is 14.
+    """
     gens = [f] + [f.diff(v) for v in f.vars]
     gb = buchberger(gens)
     try:

@@ -9,9 +9,12 @@ from jbkit.exactnum import (
     SparseRatMatrix,
     bernoulli,
     bernoulli_normalized,
+    column_echelon,
     format_rational,
+    insert,
     parse_rational,
     rank_kernel,
+    remainder,
     solve,
 )
 
@@ -200,3 +203,58 @@ def test_solve_random_systems():
         for i in range(nrows):
             lhs = sum(dense[i][j] * x.get(j, Fraction(0)) for j in range(ncols))
             assert lhs == rhs.get(i, Fraction(0))
+
+
+def _random_dense(rng, nrows, ncols, density):
+    return [
+        [
+            Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            if rng.random() < density
+            else Fraction(0)
+            for _ in range(ncols)
+        ]
+        for _ in range(nrows)
+    ]
+
+
+def test_remainder_is_canonical_and_differs_by_the_span():
+    rng = random.Random(20261017)
+    for _ in range(40):
+        n, k = rng.randint(1, 8), rng.randint(0, 7)
+        cols = _random_dense(rng, k, n, 0.5)  # k spanning vectors of length n
+        if rng.random() < 0.3 and k >= 2:
+            cols.append([a + 2 * b for a, b in zip(cols[0], cols[1])])
+        echelon = column_echelon(SparseRatMatrix.from_dense(cols).transpose()) if cols else {}
+        vec = {i: x for i, x in enumerate(_random_dense(rng, 1, n, 0.7)[0]) if x}
+        rest = remainder(echelon, vec)
+        assert not set(rest) & set(echelon)
+        assert all(rest.values())
+        diff = [vec.get(i, Fraction(0)) - rest.get(i, Fraction(0)) for i in range(n)]
+        assert naive_rank(cols + [diff]) == naive_rank(cols)
+        # the same span written another way leaves the same remainder
+        other = [[3 * x for x in c] for c in reversed(cols)]
+        if len(other) >= 2:
+            other[0] = [a - b for a, b in zip(other[0], other[1])]
+        again = column_echelon(SparseRatMatrix.from_dense(other).transpose()) if other else {}
+        assert remainder(again, vec) == rest
+        for c in cols:
+            assert remainder(echelon, {i: x for i, x in enumerate(c) if x}) == {}
+
+
+def test_insert_grows_the_span_only_by_independent_vectors():
+    rng = random.Random(5)
+    for _ in range(20):
+        n = rng.randint(1, 7)
+        echelon, kept = {}, []
+        for vec in _random_dense(rng, rng.randint(1, 9), n, 0.4):
+            independent = naive_rank(kept + [vec]) > naive_rank(kept)
+            assert insert(echelon, {i: x for i, x in enumerate(vec) if x}) is independent
+            if independent:
+                kept.append(vec)
+            assert len(echelon) == len(kept)
+            assert all(min(row) == p for p, row in echelon.items())
+        # the grown echelon reduces like a fresh one of the same span
+        fresh = column_echelon(SparseRatMatrix.from_dense(kept).transpose()) if kept else {}
+        for probe in _random_dense(rng, 3, n, 0.8):
+            probe = {i: x for i, x in enumerate(probe) if x}
+            assert remainder(echelon, probe) == remainder(fresh, probe)

@@ -16,6 +16,7 @@ from jbkit.jbcomplex import (
     verify_d_squared,
 )
 from jbkit.jbcomplex.assemble import factor_degree, factor_parity
+from jbkit.exactnum import rank_kernel
 
 
 # -- d*d = 0 on the verified domain -------------------------------------
@@ -50,6 +51,13 @@ def test_d_squared_guard_on_odd_self_bracket_triangle():
     # must report it rather than silently pass.
     jb = jb_assemble(factories.mc_triangle(3))
     assert verify_d_squared(jb) != []
+
+
+def test_cohomology_refused_where_d_squared_fails():
+    jb = jb_assemble(factories.mc_triangle(3))
+    assert jb_cohomology(jb, 1)[0] == 0
+    with pytest.raises(ValueError, match=r"d\*d does not vanish from degree 1"):
+        jb_cohomology(jb, 2)
 
 
 # -- filtration by factor count ------------------------------------------
@@ -213,3 +221,56 @@ def test_abelianization_induces_chain_map():
         left = target.matrix(deg).mul(maps[deg])
         right = maps[deg + 1].mul(source.matrix(deg))
         assert left.entries == right.entries
+
+
+# -- representatives against a dense oracle --------------------------------
+
+class _DenseSpan:
+    """Naive oracle: a span kept as dense, fully reduced Fraction rows."""
+
+    def __init__(self):
+        self.rows = []  # (pivot, row) with row[pivot] == 1
+
+    def raises_rank(self, vec):
+        """Add vec; report whether the span grew."""
+        v = list(vec)
+        for p, row in self.rows:
+            if v[p]:
+                f = v[p]
+                v = [x - f * y for x, y in zip(v, row)]
+        nonzero = [i for i, x in enumerate(v) if x]
+        if not nonzero:
+            return False
+        p = nonzero[0]
+        v = [x / v[p] for x in v]
+        self.rows = [
+            (q, [x - r[p] * y for x, y in zip(r, v)] if r[p] else r)
+            for q, r in self.rows
+        ]
+        self.rows.append((p, v))
+        return True
+
+
+@pytest.mark.parametrize("factory,order,degree", [
+    (factories.nonabelian_triangle, 3, -2),
+    (factories.nonabelian_triangle, 3, -1),
+    (factories.nonabelian_triangle, 3, 0),
+    (factories.lie_pair, 2, 0),
+    (factories.lie_pair, 3, -1),
+    (factories.lie_pair, 3, 0),
+])
+def test_representatives_match_dense_oracle(factory, order, degree):
+    # kernel vector i is a representative exactly when it raises the
+    # rank of the image plus the representatives kept before it
+    jb = jb_assemble(factory(order))
+    n = jb.dim(degree)
+    prev = jb.matrix(degree - 1)
+    span = _DenseSpan()
+    for c in range(prev.ncols):
+        span.raises_rank([prev[r, c] for r in range(n)])
+    _, kernel = rank_kernel(jb.matrix(degree))
+    kept = [v for v in kernel if span.raises_rank([v.get(i, 0) for i in range(n)])]
+    dim, reps = jb_cohomology(jb, degree)
+    monos = jb.monomials(degree)
+    assert dim == len(kept)
+    assert reps == [{monos[i]: c for i, c in sorted(v.items())} for v in kept]

@@ -274,6 +274,19 @@ def test_evaluate_rejects_mixed_algebras():
         evaluate(x, {"x": u, "y": v})
 
 
+def test_evaluate_names_the_generator_without_image():
+    lie = heisenberg()
+    ring = ArtinLine(3)
+    ab = Alphabet(["x", "y", "z"])
+    x, y = FreeLieElement.generator(ab, "x"), FreeLieElement.generator(ab, "y")
+    u = LieElement.from_dict(lie, ring, {"e12": ring.t_power(1)})
+    v = LieElement.from_dict(lie, ring, {"e23": ring.t_power(1)})
+    with pytest.raises(ValueError, match=r"no image for generators \['y'\]"):
+        evaluate(x.bracket(y), {"x": u, "z": v})
+    # a generator the element never uses needs no image
+    assert evaluate(x.bracket(y), {"x": u, "y": v}) == u.bracket(v)
+
+
 def test_group_law_on_heisenberg_matches_matrix_exponentials():
     lie = heisenberg()
     ring = ArtinLine(3)
