@@ -57,6 +57,20 @@ class BchTable:
             raise ValueError("trigraded components were not built for this table")
         return self.tridegree.get((i, j, k), FreeLieElement.zero(BCH_ALPHABET3))
 
+    def truncate(self, max_degree: int) -> "BchTable":
+        """The table of the components up to total degree ``max_degree``.
+
+        Each component is exact on its own, so this equals the table
+        built to that cap.
+        """
+        if not 1 <= max_degree <= self.max_degree:
+            raise ValueError(f"cannot truncate a table of cap {self.max_degree} to {max_degree}")
+        return BchTable(
+            max_degree,
+            {md: part for md, part in self.bidegree.items() if sum(md) <= max_degree},
+            {md: part for md, part in self.tridegree.items() if sum(md) <= max_degree},
+        )
+
 
 def build_table(max_degree: int = DEFAULT_MAX_DEGREE, tri: bool = False) -> BchTable:
     """Solve the recursion up to total degree ``max_degree``."""

@@ -34,6 +34,7 @@ from .jbcomplex import (
     verify_cocycle,
     verify_d_squared,
 )
+from .jbcomplex.assemble import _shared_table
 from .jbcomplex.sela import _parse_simplex, _simplex_name
 from .schemes import (
     PolyComplex,
@@ -205,7 +206,16 @@ def _class_json(sela, cls):
     return out
 
 
+def _order_pair(args):
+    if args.to_order is None:
+        args.to_order = args.from_order + 1
+    if args.to_order <= args.from_order:
+        raise _Usage("--to-order must exceed --from-order")
+
+
 def cmd_jb(args):
+    if args.action == "obstruct":
+        _order_pair(args)
     data = _load_json(args.data)
     if args.action == "check":
         sela = _load_sela(data)
@@ -269,8 +279,8 @@ def cmd_jb(args):
                 "--from-order %d does not match the datum's artin order %d"
                 % (args.from_order, sela.artin_order)
             )
-        if args.to_order <= args.from_order:
-            raise ValueError("--to-order must exceed --from-order")
+        # the largest table first: every smaller one is a truncation of it
+        _shared_table(args.to_order - 1)
         try:
             cocycle = special_cocycle(sela, phi, psi)
         except ValueError as e:
@@ -346,6 +356,7 @@ def cmd_tangent_dgla(args):
 def cmd_deform(args):
     if args.action != "lift":
         raise _Usage("unknown deform action %r" % args.action)
+    _order_pair(args)
     vars = _vars_arg(args.vars)
     f = _poly_arg("--poly", args.poly, vars)
     g = _poly_arg("--direction", args.direction, vars)
@@ -534,7 +545,8 @@ def _build_parser():
     q.add_argument("--data", required=True, help="gluing datum or family JSON file")
     q.add_argument("--degree", type=int, default=0)
     q.add_argument("--from-order", type=int, default=2)
-    q.add_argument("--to-order", type=int, default=3)
+    q.add_argument("--to-order", type=int, default=None,
+                   help="default: one more than --from-order")
     q.set_defaults(fn=cmd_jb)
 
     q = sub.add_parser("milnor", help="dim Q[x]/(f, df), the Tjurina number; it is the "

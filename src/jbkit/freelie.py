@@ -10,6 +10,7 @@ a Lyndon bracketing is its own word plus lexicographically larger words.
 """
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
@@ -198,13 +199,28 @@ class AssocPoly:
         return p
 
     def mul(self, other: "AssocPoly", degree_cap=None) -> "AssocPoly":
+        """Product, with every word above ``degree_cap`` dropped.
+
+        Under a cap only the pairs within it are formed: each term's
+        degree is computed once per call, the right operand is walked in
+        ascending degree, and each left term stops at the room the cap
+        leaves it.
+        """
         deg = self.alphabet.degree
+        if degree_cap is None:
+            right = list(other.terms.items())
+        else:
+            ranked = sorted((deg(w), w, c) for w, c in other.terms.items())
+            degrees = [d for d, _, _ in ranked]
+            right = [(w, c) for _, w, c in ranked]
         out: dict = {}
         for wa, ca in self.terms.items():
-            for wb, cb in other.terms.items():
+            if degree_cap is None:
+                stop = len(right)
+            else:
+                stop = bisect_right(degrees, degree_cap - deg(wa))
+            for wb, cb in right[:stop]:
                 w = wa + wb
-                if degree_cap is not None and deg(w) > degree_cap:
-                    continue
                 s = out.get(w, ZERO) + ca * cb
                 if s:
                     out[w] = s

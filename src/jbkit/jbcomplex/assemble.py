@@ -36,6 +36,16 @@ with true exponential normalization of product chains this makes
 d(exp w) close without stray factorials.  All other factor patterns
 contribute zero.
 
+Two family values are shared between monomials: the symmetrized
+adjoint action of edge factors on a vertex factor, and the trivariate
+series evaluated on the factors fed to the slots of a triangle.  Each
+depends only on the selected factors (simplex and basis index, in slot
+order), not on the rest of the monomial or its power of t, which only
+enter through the signs and the merge applied per monomial.  So one
+JBComplex assembly, or one chain_differential call, keeps them in a
+dict keyed by the selection and computes each once; the dict lives as
+long as that call.
+
 Scope: d*d = 0 holds exactly for arbitrary gradings on covers without
 2-simplices, and on covers with 2-simplices whenever every odd edge
 element has vanishing self-bracket (in particular for all algebras in
@@ -47,13 +57,13 @@ module does not model; verify_d_squared is the guard for that regime.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement, permutations
+from itertools import combinations, combinations_with_replacement, permutations, product
 
 from ..bch import build_table
 from ..exactnum import (
     ONE, ZERO, SparseRatMatrix, bernoulli_normalized, column_echelon, insert, rank_kernel,
 )
-from ..freelie import Alphabet, FreeLieElement, evaluate_lie
+from ..freelie import Alphabet, AssocPoly, _extract_lie, evaluate_lie, expand_associative
 from .sela import coface_sign, _simplex_name
 
 __all__ = [
@@ -176,44 +186,54 @@ _POLAR_CACHE = {}
 
 
 def _shared_table(degree):
+    """The trivariate table to ``degree``, cached per degree.
+
+    A degree below the largest cached table is served by truncating that
+    table, so callers that know their largest degree request it first.
+    """
     degree = max(degree, 1)
-    if degree not in _TABLE_CACHE:
-        _TABLE_CACHE[degree] = build_table(degree, tri=True)
-    return _TABLE_CACHE[degree]
+    table = _TABLE_CACHE.get(degree)
+    if table is None:
+        top = max(_TABLE_CACHE, default=0)
+        if top > degree:
+            table = _TABLE_CACHE[top].truncate(degree)
+        else:
+            table = build_table(degree, tri=True)
+        _TABLE_CACHE[degree] = table
+    return table
 
 
 def _polarized(table, j, k, l):
     """Multidegree (j,k,l) series component as a multilinear element.
 
-    Substitutes a sum of fresh letters for each slot and keeps the part
-    linear in every letter (no divided powers), so evaluating on equal
-    arguments returns j! k! l! times the original component.
+    A direct multilinear expansion: each word of the component's
+    associative expansion sends its x, y and z positions bijectively onto
+    fresh letters of three blocks of sizes j, k and l.  That is the part
+    of substituting a sum of fresh letters for each slot that is linear
+    in every letter (no divided powers), so evaluating on equal arguments
+    returns j! k! l! times the original component.  Every fresh word
+    comes from one word and one bijection, and the sum is pulled back to
+    the Lyndon basis.
     """
     key = (j, k, l)
     cached = _POLAR_CACHE.get(key)
     if cached is not None:
         return cached
-    comp = table.trigraded(j, k, l)
     n = j + k + l
-    alphabet = Alphabet(["a%d" % i for i in range(n)])
-    gens = [FreeLieElement.generator(alphabet, lab) for lab in alphabet.labels]
-    zero = FreeLieElement.zero(alphabet)
-
-    def block(start, count):
-        acc = zero
-        for g in gens[start : start + count]:
-            acc = acc + g
-        return acc
-
-    subst = evaluate_lie(
-        comp,
-        {"x": block(0, j), "y": block(j, k), "z": block(j + k, l)},
-        bracket=lambda a, b: a.bracket(b),
-        add=lambda a, b: a + b,
-        scale=lambda c, a: a.scale(c),
-        zero=zero,
-    )
-    cached = subst.multidegree_part((1,) * n)
+    blocks = (range(j), range(j, j + k), range(j + k, n))
+    fillings = list(product(*(permutations(b) for b in blocks)))
+    terms = {}
+    for word, c in expand_associative(table.trigraded(j, k, l)).terms.items():
+        slots = [[p for p, letter in enumerate(word) if letter == b] for b in range(3)]
+        for filling in fillings:
+            fresh = [0] * n
+            for positions, letters in zip(slots, filling):
+                for p, a in zip(positions, letters):
+                    fresh[p] = a
+            terms[tuple(fresh)] = c
+    poly = AssocPoly(Alphabet(["a%d" % i for i in range(n)]))
+    poly.terms = terms
+    cached = _extract_lie(poly)
     _POLAR_CACHE[key] = cached
     return cached
 
@@ -275,10 +295,16 @@ def _vertex_into_triangle(sela, vert, tri, a):
 
 # -- the differential of one monomial -------------------------------------
 
-def monomial_differential(sela, mono, table=None):
-    """d of one basis monomial as a sparse chain {monomial: Fraction}."""
+def monomial_differential(sela, mono, table=None, memo=None):
+    """d of one basis monomial as a sparse chain {monomial: Fraction}.
+
+    memo holds the transport and slot values by factor selection; pass
+    one dict to every call of an assembly to compute each value once.
+    """
     if table is None:
         table = _shared_table(sela.artin_order - 1)
+    if memo is None:
+        memo = {}
     factors, q = mono
     k = len(factors)
     parities = [factor_parity(sela, f) for f in factors]
@@ -361,20 +387,11 @@ def monomial_differential(sela, mono, table=None):
                     continue
                 scalar = ct * (1 if eps > 0 or t_count % 2 == 0 else -1)
                 for subset in combinations(positions, t_count):
-                    idxs = [factors[p][1] for p in subset]
-                    acc = {}
-                    for perm in permutations(idxs):
-                        vec = dict(rx)
-                        for y in reversed(perm):
-                            vec = _ad(lie_e, y, vec)
-                            if not vec:
-                                break
-                        for c, w in vec.items():
-                            s = acc.get(c, ZERO) + w
-                            if s:
-                                acc[c] = s
-                            elif c in acc:
-                                del acc[c]
+                    idxs = tuple(factors[p][1] for p in subset)
+                    key = ("transport", factors[i], e, idxs)
+                    acc = memo.get(key)
+                    if acc is None:
+                        acc = memo[key] = _transport(lie_e, rx, idxs)
                     results = [((e, c), scalar * w) for c, w in acc.items()]
                     emit(tuple(sorted((i,) + subset)), results)
 
@@ -417,25 +434,37 @@ def monomial_differential(sela, mono, table=None):
                     polar = _polarized(table, len(qx), len(qy), len(qz))
                     if polar.is_zero():
                         continue
-                    args = []
-                    dead = False
-                    for e, sel in zip(slot_edges, (qx, qy, qz)):
-                        rmat = sela.coface(e, tri)
-                        for p in sel:
-                            col = _column(rmat, factors[p][1])
-                            if not col:
-                                dead = True
-                                break
-                            args.append(col)
-                        if dead:
-                            break
-                    if dead:
-                        continue
-                    value = _eval_polar(polar, args, lie_t)
-                    results = [((tri, c), w) for c, w in value.items()]
-                    emit(tuple(sorted(qx + qy + qz)), results)
+                    selected = qx + qy + qz
+                    key = ("slot", tri) + tuple(factors[p] for p in selected)
+                    value = memo.get(key)
+                    if value is None:
+                        args = [_column(sela.coface(factors[p][0], tri), factors[p][1])
+                                for p in selected]
+                        value = memo[key] = (
+                            _eval_polar(polar, args, lie_t) if all(args) else {}
+                        )
+                    if value:
+                        emit(tuple(sorted(selected)), [((tri, c), w) for c, w in value.items()])
 
     return out
+
+
+def _transport(lie, rx, idxs):
+    """Sum over orderings of idxs of the iterated adjoint action on rx."""
+    acc = {}
+    for perm in permutations(idxs):
+        vec = dict(rx)
+        for y in reversed(perm):
+            vec = _ad(lie, y, vec)
+            if not vec:
+                break
+        for c, w in vec.items():
+            s = acc.get(c, ZERO) + w
+            if s:
+                acc[c] = s
+            elif c in acc:
+                del acc[c]
+    return acc
 
 
 def _subsets(positions):
@@ -450,10 +479,11 @@ def chain_differential(sela, chain, table=None):
     if table is None:
         table = _shared_table(sela.artin_order - 1)
     out = {}
+    memo = {}
     for mono, coeff in chain.items():
         if not coeff:
             continue
-        for target, v in monomial_differential(sela, mono, table).items():
+        for target, v in monomial_differential(sela, mono, table, memo).items():
             s = out.get(target, ZERO) + coeff * v
             if s:
                 out[target] = s
@@ -526,13 +556,14 @@ class JBComplex:
 
     def _assemble(self):
         self.matrices = {}
+        memo = {}
         for deg in sorted(self.basis):
             if self.window is not None and deg + 1 > self.window[1]:
                 continue
             rows = self.index.get(deg + 1, {})
             mat = SparseRatMatrix(len(rows), len(self.basis[deg]))
             for col, mono in enumerate(self.basis[deg]):
-                for target, v in monomial_differential(self.sela, mono, self.table).items():
+                for target, v in monomial_differential(self.sela, mono, self.table, memo).items():
                     row = rows.get(target)
                     if row is None:
                         raise AssertionError(

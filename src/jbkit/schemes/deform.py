@@ -596,6 +596,8 @@ def lift_deformation(f, g, from_order, to_order):
         raise ValueError("a family needs at least one power of t: order >= 2")
     if to_order <= from_order:
         raise ValueError("target order must exceed the starting order")
+    # the largest table first: every smaller one is a truncation of it
+    _shared_table(to_order - 1)
     ks = ks_cochain(f, g, from_order)
     sela, cocycle = package_one_chart(ks)
     steps = []

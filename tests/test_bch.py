@@ -55,13 +55,21 @@ def test_single_letter_tails_vanish():
         assert table.bigraded(0, n).is_zero()
 
 
-def test_recursion_agrees_with_log_oracle_through_degree_six():
-    table = build_table(6)
-    oracle = bch_oracle(6)
+def _assert_recursion_agrees_with_log_oracle(degree):
+    table = build_table(degree)
+    oracle = bch_oracle(degree)
     keys = set(table.bidegree) | set(oracle)
     zero = FreeLieElement.zero(BCH_ALPHABET)
     for i, j in sorted(keys):
         assert table.bigraded(i, j) == oracle.get((i, j), zero), (i, j)
+
+
+def test_recursion_agrees_with_log_oracle_through_degree_six():
+    _assert_recursion_agrees_with_log_oracle(6)
+
+
+def test_recursion_agrees_with_log_oracle_through_degree_nine():
+    _assert_recursion_agrees_with_log_oracle(9)
 
 
 def test_one_x_many_y_components_follow_bernoulli_pattern():

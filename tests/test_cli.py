@@ -8,7 +8,7 @@ import pytest
 
 from jbkit import cli
 from jbkit.jbcomplex import Sela, factories
-from jbkit.schemes import koszul_resolution, parse_poly
+from jbkit.schemes import koszul_resolution, lift_deformation, parse_poly
 
 
 def run(capsys, *argv):
@@ -185,6 +185,15 @@ def test_jb_obstruct(capsys, tmp_path):
     usage_error(capsys, "jb", "obstruct", "--data", path, "--to-order", "x")
 
 
+def test_jb_obstruct_refuses_unordered_orders_before_reading_data(capsys, tmp_path):
+    absent = str(tmp_path / "absent.json")
+    err = usage_error(capsys, "jb", "obstruct", "--data", absent,
+                      "--from-order", "4", "--to-order", "4")
+    assert "--to-order must exceed --from-order" in err
+    err = usage_error(capsys, "jb", "obstruct", "--data", absent, "--to-order", "1")
+    assert "--to-order must exceed --from-order" in err
+
+
 # -- hypersurfaces -----------------------------------------------------------
 
 @pytest.mark.parametrize(
@@ -229,10 +238,18 @@ def test_deform_lift(capsys):
     base = ("deform", "lift", "--vars", "x,y", "--poly", "x^4+y^5")
     rc, out = run_json(capsys, *base, "--direction", "x^2*y^3", "--to-order", "4")
     assert rc == 0 and out["lifted"] is True
-    rc, out = run_json(capsys, *base, "--direction", "x", "--from-order", "3", "--to-order", "2")
-    assert rc == 1 and "must exceed" in out["error"]
+    err = usage_error(capsys, *base, "--direction", "x", "--from-order", "3", "--to-order", "2")
+    assert "--to-order must exceed --from-order" in err
     usage_error(capsys, *base, "--direction", "x*", "--to-order", "3")
     usage_error(capsys, *base, "--direction", "w", "--to-order", "3")
+
+
+def test_deform_lift_refuses_unordered_orders_before_parsing(capsys):
+    err = usage_error(capsys, "deform", "lift", "--vars", "x,x", "--poly", "x^", "--direction", "x",
+                      "--from-order", "3", "--to-order", "2")
+    assert "--to-order must exceed --from-order" in err
+    with pytest.raises(ValueError, match="must exceed"):
+        lift_deformation(parse_poly("x^4+y^5", ("x", "y")), parse_poly("x", ("x", "y")), 3, 3)
 
 
 # -- resolution and selfcheck ------------------------------------------------

@@ -3,6 +3,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jbkit.freelie import (
     Alphabet,
@@ -198,3 +199,42 @@ def test_weighted_alphabet_degrees():
     words = [b.word for b in lyndon_basis(ab, 7)]
     assert all(ab.degree(w) == 7 for w in words)
     assert ab.parse_word("uuv") in words  # 2+2+3
+
+
+# -- capped products ------------------------------------------------------------
+
+W123 = Alphabet(["a", "b", "c"], weights=(1, 2, 3))
+_polys = st.dictionaries(
+    st.lists(st.integers(0, 2), max_size=4).map(tuple),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    max_size=8,
+).map(lambda terms: AssocPoly(W123, terms))
+
+
+def _all_pairs_product(a, b):
+    """Reference: every pair formed, no cap."""
+    out = {}
+    for wa, ca in a.terms.items():
+        for wb, cb in b.terms.items():
+            out[wa + wb] = out.get(wa + wb, 0) + ca * cb
+    return AssocPoly(a.alphabet, out)
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(_polys, _polys, st.one_of(st.none(), st.integers(-1, 14)))
+def test_capped_product_is_truncated_product_on_weighted_alphabet(a, b, cap):
+    full = _all_pairs_product(a, b)
+    assert a.mul(b) == full
+    if cap is None:
+        assert a.mul(b, cap) == full
+    else:
+        assert a.mul(b, cap) == full.truncate(cap)
+        assert a.mul(b, cap) == a.mul(b).truncate(cap)
+
+
+def test_capped_product_below_every_term_is_zero():
+    a = AssocPoly(W123, {(): 1, (1,): 2, (0, 2): -1})
+    b = AssocPoly(W123, {(): 3, (2, 2): 1})
+    assert a.mul(b, -1).is_zero()
+    assert a.mul(b, 0) == AssocPoly(W123, {(): 3})
+    assert a.mul(b, 2) == AssocPoly(W123, {(): 3, (1,): 6})

@@ -1,11 +1,20 @@
 """Assembled chain complexes over gluing data: d*d, filtration, cohomology."""
 
+import random
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations_with_replacement
 
 import pytest
 
+from jbkit.bch import build_table
+from jbkit.freelie import (
+    Alphabet, AssocPoly, FreeLieElement, _extract_lie, evaluate_lie, expand_associative,
+)
+from jbkit.liecore import ArtinLine, LieElement
 from jbkit.jbcomplex import (
+    assemble,
+    coboundary_gluing,
     factories,
     graded_pieces,
     deformation_ring_dimension,
@@ -13,9 +22,12 @@ from jbkit.jbcomplex import (
     induced_chain_map,
     jb_assemble,
     jb_cohomology,
+    special_cocycle,
     verify_d_squared,
 )
-from jbkit.jbcomplex.assemble import factor_degree, factor_parity
+from jbkit.jbcomplex.assemble import (
+    chain_differential, factor_degree, factor_parity, monomial_differential,
+)
 from jbkit.exactnum import rank_kernel
 
 
@@ -274,3 +286,131 @@ def test_representatives_match_dense_oracle(factory, order, degree):
     monos = jb.monomials(degree)
     assert dim == len(kept)
     assert reps == [{monos[i]: c for i, c in sorted(v.items())} for v in kept]
+
+
+# -- the series path: polarization, shared values, shared tables -----------------
+
+def _squarefree_bracket(a, b):
+    """[a, b] without the terms that repeat a letter.
+
+    Brackets are multigraded, so such terms only ever feed terms with a
+    repeated letter; leaving them out keeps every multilinear part.
+    """
+    comm = {}
+    eb = expand_associative(b).terms
+    for wa, ca in expand_associative(a).terms.items():
+        for wb, cb in eb.items():
+            if set(wa).isdisjoint(wb):
+                comm[wa + wb] = comm.get(wa + wb, 0) + ca * cb
+                comm[wb + wa] = comm.get(wb + wa, 0) - ca * cb
+    return _extract_lie(AssocPoly(a.alphabet, comm))
+
+
+def _polarized_by_brackets(table, j, k, l):
+    """Reference: substitute letter sums through the bracket route, keep the multilinear part."""
+    comp = table.trigraded(j, k, l)
+    n = j + k + l
+    alphabet = Alphabet(["a%d" % i for i in range(n)])
+    gens = [FreeLieElement.generator(alphabet, lab) for lab in alphabet.labels]
+    zero = FreeLieElement.zero(alphabet)
+
+    def block(start, count):
+        acc = zero
+        for g in gens[start : start + count]:
+            acc = acc + g
+        return acc
+
+    subst = evaluate_lie(
+        comp,
+        {"x": block(0, j), "y": block(j, k), "z": block(j + k, l)},
+        bracket=_squarefree_bracket,
+        add=lambda a, b: a + b,
+        scale=lambda c, a: a.scale(c),
+        zero=zero,
+    )
+    return subst.multidegree_part((1,) * n)
+
+
+def test_polarization_matches_bracket_route(monkeypatch):
+    monkeypatch.setattr(assemble, "_POLAR_CACHE", {})
+    table = build_table(6, tri=True)
+    for n in range(1, 7):
+        for j in range(n + 1):
+            for k in range(n + 1 - j):
+                l = n - j - k
+                want = _polarized_by_brackets(table, j, k, l)
+                assert assemble._polarized(table, j, k, l) == want, (j, k, l)
+
+
+def _memo_free_matrices(jb):
+    out = {}
+    for deg in jb.matrices:
+        rows = jb.index.get(deg + 1, {})
+        entries = {}
+        for col, mono in enumerate(jb.basis[deg]):
+            for target, v in monomial_differential(jb.sela, mono, jb.table).items():
+                key = (rows[target], col)
+                entries[key] = entries.get(key, 0) + v
+        out[deg] = {key: v for key, v in entries.items() if v}
+    return out
+
+
+@pytest.mark.parametrize("factory", [factories.nonabelian_triangle, factories.dg_triangle])
+def test_assembly_equals_memo_free_monomial_differentials(factory):
+    jb = jb_assemble(factory(4))
+    reference = _memo_free_matrices(jb)
+    assert set(reference) == set(jb.matrices)
+    for deg, entries in reference.items():
+        mat = jb.matrices[deg]
+        assert {key: v for key, v in mat.entries.items() if v} == entries, deg
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_chain_differential_equals_memo_free_sum(seed):
+    rng = random.Random(seed)
+    sela = factories.nonabelian_triangle(4)
+    ring = ArtinLine(4)
+    gauges = {}
+    for v in sela.simplices(1):
+        lie = sela.algebra(v)
+        gauges[v] = LieElement.from_dict(lie, ring, {
+            lie.names[i]: [0] + [Fraction(rng.randint(-2, 2)) for _ in range(3)]
+            for i in lie.basis_indices(0)
+        })
+    chain = special_cocycle(sela, {}, coboundary_gluing(sela, gauges)).chain
+    reweighted = {m: c * (n % 3 + 1) for n, (m, c) in enumerate(sorted(chain.items()))}
+    table = assemble._shared_table(3)
+    for ch in (chain, reweighted):
+        want = {}
+        for mono, coeff in ch.items():
+            for target, v in monomial_differential(sela, mono, table).items():
+                want[target] = want.get(target, 0) + coeff * v
+        want = {target: v for target, v in want.items() if v}
+        assert chain_differential(sela, ch, table) == want
+    assert chain_differential(sela, chain, table) == {}
+    assert chain_differential(sela, reweighted, table) != {}
+
+
+@lru_cache(maxsize=None)
+def _built_table(degree):
+    return build_table(degree, tri=True)
+
+
+@pytest.mark.parametrize("degrees", [range(1, 7), range(6, 0, -1)])
+def test_shared_tables_are_truncations_of_the_largest(monkeypatch, degrees):
+    builds = []
+
+    def counted(degree, tri=False):
+        builds.append(degree)
+        return build_table(degree, tri=tri)
+
+    monkeypatch.setattr(assemble, "_TABLE_CACHE", {})
+    monkeypatch.setattr(assemble, "build_table", counted)
+    served = {d: assemble._shared_table(d) for d in degrees}
+    for d, table in served.items():
+        assert assemble._shared_table(d) is table
+        want = _built_table(d)
+        assert table.max_degree == d
+        assert table.bidegree == want.bidegree
+        assert table.tridegree == want.tridegree
+    assert builds == ([6] if degrees[0] == 6 else list(range(1, 7)))
