@@ -157,23 +157,36 @@ class SparseRatMatrix:
         return m
 
     def mul(self, other: "SparseRatMatrix") -> "SparseRatMatrix":
-        """Sparse matrix product self @ other."""
+        """Sparse matrix product self @ other, accumulated in integers.
+
+        With a the lcm of the denominators of self and b that of other,
+        aA and bB have integer entries, so every sum of the product
+        (aA)(bB) = ab(AB) is a sum of Python ints: exact, and free of the
+        gcd that each Fraction addition pays.  Each entry is divided by
+        ab once at the end.  A key is dropped as soon as its running sum
+        is zero, so sums that cancel are never stored, no zero reaches
+        the result and the accumulator holds only live sums.
+        """
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in product")
-        rows_of_other: dict[int, list[tuple[int, Fraction]]] = {}
+        a = lcm(*(v.denominator for v in self.entries.values()))
+        b = lcm(*(v.denominator for v in other.entries.values()))
+        rows_of_other: dict[int, list[tuple[int, int]]] = {}
         for (i, j), v in other.entries.items():
-            rows_of_other.setdefault(i, []).append((j, v))
-        acc: dict[tuple[int, int], Fraction] = {}
-        for (i, k), a in self.entries.items():
-            for j, b in rows_of_other.get(k, ()):
+            rows_of_other.setdefault(i, []).append((j, v.numerator * (b // v.denominator)))
+        acc: dict[tuple[int, int], int] = {}
+        for (i, k), v in self.entries.items():
+            x = v.numerator * (a // v.denominator)
+            for j, y in rows_of_other.get(k, ()):
                 key = (i, j)
-                s = acc.get(key, ZERO) + a * b
-                if s == 0:
-                    acc.pop(key, None)
-                else:
+                s = acc.get(key, 0) + x * y
+                if s:
                     acc[key] = s
+                else:
+                    del acc[key]
+        ab = a * b
         m = SparseRatMatrix(self.nrows, other.ncols)
-        m.entries = acc
+        m.entries = {key: Fraction(s, ab) for key, s in acc.items()}
         return m
 
     def apply(self, vec: dict[int, Fraction]) -> dict[int, Fraction]:
@@ -188,6 +201,10 @@ class SparseRatMatrix:
                 else:
                     out[i] = s
         return out
+
+    def column(self, j: int) -> dict[int, Fraction]:
+        """Column j as a sparse vector {row index: Fraction}."""
+        return {i: v for (i, c), v in self.entries.items() if c == j}
 
     def rows(self) -> dict[int, dict[int, Fraction]]:
         out: dict[int, dict[int, Fraction]] = {}
@@ -258,16 +275,16 @@ def _eliminate(rows: list[dict[int, int]]) -> dict[int, dict[int, int]]:
     by smallest nonzero pivot magnitude.
     """
     echelon: dict[int, dict[int, int]] = {}
-    pending = [r for r in rows if r]
+    pending = [(min(r), r) for r in rows if r]  # (lead column, row)
     while pending:
-        work: list[dict[int, int]] = []
+        lead = min(m for m, _ in pending)
+        work: list[tuple[int, dict[int, int]]] = []
         candidates = []
-        lead = min(min(r) for r in pending)
-        for r in pending:
-            if min(r) == lead:
-                candidates.append(r)
+        for item in pending:
+            if item[0] == lead:
+                candidates.append(item[1])
             else:
-                work.append(r)
+                work.append(item)
         if lead in echelon:
             pivot_row = echelon[lead]
         else:
@@ -278,7 +295,7 @@ def _eliminate(rows: list[dict[int, int]]) -> dict[int, dict[int, int]]:
         for r in candidates:
             new = _combine(p, r, r[lead], pivot_row)
             if new:
-                work.append(new)
+                work.append((min(new), new))
         pending = work
     return echelon
 

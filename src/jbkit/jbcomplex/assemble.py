@@ -36,15 +36,28 @@ with true exponential normalization of product chains this makes
 d(exp w) close without stray factorials.  All other factor patterns
 contribute zero.
 
-Two family values are shared between monomials: the symmetrized
-adjoint action of edge factors on a vertex factor, and the trivariate
-series evaluated on the factors fed to the slots of a triangle.  Each
-depends only on the selected factors (simplex and basis index, in slot
-order), not on the rest of the monomial or its power of t, which only
-enter through the signs and the merge applied per monomial.  So one
-JBComplex assembly, or one chain_differential call, keeps them in a
-dict keyed by the selection and computes each once; the dict lives as
-long as that call.
+One JBComplex assembly, or one chain_differential call, keeps a dict
+(the memo) that lives as long as that call and holds, each computed
+once:
+
+  per factor        its factor_key, its parity and its one-factor
+                    differential (Sela.differential_of), all read off the
+                    factor's simplex and basis index alone;
+  per selection     the value of each family on the selected factors:
+                    the vertex bracket, the symmetrized adjoint action of
+                    edge factors on a vertex factor (with its Bernoulli
+                    scalar and coface sign), the bracket of the restricted
+                    top vertex with a triangle factor, and the trivariate
+                    series on the factors fed to the slots of a triangle.
+
+A family value is a function of the selected factors (simplex and
+basis index, in slot order): the coface matrices, brackets and series
+it reads are fixed by them and by the gluing datum.  The rest of the
+monomial and its power of t only enter through the Koszul sign and the
+merge that emit applies per monomial.  Values are stored with the key
+and parity of every factor they produce, ready for emit, which signs a
+coefficient by negation and merges the new factor into the sorted
+remainder in one walk.
 
 Scope: d*d = 0 holds exactly for arbitrary gradings on covers without
 2-simplices, and on covers with 2-simplices whenever every odd edge
@@ -64,7 +77,7 @@ from ..exactnum import (
     ONE, ZERO, SparseRatMatrix, bernoulli_normalized, column_echelon, insert, rank_kernel,
 )
 from ..freelie import Alphabet, AssocPoly, _extract_lie, evaluate_lie, expand_associative
-from .sela import coface_sign, _simplex_name
+from .sela import coface_sign, _acc, _simplex_name
 
 __all__ = [
     "JBComplex",
@@ -102,10 +115,6 @@ def factor_parity(sela, f):
 def factor_degree(sela, f):
     simplex, idx = f
     return len(simplex) + sela.algebra(simplex).degrees[idx] - 2
-
-
-def monomial_degree(sela, mono):
-    return sum(factor_degree(sela, f) for f in mono[0])
 
 
 def sort_word(sela, word):
@@ -252,19 +261,11 @@ def _eval_polar(polar, args, lie):
     return res.coeffs
 
 
-def _column(mat, c):
-    return {r: v for (r, cc), v in mat.entries.items() if cc == c and v}
-
-
 def _ad(lie, y, vec):
     out = {}
     for m, cm in vec.items():
         for c, w in lie.bracket_basis(y, m).items():
-            s = out.get(c, ZERO) + cm * w
-            if s:
-                out[c] = s
-            elif c in out:
-                del out[c]
+            _acc(out, c, cm * w)
     return out
 
 
@@ -280,17 +281,70 @@ def _vertex_into_triangle(sela, vert, tri, a):
         if v not in edge or sela.algebra(edge).dim == 0:
             continue
         corr = Fraction(coface_sign(vert, edge) * coface_sign(edge, tri))
-        step = _column(sela.coface(vert, edge), a)
+        step = sela.coface(vert, edge).column(a)
+        outer = sela.coface(edge, tri)
         out = {}
         for m, cm in step.items():
-            for c, w in _column(sela.coface(edge, tri), m).items():
-                s = out.get(c, ZERO) + corr * cm * w
-                if s:
-                    out[c] = s
-                elif c in out:
-                    del out[c]
+            for c, w in outer.column(m).items():
+                _acc(out, c, corr * cm * w)
         return out
     return {}
+
+
+def _targets(sela, pairs):
+    """Family values as emit input: (factor, key, parity, coeff), zeros dropped."""
+    return [(g, factor_key(g), factor_parity(sela, g), c) for g, c in pairs if c]
+
+
+def _factor_data(sela, memo, f):
+    """Key, parity and one-factor differential of factor f, kept in memo."""
+    data = memo.get(f)
+    if data is None:
+        data = memo[f] = (
+            factor_key(f), factor_parity(sela, f), _targets(sela, sela.differential_of(*f))
+        )
+    return data
+
+
+def _family_value(sela, table, key):
+    """Value of one family on a selection, read off its memo key alone.
+
+    The key names the family and the selected factors: ("bracket", x, y)
+    for two factors on one vertex, ("transport", x, edge, indices) for a
+    vertex factor and edge factors, ("top", x, y) for a top vertex and a
+    triangle factor, and ("slot", triangle, factors in slot order).
+    """
+    kind = key[0]
+    if kind == "bracket":
+        (s, a), (_, b) = key[1:]
+        lie = sela.algebra(s)
+        odd = (lie.degrees[a] * (lie.degrees[b] + 1)) % 2
+        return [((s, c), -w if odd else w) for c, w in lie.bracket_basis(a, b).items()]
+    if kind == "transport":
+        (vert, a), e, idxs = key[1:]
+        rx = sela.coface(vert, e).column(a)
+        acc = _transport(sela.algebra(e), rx, idxs) if rx else {}
+        ct = bernoulli_normalized(len(idxs))
+        scalar = ct if coface_sign(vert, e) > 0 or len(idxs) % 2 == 0 else -ct
+        return [((e, c), scalar * w) for c, w in acc.items()]
+    if kind == "top":
+        (vert, a), (tri, b) = key[1:]
+        lie_t = sela.algebra(tri)
+        acc = {}
+        for m, cm in _vertex_into_triangle(sela, vert, tri, a).items():
+            for c, w in lie_t.bracket_basis(m, b).items():
+                _acc(acc, c, cm * w)
+        odd = sela.algebra(vert).degrees[a] % 2
+        return [((tri, c), -w if odd else w) for c, w in acc.items()]
+    tri, selected = key[1], key[2:]
+    a0, a1, a2 = tri
+    polar = _polarized(table, *(
+        sum(1 for s, _ in selected if s == e) for e in ((a0, a2), (a0, a1), (a1, a2))
+    ))
+    args = [sela.coface(s, tri).column(b) for s, b in selected]
+    if polar.is_zero() or not all(args):
+        return []
+    return [((tri, c), w) for c, w in _eval_polar(polar, args, sela.algebra(tri)).items()]
 
 
 # -- the differential of one monomial -------------------------------------
@@ -298,8 +352,9 @@ def _vertex_into_triangle(sela, vert, tri, a):
 def monomial_differential(sela, mono, table=None, memo=None):
     """d of one basis monomial as a sparse chain {monomial: Fraction}.
 
-    memo holds the transport and slot values by factor selection; pass
-    one dict to every call of an assembly to compute each value once.
+    memo holds the per-factor data and the family values by factor
+    selection; pass one dict to every call of an assembly to compute
+    each of them once.
     """
     if table is None:
         table = _shared_table(sela.artin_order - 1)
@@ -307,144 +362,99 @@ def monomial_differential(sela, mono, table=None, memo=None):
         memo = {}
     factors, q = mono
     k = len(factors)
-    parities = [factor_parity(sela, f) for f in factors]
+    data = [_factor_data(sela, memo, f) for f in factors]
+    keys = [d[0] for d in data]
+    parities = [d[1] for d in data]
     out = {}
 
-    def emit(selected, results):
+    def emit(selected, targets):
         # selected positions move to the front of the word: each one
         # passes the unselected odd factors on its left
-        sel = set(selected)
-        ext = 0
-        for p in selected:
-            if parities[p]:
-                ext += sum(parities[t] for t in range(p) if t not in sel)
-        extract_sign = -1 if ext % 2 else 1
-        remainder = tuple(f for t, f in enumerate(factors) if t not in sel)
-        rem_par = [parities[t] for t in range(k) if t not in sel]
-        for g, coeff in results:
-            if not coeff:
-                continue
-            pg = factor_parity(sela, g)
-            if pg and g in remainder:
+        ext = odd_left = 0
+        rest = []
+        for t in range(k):
+            if t in selected:
+                if parities[t]:
+                    ext += odd_left
+            else:
+                odd_left += parities[t]
+                rest.append(t)
+        rest_f = tuple(factors[t] for t in rest)
+        n = len(rest)
+        for g, gk, gp, coeff in targets:
+            # the new factor merges into the sorted remainder, passing the
+            # odd factors with smaller keys
+            pos = passed = 0
+            while pos < n and keys[rest[pos]] < gk:
+                passed += parities[rest[pos]]
+                pos += 1
+            if gp and pos < n and keys[rest[pos]] == gk:
                 continue  # odd square
-            passed = sum(
-                pi for f2, pi in zip(remainder, rem_par) if factor_key(f2) < factor_key(g)
-            )
-            merge_sign = -1 if (pg and passed % 2) else 1
-            word = tuple(sorted(remainder + (g,), key=factor_key))
-            target = (word, q)
-            val = out.get(target, ZERO) + coeff * extract_sign * merge_sign
+            target = (rest_f[:pos] + (g,) + rest_f[pos:], q)
+            val = -coeff if (ext + gp * passed) % 2 else coeff
+            s = out.get(target)
+            if s is not None:
+                val += s
             if val:
                 out[target] = val
             else:
-                out.pop(target, None)
+                del out[target]
+
+    def family(selected, key):
+        targets = memo.get(key)
+        if targets is None:
+            targets = memo[key] = _targets(sela, _family_value(sela, table, key))
+        if targets:
+            emit(tuple(sorted(selected)), targets)
 
     # one factor: cofaces and the internal differential
-    for i, f in enumerate(factors):
-        simplex, b = f
-        results = []
-        for outer, mat in sela.cofaces_from(simplex):
-            for r, v in _column(mat, b).items():
-                results.append(((outer, r), v))
-        lie = sela.algebra(simplex)
-        internal_sign = Fraction(-1 if (len(simplex) - 1) % 2 else 1)
-        for r, v in lie.differential_basis(b).items():
-            results.append(((simplex, r), internal_sign * v))
-        emit((i,), results)
+    for i in range(k):
+        emit((i,), data[i][2])
 
     # two factors on one vertex: graded bracket
     for i, j in combinations(range(k), 2):
-        si, ai = factors[i]
-        sj, aj = factors[j]
-        if len(si) == 1 and si == sj:
-            lie = sela.algebra(si)
-            s = -1 if (lie.degrees[ai] * (lie.degrees[aj] + 1)) % 2 else 1
-            results = [
-                ((si, c), Fraction(s) * w) for c, w in lie.bracket_basis(ai, aj).items()
-            ]
-            emit((i, j), results)
+        if len(factors[i][0]) == 1 and factors[i][0] == factors[j][0]:
+            family((i, j), ("bracket", factors[i], factors[j]))
 
     # vertex factor transported along edge factors
     for i in range(k):
-        si, ai = factors[i]
+        si = factors[i][0]
         if len(si) != 1:
             continue
-        v = si[0]
         by_edge = {}
         for t in range(k):
             st = factors[t][0]
-            if t != i and len(st) == 2 and v in st:
+            if t != i and len(st) == 2 and si[0] in st:
                 by_edge.setdefault(st, []).append(t)
         for e, positions in by_edge.items():
-            lie_e = sela.algebra(e)
-            rx = _column(sela.coface(si, e), ai)
-            if not rx:
-                continue
-            eps = coface_sign(si, e)
             for t_count in range(1, len(positions) + 1):
-                ct = bernoulli_normalized(t_count)
-                if not ct:
+                if not bernoulli_normalized(t_count):
                     continue
-                scalar = ct * (1 if eps > 0 or t_count % 2 == 0 else -1)
                 for subset in combinations(positions, t_count):
                     idxs = tuple(factors[p][1] for p in subset)
-                    key = ("transport", factors[i], e, idxs)
-                    acc = memo.get(key)
-                    if acc is None:
-                        acc = memo[key] = _transport(lie_e, rx, idxs)
-                    results = [((e, c), scalar * w) for c, w in acc.items()]
-                    emit(tuple(sorted((i,) + subset)), results)
+                    family((i,) + subset, ("transport", factors[i], e, idxs))
 
     # top vertex of a triangle acting on a triangle factor: bracket with
     # the restricted vertex element, signed by its internal degree.  The
     # slot word of the trivariate series wraps at the largest vertex,
     # whose two insertion points do not cancel.
     for i, j in combinations(range(k), 2):
-        si, ai = factors[i]
-        sj, aj = factors[j]
+        si, sj = factors[i][0], factors[j][0]
         if len(si) == 1 and len(sj) == 3 and si[0] == sj[2]:
-            lie_t = sela.algebra(sj)
-            coeff = Fraction(-1 if sela.algebra(si).degrees[ai] % 2 else 1)
-            jx = _vertex_into_triangle(sela, si, sj, ai)
-            acc = {}
-            for m, cm in jx.items():
-                for c, w in lie_t.bracket_basis(m, aj).items():
-                    s = acc.get(c, ZERO) + cm * w
-                    if s:
-                        acc[c] = s
-                    elif c in acc:
-                        del acc[c]
-            results = [((sj, c), coeff * w) for c, w in acc.items()]
-            emit((i, j), results)
+            family((i, j), ("top", factors[i], factors[j]))
 
     # edge factors feeding the slots of a triangle
     for tri in sela.simplices(3):
         a0, a1, a2 = tri
-        slot_edges = ((a0, a2), (a0, a1), (a1, a2))  # x, y, z slots
         slot_positions = [
-            [t for t in range(k) if factors[t][0] == e] for e in slot_edges
+            [t for t in range(k) if factors[t][0] == e] for e in ((a0, a2), (a0, a1), (a1, a2))
         ]
-        lie_t = sela.algebra(tri)
         for qx in _subsets(slot_positions[0]):
             for qy in _subsets(slot_positions[1]):
                 for qz in _subsets(slot_positions[2]):
-                    n = len(qx) + len(qy) + len(qz)
-                    if n < 2:
-                        continue
-                    polar = _polarized(table, len(qx), len(qy), len(qz))
-                    if polar.is_zero():
-                        continue
                     selected = qx + qy + qz
-                    key = ("slot", tri) + tuple(factors[p] for p in selected)
-                    value = memo.get(key)
-                    if value is None:
-                        args = [_column(sela.coface(factors[p][0], tri), factors[p][1])
-                                for p in selected]
-                        value = memo[key] = (
-                            _eval_polar(polar, args, lie_t) if all(args) else {}
-                        )
-                    if value:
-                        emit(tuple(sorted(selected)), [((tri, c), w) for c, w in value.items()])
+                    if len(selected) >= 2:
+                        family(selected, ("slot", tri) + tuple(factors[p] for p in selected))
 
     return out
 
@@ -459,11 +469,7 @@ def _transport(lie, rx, idxs):
             if not vec:
                 break
         for c, w in vec.items():
-            s = acc.get(c, ZERO) + w
-            if s:
-                acc[c] = s
-            elif c in acc:
-                del acc[c]
+            _acc(acc, c, w)
     return acc
 
 
@@ -484,11 +490,7 @@ def chain_differential(sela, chain, table=None):
         if not coeff:
             continue
         for target, v in monomial_differential(sela, mono, table, memo).items():
-            s = out.get(target, ZERO) + coeff * v
-            if s:
-                out[target] = s
-            else:
-                out.pop(target, None)
+            _acc(out, target, coeff * v)
     return out
 
 
@@ -571,7 +573,7 @@ class JBComplex:
                             % (format_monomial(self.sela, mono),
                                format_monomial(self.sela, target))
                         )
-                    mat[row, col] = mat[row, col] + v
+                    mat.entries[row, col] = v
             self.matrices[deg] = mat
 
     def degrees(self):
@@ -709,16 +711,11 @@ def induced_chain_map(source, target, morphism):
             words = {(): ONE}
             for simplex, b in factors:
                 mor = morphism.get(simplex)
-                img = _column(mor, b) if mor is not None else {}
+                img = mor.column(b) if mor is not None else {}
                 new = {}
                 for word, c in words.items():
                     for r, w in img.items():
-                        nw = word + ((simplex, r),)
-                        s = new.get(nw, ZERO) + c * w
-                        if s:
-                            new[nw] = s
-                        else:
-                            new.pop(nw, None)
+                        _acc(new, word + ((simplex, r),), c * w)
                 words = new
                 if not words:
                     break

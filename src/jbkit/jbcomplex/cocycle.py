@@ -29,7 +29,7 @@ from ..bch import eval_bch, eval_bch_trivariate
 from ..exactnum import ZERO, bernoulli_normalized
 from ..liecore import ArtinLine, LieElement
 from .assemble import _shared_table, format_monomial, sort_word
-from .sela import coface_sign, _simplex_name
+from .sela import coface_sign, _acc, _simplex_name
 
 __all__ = [
     "SpecialCocycle",
@@ -110,21 +110,18 @@ def element_chain(sela, simplex, elt):
 def chain_mul(sela, u, v):
     """Koszul product of sparse chains; tags add, overflow truncates."""
     order = sela.artin_order
+    v_terms = list(v.items())
+    below = {}  # room -> the terms of v with tag below room, in v's order
     out = {}
     for (wu, qu), cu in u.items():
-        for (wv, qv), cv in v.items():
-            q = qu + qv
-            if q >= order:
-                continue
+        room = order - qu
+        terms = below.get(room)
+        if terms is None:
+            terms = below[room] = [(wv, qv, cv) for (wv, qv), cv in v_terms if qv < room]
+        for wv, qv, cv in terms:
             word, sign = sort_word(sela, wu + wv)
-            if word is None:
-                continue
-            key = (word, q)
-            s = out.get(key, ZERO) + cu * cv * sign
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+            if word is not None:
+                _acc(out, (word, qu + qv), cu * cv * sign)
     return out
 
 
@@ -137,11 +134,7 @@ def exp_chain(sela, w):
     while power:
         inv = Fraction(1, fact)
         for key, c in power.items():
-            s = out.get(key, ZERO) + c * inv
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
+            _acc(out, key, c * inv)
         k += 1
         fact *= k
         power = chain_mul(sela, power, w)

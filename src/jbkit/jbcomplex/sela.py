@@ -112,14 +112,21 @@ class Sela:
             return mat
         return SparseRatMatrix(self.algebra(outer).dim, self.algebra(inner).dim)
 
-    def cofaces_from(self, inner):
-        inner = tuple(inner)
+    def differential_of(self, simplex, b):
+        """Total differential of basis vector b of one simplex.
+
+        The signed cofaces of b, then its internal differential weighted
+        by (-1)^(|simplex| - 1), as a list of ((simplex, index), Fraction)
+        pairs with distinct, nonzero entries.
+        """
         out = []
-        for outer in self.all_simplices(len(inner) + 1):
-            if all(v in outer for v in inner) and self.algebra(outer).dim:
-                mat = self.coface(inner, outer)
-                if not mat.is_zero():
-                    out.append((outer, mat))
+        for outer in self.all_simplices(len(simplex) + 1):
+            mat = self.cofaces.get((simplex, outer))  # only nonzero maps are kept
+            if mat is not None:
+                out.extend(((outer, r), v) for r, v in mat.column(b).items())
+        odd = (len(simplex) - 1) % 2
+        for r, v in self.algebra(simplex).differential_basis(b).items():
+            out.append(((simplex, r), -v if odd else v))
         return out
 
     # -- validation -------------------------------------------------
@@ -151,8 +158,8 @@ class Sela:
             for b in range(a, src.dim):
                 lhs = mat.apply(_frac_vec(src.bracket_basis(a, b)))
                 rhs = {}
-                for c, va in _mat_column(mat, a).items():
-                    for d, vb in _mat_column(mat, b).items():
+                for c, va in mat.column(a).items():
+                    for d, vb in mat.column(b).items():
                         for e, w in dst.bracket_basis(c, d).items():
                             _acc(rhs, e, va * vb * w * sign)
                 if _clean(lhs) != _clean(rhs):
@@ -161,7 +168,7 @@ class Sela:
         for b in range(src.dim):
             lhs = mat.apply(_frac_vec(src.differential_basis(b)))
             rhs = {}
-            for c, v in _mat_column(mat, b).items():
+            for c, v in mat.column(b).items():
                 for e, w in dst.differential_basis(c).items():
                     _acc(rhs, e, v * w)
             if _clean(lhs) != _clean(rhs):
@@ -288,10 +295,6 @@ def _frac_vec(d):
     return {k: Fraction(v) for k, v in d.items()}
 
 
-def _mat_column(mat, c):
-    return {r: v for (r, cc), v in mat.entries.items() if cc == c and v}
-
-
 def _acc(d, k, v):
     w = d.get(k, ZERO) + v
     if w:
@@ -342,25 +345,11 @@ class TotalComplex:
         dst_index = self.index.get(n + 1, {})
         mat = SparseRatMatrix(len(dst_index), len(src))
         for col, (simplex, b) in enumerate(src):
-            for (target, r, coeff) in self.differential_of(simplex, b):
-                row = dst_index.get((target, r))
-                if row is None:
-                    continue
-                mat[(row, col)] = mat[(row, col)] + coeff
+            for target, coeff in self.sela.differential_of(simplex, b):
+                row = dst_index.get(target)
+                if row is not None:
+                    mat.entries[row, col] = coeff
         return mat
-
-    def differential_of(self, simplex, b):
-        """Differential of one basis vector as (simplex, basis, coeff) triples."""
-        sela = self.sela
-        out = []
-        for outer, mat in sela.cofaces_from(simplex):
-            for r, v in _mat_column(mat, b).items():
-                out.append((outer, r, v))
-        lie = sela.algebra(simplex)
-        sign = -1 if (len(simplex) - 1) % 2 else 1
-        for r, v in lie.differential_basis(b).items():
-            out.append((simplex, r, Fraction(sign) * v))
-        return out
 
     def matrix(self, n):
         if n in self.matrices:

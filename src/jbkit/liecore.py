@@ -180,7 +180,7 @@ class StructLie:
         """Differential of basis element a as {target index: Fraction}."""
         if self.differential is None:
             return {}
-        return {c: v for (c, src), v in self.differential.entries.items() if src == a and v}
+        return self.differential.column(a)
 
     def bracket_maps(self, u: dict, v: dict) -> dict:
         """Bracket of sparse coefficient maps over any commutative ring."""

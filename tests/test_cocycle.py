@@ -6,6 +6,8 @@ from fractions import Fraction
 import pytest
 
 from jbkit.liecore import ArtinLine, LieElement
+from jbkit.jbcomplex.assemble import sort_word
+from jbkit.jbcomplex.cocycle import chain_mul, element_chain, exp_chain
 from jbkit.jbcomplex import (
     bernoulli_transport,
     coboundary_gluing,
@@ -114,6 +116,50 @@ def test_coboundary_gluing_is_cocycle(seed):
     psi = coboundary_gluing(sela, gauges)
     sc = special_cocycle(sela, {}, psi)
     assert verify_cocycle(jb_assemble(sela), sc) == []
+
+
+def _unpruned_chain_mul(sela, u, v):
+    """Reference: every pair of terms formed, the tag tested afterwards."""
+    out = {}
+    for (wu, qu), cu in u.items():
+        for (wv, qv), cv in v.items():
+            if qu + qv >= sela.artin_order:
+                continue
+            word, sign = sort_word(sela, wu + wv)
+            if word is None:
+                continue
+            key = (word, qu + qv)
+            s = out.get(key, 0) + cu * cv * sign
+            if s:
+                out[key] = s
+            else:
+                out.pop(key, None)
+    return out
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_pruned_chain_mul_matches_unpruned_in_value_and_order(seed):
+    rng = random.Random(seed)
+    sela = factories.nonabelian_triangle(4)
+    ring = ArtinLine(4)
+    g = sela.algebra((0,))
+    gauges = {v: _random_gauge(g, ring, rng) for v in sela.simplices(1)}
+    w = {}
+    for e, val in coboundary_gluing(sela, gauges).items():
+        w.update(element_chain(sela, e, val))
+    assert w
+    power, want_exp, fact = dict(w), {}, 1
+    for k in range(1, 5):
+        for key, c in power.items():
+            want_exp[key] = want_exp.get(key, 0) + c / fact
+        fact *= k + 1
+        want = _unpruned_chain_mul(sela, power, w)
+        got = chain_mul(sela, power, w)
+        assert list(got.items()) == list(want.items()), k
+        power = want
+    assert power == {}
+    want_exp = [(key, c) for key, c in want_exp.items() if c]
+    assert list(exp_chain(sela, w).items()) == want_exp
 
 
 def test_coboundary_gluing_with_missing_vertex():

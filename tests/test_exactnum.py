@@ -4,6 +4,7 @@ from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jbkit.exactnum import (
     SparseRatMatrix,
@@ -174,6 +175,66 @@ def test_sparse_product():
     a = SparseRatMatrix.from_dense([[1, 2], [0, 1]])
     b = SparseRatMatrix.from_dense([[1, 0], [3, 4]])
     assert a.mul(b).to_dense() == SparseRatMatrix.from_dense([[7, 8], [3, 4]]).to_dense()
+
+
+def _dense_product(a, b):
+    """Reference: every sum formed in Fraction arithmetic on dense rows."""
+    x, y = a.to_dense(), b.to_dense()
+    return [
+        [sum((x[i][k] * y[k][j] for k in range(a.ncols)), Fraction(0)) for j in range(b.ncols)]
+        for i in range(a.nrows)
+    ]
+
+
+_entries = st.one_of(
+    st.just(Fraction(0)),
+    st.builds(Fraction, st.integers(-9, 9), st.sampled_from([1, 2, 3, 4, 6, 7, 12])),
+)
+
+
+def _blocks(nrows, ncols):
+    return st.lists(st.lists(_entries, min_size=ncols, max_size=ncols),
+                    min_size=nrows, max_size=nrows)
+
+
+@st.composite
+def _cancelling_pairs(draw):
+    """A = [X | -X | Z] and B = [Y; Y; W]: AB = ZW, every XY sum cancels."""
+    n, m, l, p = (draw(st.integers(0, 4)) for _ in range(4))
+    x, z = draw(_blocks(n, m)), draw(_blocks(n, l))
+    y, w = draw(_blocks(m, p)), draw(_blocks(l, p))
+    a = SparseRatMatrix(n, 2 * m + l)
+    for i in range(n):
+        for k, v in enumerate(x[i] + [-v for v in x[i]] + z[i]):
+            a[i, k] = v
+    b = SparseRatMatrix(2 * m + l, p)
+    for k, row in enumerate(y + y + w):
+        for j, v in enumerate(row):
+            b[k, j] = v
+    return a, b
+
+
+@settings(max_examples=80, deadline=None, database=None)
+@given(_cancelling_pairs())
+def test_integer_product_matches_dense_fraction_product(pair):
+    a, b = pair
+    prod = a.mul(b)
+    assert (prod.nrows, prod.ncols) == (a.nrows, b.ncols)
+    assert prod.to_dense() == _dense_product(a, b)
+    assert all(v != 0 for v in prod.entries.values())
+    assert all(type(v) is Fraction for v in prod.entries.values())
+
+
+def test_product_of_empty_and_zero_shaped_matrices():
+    # no denominators at all: lcm() of nothing is 1
+    assert SparseRatMatrix(0, 3).mul(SparseRatMatrix(3, 0)) == SparseRatMatrix(0, 0)
+    assert SparseRatMatrix(3, 0).mul(SparseRatMatrix(0, 2)) == SparseRatMatrix(3, 2)
+    assert SparseRatMatrix(2, 3).mul(SparseRatMatrix(3, 4)) == SparseRatMatrix(2, 4)
+    a = SparseRatMatrix.from_dense([[Fraction(1, 2), Fraction(-1, 3)]])
+    b = SparseRatMatrix.from_dense([[Fraction(2, 3)], [1]])
+    assert a.mul(b).entries == {}
+    with pytest.raises(ValueError):
+        a.mul(a)
 
 
 def test_solve_consistent_and_inconsistent():

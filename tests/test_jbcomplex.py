@@ -3,7 +3,7 @@
 import random
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations, combinations_with_replacement
 
 import pytest
 
@@ -28,7 +28,8 @@ from jbkit.jbcomplex import (
 from jbkit.jbcomplex.assemble import (
     chain_differential, factor_degree, factor_parity, monomial_differential,
 )
-from jbkit.exactnum import rank_kernel
+from jbkit.exactnum import bernoulli_normalized, rank_kernel
+from jbkit.jbcomplex.sela import coface_sign
 
 
 # -- d*d = 0 on the verified domain -------------------------------------
@@ -363,6 +364,165 @@ def test_assembly_equals_memo_free_monomial_differentials(factory):
     for deg, entries in reference.items():
         mat = jb.matrices[deg]
         assert {key: v for key, v in mat.entries.items() if v} == entries, deg
+
+
+def _reference_column(mat, c):
+    return {r: v for (r, cc), v in mat.entries.items() if cc == c and v}
+
+
+def _reference_vertex_into_triangle(sela, vert, tri, a):
+    v = vert[0]
+    for edge in combinations(tri, 2):
+        if v not in edge or sela.algebra(edge).dim == 0:
+            continue
+        corr = Fraction(coface_sign(vert, edge) * coface_sign(edge, tri))
+        out = {}
+        for m, cm in _reference_column(sela.coface(vert, edge), a).items():
+            for c, w in _reference_column(sela.coface(edge, tri), m).items():
+                out[c] = out.get(c, 0) + corr * cm * w
+        return {c: w for c, w in out.items() if w}
+    return {}
+
+
+def _reference_monomial_differential(sela, mono, table):
+    """Memo-free d of one monomial: Fraction signs, merge by sorting.
+
+    Written independently of the assembly's per-factor data: cofaces and
+    internal differentials come from full matrix scans, every emitted
+    coefficient is multiplied by its two signs, and every target word is
+    sorted by factor_key.
+    """
+    factors, q = mono
+    k = len(factors)
+    parities = [factor_parity(sela, f) for f in factors]
+    out = {}
+
+    def emit(selected, results):
+        sel = set(selected)
+        ext = 0
+        for p in selected:
+            if parities[p]:
+                ext += sum(parities[t] for t in range(p) if t not in sel)
+        extract_sign = -1 if ext % 2 else 1
+        remainder = tuple(f for t, f in enumerate(factors) if t not in sel)
+        rem_par = [parities[t] for t in range(k) if t not in sel]
+        for g, coeff in results:
+            if not coeff:
+                continue
+            pg = factor_parity(sela, g)
+            if pg and g in remainder:
+                continue
+            passed = sum(
+                pi for f2, pi in zip(remainder, rem_par)
+                if assemble.factor_key(f2) < assemble.factor_key(g)
+            )
+            merge_sign = -1 if (pg and passed % 2) else 1
+            word = tuple(sorted(remainder + (g,), key=assemble.factor_key))
+            target = (word, q)
+            val = out.get(target, Fraction(0)) + coeff * extract_sign * merge_sign
+            if val:
+                out[target] = val
+            else:
+                out.pop(target, None)
+
+    for i, (simplex, b) in enumerate(factors):
+        results = []
+        for outer in sela.all_simplices(len(simplex) + 1):
+            if all(v in outer for v in simplex):
+                for r, v in _reference_column(sela.coface(simplex, outer), b).items():
+                    results.append(((outer, r), v))
+        lie = sela.algebra(simplex)
+        internal_sign = Fraction(-1 if (len(simplex) - 1) % 2 else 1)
+        if lie.differential is not None:
+            for r, v in _reference_column(lie.differential, b).items():
+                results.append(((simplex, r), internal_sign * v))
+        emit((i,), results)
+
+    for i, j in combinations(range(k), 2):
+        si, ai = factors[i]
+        sj, aj = factors[j]
+        if len(si) == 1 and si == sj:
+            lie = sela.algebra(si)
+            s = -1 if (lie.degrees[ai] * (lie.degrees[aj] + 1)) % 2 else 1
+            emit((i, j), [((si, c), Fraction(s) * w)
+                          for c, w in lie.bracket_basis(ai, aj).items()])
+
+    for i in range(k):
+        si, ai = factors[i]
+        if len(si) != 1:
+            continue
+        by_edge = {}
+        for t in range(k):
+            st = factors[t][0]
+            if t != i and len(st) == 2 and si[0] in st:
+                by_edge.setdefault(st, []).append(t)
+        for e, positions in by_edge.items():
+            rx = _reference_column(sela.coface(si, e), ai)
+            if not rx:
+                continue
+            eps = coface_sign(si, e)
+            for t_count in range(1, len(positions) + 1):
+                ct = bernoulli_normalized(t_count)
+                if not ct:
+                    continue
+                scalar = ct * (1 if eps > 0 or t_count % 2 == 0 else -1)
+                for subset in combinations(positions, t_count):
+                    idxs = tuple(factors[p][1] for p in subset)
+                    acc = assemble._transport(sela.algebra(e), rx, idxs)
+                    emit(tuple(sorted((i,) + subset)),
+                         [((e, c), scalar * w) for c, w in acc.items()])
+
+    for i, j in combinations(range(k), 2):
+        si, ai = factors[i]
+        sj, aj = factors[j]
+        if len(si) == 1 and len(sj) == 3 and si[0] == sj[2]:
+            lie_t = sela.algebra(sj)
+            coeff = Fraction(-1 if sela.algebra(si).degrees[ai] % 2 else 1)
+            acc = {}
+            for m, cm in _reference_vertex_into_triangle(sela, si, sj, ai).items():
+                for c, w in lie_t.bracket_basis(m, aj).items():
+                    acc[c] = acc.get(c, 0) + cm * w
+            emit((i, j), [((sj, c), coeff * w) for c, w in acc.items() if w])
+
+    for tri in sela.simplices(3):
+        a0, a1, a2 = tri
+        slot_positions = [
+            [t for t in range(k) if factors[t][0] == e] for e in ((a0, a2), (a0, a1), (a1, a2))
+        ]
+        for qx in assemble._subsets(slot_positions[0]):
+            for qy in assemble._subsets(slot_positions[1]):
+                for qz in assemble._subsets(slot_positions[2]):
+                    if len(qx) + len(qy) + len(qz) < 2:
+                        continue
+                    polar = assemble._polarized(table, len(qx), len(qy), len(qz))
+                    if polar.is_zero():
+                        continue
+                    selected = qx + qy + qz
+                    args = [_reference_column(sela.coface(factors[p][0], tri), factors[p][1])
+                            for p in selected]
+                    if not all(args):
+                        continue
+                    value = assemble._eval_polar(polar, args, sela.algebra(tri))
+                    emit(tuple(sorted(selected)), [((tri, c), w) for c, w in value.items()])
+    return out
+
+
+@pytest.mark.parametrize("factory,order", [
+    (factories.nonabelian_triangle, 4),
+    (factories.dg_triangle, 4),
+    (factories.mc_triangle, 3),
+])
+def test_assembly_equals_reference_monomial_differentials(factory, order):
+    jb = jb_assemble(factory(order))
+    assert set(jb.matrices) == set(jb.basis)
+    for deg, mat in jb.matrices.items():
+        rows = jb.index.get(deg + 1, {})
+        want = {}
+        for col, mono in enumerate(jb.basis[deg]):
+            for target, v in _reference_monomial_differential(jb.sela, mono, jb.table).items():
+                want[rows[target], col] = v
+        assert mat.entries == want, deg
+        assert all(type(v) is Fraction and v for v in mat.entries.values())
 
 
 @pytest.mark.parametrize("seed", range(2))

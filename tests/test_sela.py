@@ -1,6 +1,8 @@
 """Gluing data: sign table, validation, total complex, serialization."""
 
+import json
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
@@ -89,6 +91,55 @@ def test_obstructed_triangle_complex():
     # the commutator direction e13 is never hit
     assert K.cohomology_dim(1) == 1
     assert K.cohomology_dim(2) == 1
+
+
+def _reference_total_matrices(sela):
+    """Dense rebuild of the total differential from the stored matrices."""
+    basis = {}
+    for simplex in sela.simplices():
+        lie = sela.algebra(simplex)
+        for b in range(lie.dim):
+            basis.setdefault(len(simplex) - 1 + lie.degrees[b], []).append((simplex, b))
+    out = {}
+    for n, src in basis.items():
+        dst = {sb: i for i, sb in enumerate(sorted(basis.get(n + 1, []), key=lambda sb: (len(sb[0]), sb)))}
+        src = sorted(src, key=lambda sb: (len(sb[0]), sb))
+        dense = [[Fraction(0)] * len(src) for _ in dst]
+        for col, (simplex, b) in enumerate(src):
+            for (inner, outer), mat in sela.cofaces.items():
+                if inner == simplex:
+                    for r in range(mat.nrows):
+                        if (outer, r) in dst:
+                            dense[dst[outer, r]][col] += mat[r, b]
+            lie = sela.algebra(simplex)
+            if lie.differential is not None:
+                sign = (-1) ** (len(simplex) - 1)
+                for r in range(lie.dim):
+                    if (simplex, r) in dst:
+                        dense[dst[simplex, r]][col] += sign * lie.differential[r, b]
+        out[n] = dense
+    return out
+
+
+def _bundled_triangle():
+    data = json.loads(resources.files("jbkit").joinpath("data/triangle_sela.json").read_text())
+    return Sela.from_json(data)
+
+
+# the bundled triangle has no internal differentials; dg_triangle has them
+@pytest.mark.parametrize("make", [_bundled_triangle, factories.dg_triangle])
+def test_total_complex_matches_dense_rebuild(make):
+    sela = make()
+    K = standard_complex(sela)
+    want = _reference_total_matrices(sela)
+    assert set(K.matrices) == set(want)
+    for n, dense in want.items():
+        mat = K.matrix(n)
+        assert (mat.nrows, mat.ncols) == (len(dense), K.dim(n))
+        assert mat.to_dense() == dense, n
+        assert all(v for v in mat.entries.values())
+    assert any(not K.matrix(n).is_zero() for n in K.degrees())
+    assert K.verify() == []
 
 
 def test_zero_sela_complex_is_empty():
