@@ -234,12 +234,11 @@ class SparseRatMatrix:
 
 
 def _primitive(row: dict[int, int]) -> dict[int, int]:
-    """Divide an integer row by the gcd of its entries."""
-    g = 0
-    for v in row.values():
-        g = gcd(g, v)
+    """Divide an integer row by the gcd of its entries, in place."""
+    g = gcd(*row.values())
     if g > 1:
-        row = {j: v // g for j, v in row.items()}
+        for j in row:
+            row[j] //= g
     return row
 
 
@@ -255,54 +254,74 @@ def _integer_rows(matrix: SparseRatMatrix) -> list[dict[int, int]]:
 
 
 def _combine(p: int, r: dict[int, int], a: int, q: dict[int, int]) -> dict[int, int]:
-    """The fraction-free row update p*r - a*q, divided by its content."""
-    new = {j: p * v for j, v in r.items()}
+    """The fraction-free row update p*r - a*q, divided by its content.
+
+    Consumes r: the update is made in r, which is returned.  q is only
+    read.
+    """
+    if p != 1:
+        for j in r:
+            r[j] *= p
     for j, v in q.items():
-        w = new.get(j, 0) - a * v
+        w = r.get(j, 0) - a * v
         if w:
-            new[j] = w
+            r[j] = w
         else:
-            new.pop(j, None)
-    return _primitive(new)
+            del r[j]
+    return _primitive(r)
 
 
 def _eliminate(rows: list[dict[int, int]]) -> dict[int, dict[int, int]]:
     """Fraction-free forward elimination.
 
     Returns echelon rows keyed by pivot column, the smallest column of
-    each row.  Row combinations use ``_combine``, so every intermediate
-    value is an exact integer of controlled size.  Pivot rows are chosen
-    by smallest nonzero pivot magnitude.
+    each row.  Consumes the input rows: each is either kept as an
+    echelon row or updated in place by ``_combine``, so every
+    intermediate value is an exact integer of controlled size.
+
+    Pending rows wait in first-in, first-out buckets keyed by their
+    lead column, and a heap holds the leads.  Leads come out in
+    ascending order, each once, because a combined row leads further
+    right than the pivot that cleared it.  A bucket's rows are the
+    pivot candidates, in the order they were given or made; the pivot
+    is the first of smallest magnitude (a stable sort), and the others
+    are combined with it in sorted order.
     """
     echelon: dict[int, dict[int, int]] = {}
-    pending = [(min(r), r) for r in rows if r]  # (lead column, row)
-    while pending:
-        lead = min(m for m, _ in pending)
-        work: list[tuple[int, dict[int, int]]] = []
-        candidates = []
-        for item in pending:
-            if item[0] == lead:
-                candidates.append(item[1])
-            else:
-                work.append(item)
-        if lead in echelon:
-            pivot_row = echelon[lead]
-        else:
+    buckets: dict[int, list[dict[int, int]]] = {}
+    for r in rows:
+        if r:
+            buckets.setdefault(min(r), []).append(r)
+    leads = list(buckets)
+    heapify(leads)
+    while leads:
+        lead = heappop(leads)
+        candidates = buckets.pop(lead)
+        if len(candidates) > 1:
             candidates.sort(key=lambda r: abs(r[lead]))
-            pivot_row = candidates.pop(0)
-            echelon[lead] = pivot_row
+        pivot_row = echelon[lead] = candidates[0]
         p = pivot_row[lead]
-        for r in candidates:
+        for r in candidates[1:]:
             new = _combine(p, r, r[lead], pivot_row)
             if new:
-                work.append((min(new), new))
-        pending = work
+                m = min(new)
+                bucket = buckets.get(m)
+                if bucket is None:
+                    buckets[m] = [new]
+                    heappush(leads, m)
+                else:
+                    bucket.append(new)
     return echelon
+
+
+def row_echelon(matrix: SparseRatMatrix) -> dict[int, dict[int, int]]:
+    """Echelon rows spanning the row space of matrix, keyed by pivot."""
+    return _eliminate(_integer_rows(matrix))
 
 
 def column_echelon(matrix: SparseRatMatrix) -> dict[int, dict[int, int]]:
     """Echelon rows spanning the column space of matrix, keyed by pivot."""
-    return _eliminate(_integer_rows(matrix.transpose()))
+    return row_echelon(matrix.transpose())
 
 
 def remainder(
@@ -314,7 +333,7 @@ def remainder(
     eliminated in ascending order by ``_combine``, with the common
     denominator carried along as coordinate -1.  The remainder is zero
     on every pivot column, so it depends only on the span and not on
-    the echelon form chosen for it.
+    the echelon form chosen for it.  Echelon rows are only read.
     """
     v = _integer_row({j: x for j, x in vec.items() if x} | {-1: ONE})
     todo = [j for j in v if j in echelon]
@@ -339,14 +358,15 @@ def insert(echelon: dict[int, dict[int, int]], vec: dict[int, Fraction]) -> bool
     return bool(rest)
 
 
-def _back_substitute(echelon: dict[int, dict[int, int]], starts) -> list[dict[int, Fraction]]:
+def _back_substitute(echelon: dict[int, dict[int, int]], starts):
     """Complete each start vector so that every echelon row annihilates it.
 
     A start vector holds the non-pivot coordinates; the pivot ones are
-    solved from the largest pivot down.
+    solved from the largest pivot down.  The completed vectors are
+    yielded one at a time, so a caller that stops early pays only for
+    the vectors it has read.
     """
     order = sorted(echelon, reverse=True)
-    out = []
     for x in starts:
         for c in order:
             row = echelon[c]
@@ -359,8 +379,17 @@ def _back_substitute(echelon: dict[int, dict[int, int]], starts) -> list[dict[in
                     s += a * xv
             if s:
                 x[c] = -s / row[c]
-        out.append(x)
-    return out
+        yield x
+
+
+def kernel_vectors(echelon: dict[int, dict[int, int]], ncols: int):
+    """The right kernel of echelon's rows in ncols columns, one vector at a time.
+
+    One vector per free column, in ascending order, with that coordinate
+    1 and the other free ones 0.  This basis depends only on the row
+    space and its pivot columns, not on the echelon form chosen for it.
+    """
+    return _back_substitute(echelon, ({f: ONE} for f in range(ncols) if f not in echelon))
 
 
 def rank_kernel(matrix: SparseRatMatrix) -> tuple[int, list[dict[int, Fraction]]]:
@@ -369,13 +398,13 @@ def rank_kernel(matrix: SparseRatMatrix) -> tuple[int, list[dict[int, Fraction]]
     Kernel vectors are sparse dicts {column index: Fraction}; one vector is
     produced per free column, with that free coordinate set to 1.
     """
-    echelon = _eliminate(_integer_rows(matrix))
-    free = ({f: ONE} for f in range(matrix.ncols) if f not in echelon)
-    return len(echelon), _back_substitute(echelon, free)
+    echelon = row_echelon(matrix)
+    return len(echelon), list(kernel_vectors(echelon, matrix.ncols))
 
 
 def rank(matrix: SparseRatMatrix) -> int:
-    return rank_kernel(matrix)[0]
+    """Exact rank; no kernel vector is built."""
+    return len(row_echelon(matrix))
 
 
 def solve(matrix: SparseRatMatrix, rhs: dict[int, Fraction]):
@@ -391,9 +420,9 @@ def solve(matrix: SparseRatMatrix, rhs: dict[int, Fraction]):
     for i, v in rhs.items():
         if v:
             aug[i, n] = v
-    echelon = _eliminate(_integer_rows(aug))
+    echelon = row_echelon(aug)
     if n in echelon:
         return None  # a row reduced to 0 = nonzero
-    x = _back_substitute(echelon, [{n: -ONE}])[0]
+    x = next(_back_substitute(echelon, [{n: -ONE}]))
     del x[n]
     return x

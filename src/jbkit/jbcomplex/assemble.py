@@ -74,8 +74,11 @@ from itertools import combinations, combinations_with_replacement, permutations,
 
 from ..bch import build_table
 from ..exactnum import (
-    ONE, ZERO, SparseRatMatrix, bernoulli_normalized, column_echelon, insert, rank_kernel,
+    ONE, ZERO, SparseRatMatrix, bernoulli_normalized, column_echelon, insert, kernel_vectors,
+    row_echelon,
 )
+# Unused here, but kept bound: perfbench/tracer.py patches this module's rank_kernel.
+from ..exactnum import rank_kernel  # noqa: F401
 from ..freelie import Alphabet, AssocPoly, _extract_lie, evaluate_lie, expand_associative
 from .sela import coface_sign, _acc, _simplex_name
 
@@ -643,11 +646,12 @@ def jb_cohomology(jb, degree):
     """Dimension and representative chains in one degree.
 
     Needs the degrees degree-1 .. degree+1 inside the window.  The
-    dimension is the kernel dimension of d minus the rank of the
-    previous d, which is refused unless their composite vanishes; the
-    representatives are the first kernel vectors that stay independent
-    modulo the image of the previous d and the representatives before
-    them.
+    dimension comes from two ranks, as the number of chains minus
+    rank(d) minus rank(previous d), which is refused unless their
+    composite vanishes.  Kernel vectors
+    of d are then built one at a time, and only until there are that
+    many representatives: each one that stays independent modulo the
+    image of the previous d and the representatives before it is kept.
     """
     if jb.window is not None:
         lo, hi = jb.window
@@ -662,16 +666,17 @@ def jb_cohomology(jb, degree):
             "d*d does not vanish from degree %d; no cohomology in degree %d"
             % (degree - 1, degree)
         )
-    _, kernel = rank_kernel(d)
+    echelon = row_echelon(d)
     span = column_echelon(prev)
-    dim = len(kernel) - len(span)
+    dim = d.ncols - len(echelon) - len(span)
     monos = jb.basis.get(degree, [])
     reps = []
-    for vec in kernel:
-        if len(reps) == dim:
-            break
-        if insert(span, vec):
-            reps.append({monos[i]: v for i, v in sorted(vec.items())})
+    if dim:
+        for vec in kernel_vectors(echelon, d.ncols):
+            if insert(span, vec):
+                reps.append({monos[i]: v for i, v in sorted(vec.items())})
+                if len(reps) == dim:
+                    break
     return dim, reps
 
 

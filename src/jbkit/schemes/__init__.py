@@ -21,6 +21,7 @@ from .tangent import (
     ci_t1_dimension,
     hypersurface_tangent_dgla,
     milnor_dim,
+    milnor_number,
     truncated_module_quotient_dim,
 )
 from .deform import (
@@ -59,6 +60,7 @@ __all__ = [
     "ci_t1_dimension",
     "hypersurface_tangent_dgla",
     "milnor_dim",
+    "milnor_number",
     "truncated_module_quotient_dim",
     "GlueGauge",
     "KSCochain",

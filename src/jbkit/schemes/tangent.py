@@ -26,6 +26,7 @@ __all__ = [
     "TangentComplex",
     "hypersurface_tangent_dgla",
     "milnor_dim",
+    "milnor_number",
     "truncated_module_quotient_dim",
     "ci_t1_dimension",
 ]
@@ -92,7 +93,19 @@ def milnor_dim(f: Poly) -> int:
     for every row of the bundled table, but not in general: for
     x^4 + y^5 + x^2*y^3 it is 11, while the Milnor number is 14.
     """
-    gens = [f] + [f.diff(v) for v in f.vars]
+    return _isolated_quotient_dim([f] + [f.diff(v) for v in f.vars])
+
+
+def milnor_number(f: Poly) -> int:
+    """Dimension of Q[x]/(df/dx_1, ..., df/dx_n): the Milnor number.
+
+    At least ``milnor_dim(f)``, with equality when f is quasi-homogeneous.
+    """
+    return _isolated_quotient_dim([f.diff(v) for v in f.vars])
+
+
+def _isolated_quotient_dim(gens) -> int:
+    """Dimension of the quotient by the ideal of gens, which must be finite."""
     gb = buchberger(gens)
     try:
         return quotient_dimension(gb)

@@ -1,19 +1,22 @@
 """Bernoulli numbers and exact sparse linear algebra."""
+import copy
 import random
 from fractions import Fraction
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from jbkit.exactnum import (
     SparseRatMatrix,
+    _eliminate,
     bernoulli,
     bernoulli_normalized,
     column_echelon,
     format_rational,
     insert,
     parse_rational,
+    rank,
     rank_kernel,
     remainder,
     solve,
@@ -319,3 +322,105 @@ def test_insert_grows_the_span_only_by_independent_vectors():
         for probe in _random_dense(rng, 3, n, 0.8):
             probe = {i: x for i, x in enumerate(probe) if x}
             assert remainder(echelon, probe) == remainder(fresh, probe)
+
+
+# -- bucketed elimination against the scan-based one ---------------------------
+
+def _reference_combine(p, r, a, q):
+    """p*r - a*q divided by its content, on a copy: r and q are only read."""
+    new = {j: p * v for j, v in r.items()}
+    for j, v in q.items():
+        w = new.get(j, 0) - a * v
+        if w:
+            new[j] = w
+        else:
+            new.pop(j, None)
+    g = 0
+    for v in new.values():
+        g = gcd(g, v)
+    if g > 1:
+        new = {j: v // g for j, v in new.items()}
+    return new
+
+
+def _reference_eliminate(rows):
+    """Every pivot step scans and rebuilds the whole pending list."""
+    echelon = {}
+    pending = [(min(r), r) for r in rows if r]
+    while pending:
+        lead = min(m for m, _ in pending)
+        work, candidates = [], []
+        for item in pending:
+            if item[0] == lead:
+                candidates.append(item[1])
+            else:
+                work.append(item)
+        if lead in echelon:
+            pivot_row = echelon[lead]
+        else:
+            candidates.sort(key=lambda r: abs(r[lead]))
+            pivot_row = candidates.pop(0)
+            echelon[lead] = pivot_row
+        p = pivot_row[lead]
+        for r in candidates:
+            new = _reference_combine(p, r, r[lead], pivot_row)
+            if new:
+                work.append((min(new), new))
+        pending = work
+    return echelon
+
+
+# few columns and small entries, so that leads and pivot magnitudes tie often
+_int_rows = st.lists(
+    st.dictionaries(st.integers(0, 5), st.sampled_from([-3, -2, -1, 1, 2, 3, 6]), max_size=5),
+    max_size=10,
+)
+
+
+def _written_out(echelon):
+    return [(c, list(row.items())) for c, row in echelon.items()]
+
+
+@settings(max_examples=200, deadline=None, database=None)
+@given(_int_rows)
+def test_bucketed_elimination_equals_scan_reference(rows):
+    want = _reference_eliminate(copy.deepcopy(rows))
+    assert _written_out(_eliminate(copy.deepcopy(rows))) == _written_out(want)
+
+
+def _random_matrix(rng, nrows, ncols, density):
+    return SparseRatMatrix.from_dense(_random_dense(rng, nrows, ncols, density))
+
+
+def test_rank_needs_no_kernel_and_agrees_with_rank_kernel():
+    rng = random.Random(611)
+    for _ in range(40):
+        m = _random_matrix(rng, rng.randint(0, 8), rng.randint(0, 8), rng.random())
+        assert rank(m) == rank_kernel(m)[0]
+
+
+def test_rank_kernel_solve_and_column_echelon_leave_the_matrix_alone():
+    rng = random.Random(17)
+    for _ in range(20):
+        m = _random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7), 0.6)
+        before = list(m.entries.items())
+        rank(m)
+        rank_kernel(m)
+        column_echelon(m)
+        solve(m, {i: Fraction(i + 1) for i in range(m.nrows)})
+        assert list(m.entries.items()) == before
+
+
+def test_remainder_and_insert_leave_echelon_rows_alone():
+    rng = random.Random(23)
+    for _ in range(30):
+        n = rng.randint(1, 7)
+        cols = _random_dense(rng, rng.randint(1, 6), n, 0.6)
+        echelon = column_echelon(SparseRatMatrix.from_dense(cols).transpose())
+        for vec in _random_dense(rng, 4, n, 0.7):
+            vec = {i: x for i, x in enumerate(vec) if x}
+            before = copy.deepcopy(echelon)
+            remainder(echelon, vec)
+            assert echelon == before
+            insert(echelon, vec)
+            assert {c: echelon[c] for c in before} == before

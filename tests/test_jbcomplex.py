@@ -1,8 +1,10 @@
 """Assembled chain complexes over gluing data: d*d, filtration, cohomology."""
 
+import json
 import random
 from fractions import Fraction
 from functools import lru_cache
+from importlib import resources
 from itertools import combinations, combinations_with_replacement
 
 import pytest
@@ -13,6 +15,7 @@ from jbkit.freelie import (
 )
 from jbkit.liecore import ArtinLine, LieElement
 from jbkit.jbcomplex import (
+    Sela,
     assemble,
     coboundary_gluing,
     factories,
@@ -28,7 +31,7 @@ from jbkit.jbcomplex import (
 from jbkit.jbcomplex.assemble import (
     chain_differential, factor_degree, factor_parity, monomial_differential,
 )
-from jbkit.exactnum import bernoulli_normalized, rank_kernel
+from jbkit.exactnum import bernoulli_normalized, column_echelon, insert, rank_kernel
 from jbkit.jbcomplex.sela import coface_sign
 
 
@@ -287,6 +290,71 @@ def test_representatives_match_dense_oracle(factory, order, degree):
     monos = jb.monomials(degree)
     assert dim == len(kept)
     assert reps == [{monos[i]: c for i, c in sorted(v.items())} for v in kept]
+
+
+# -- dimensions from ranks, kernel vectors on demand ---------------------------
+
+def _full_kernel_cohomology(jb, degree):
+    """The full-kernel route: every kernel vector of d first, then the sweep.
+
+    Also returns how many kernel vectors the sweep read.
+    """
+    d, prev = jb.matrix(degree), jb.matrix(degree - 1)
+    if not d.mul(prev).is_zero():
+        raise ValueError("d*d does not vanish")
+    _, kernel = rank_kernel(d)
+    span = column_echelon(prev)
+    dim = len(kernel) - len(span)
+    monos = jb.basis.get(degree, [])
+    reps = []
+    read = 0
+    for vec in kernel:
+        if len(reps) == dim:
+            break
+        read += 1
+        if insert(span, vec):
+            reps.append({monos[i]: v for i, v in sorted(vec.items())})
+    return dim, reps, read
+
+
+def _bundled_triangle():
+    data = json.loads(resources.files("jbkit").joinpath("data/triangle_sela.json").read_text())
+    return Sela.from_json(data)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: factories.nonabelian_triangle(3),
+    lambda: factories.nonabelian_triangle(4),
+    lambda: factories.dg_triangle(4),
+    lambda: factories.lie_pair(3),
+    _bundled_triangle,
+], ids=["nonabelian_triangle3", "nonabelian_triangle4", "dg_triangle4", "lie_pair3", "bundled"])
+def test_cohomology_equals_full_kernel_route(monkeypatch, make):
+    # same dimension and representatives in every degree, and no kernel
+    # vector built beyond the last one the sweep reads
+    built = [0]
+    kernel_vectors = assemble.kernel_vectors
+
+    def counting(echelon, ncols):
+        for vec in kernel_vectors(echelon, ncols):
+            built[0] += 1
+            yield vec
+
+    monkeypatch.setattr(assemble, "kernel_vectors", counting)
+    jb = jb_assemble(make())
+    for degree in jb.degrees():
+        built[0] = 0
+        dim, reps, read = _full_kernel_cohomology(jb, degree)
+        assert jb_cohomology(jb, degree) == (dim, reps)
+        assert built[0] == read
+
+
+def test_bundled_triangle_has_representatives_to_compare():
+    # classes in two degrees, so the comparison above covers the sweep
+    jb = jb_assemble(_bundled_triangle())
+    assert {d: jb_cohomology(jb, d)[0] for d in jb.degrees()} == {
+        -2: 2, -1: 5, 0: 0, 1: 0, 2: 0,
+    }
 
 
 # -- the series path: polarization, shared values, shared tables -----------------

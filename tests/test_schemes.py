@@ -1,7 +1,9 @@
 """Resolutions, their endomorphism algebras, and tangent complexes."""
 
+import json
 import random
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
@@ -16,6 +18,7 @@ from jbkit.schemes import (
     kappa,
     koszul_resolution,
     milnor_dim,
+    milnor_number,
     normal_dgla,
     parse_poly,
     truncated_module_quotient_dim,
@@ -197,6 +200,24 @@ def test_milnor_classics():
     assert milnor_dim(parse_poly("x", ("x",))) == 0
     with pytest.raises(ValueError, match="not isolated"):
         milnor_dim(parse_poly("x^2", V))
+
+
+def test_milnor_number_is_the_partials_only_quotient():
+    # not quasi-homogeneous: f is not in the ideal of its partials
+    f = parse_poly("x^4+y^5+x^2*y^3", V)
+    assert milnor_number(f) == 14
+    assert milnor_dim(f) == 11
+    with pytest.raises(ValueError, match="not isolated"):
+        milnor_number(parse_poly("x^2", V))
+
+
+def test_milnor_number_equals_table_rows():
+    # every bundled row is quasi-homogeneous, so the two invariants agree
+    rows = json.loads(resources.files("jbkit").joinpath("data/milnor_table.json").read_text())
+    assert rows
+    for row in rows:
+        f = parse_poly(row["poly"], tuple(row["vars"]))
+        assert milnor_number(f) == milnor_dim(f) == row["dimension"]
 
 
 def test_milnor_invariant_under_unimodular_change():
