@@ -18,8 +18,6 @@ from .exactnum import (
 from .freelie import Alphabet, FreeLieElement, lyndon_basis, lyndon_words
 from .bch import (
     BchTable,
-    bch_bigraded,
-    bch_trigraded,
     build_table,
     eval_bch,
     eval_bch_trivariate,
@@ -40,8 +38,6 @@ __all__ = [
     "lyndon_basis",
     "lyndon_words",
     "BchTable",
-    "bch_bigraded",
-    "bch_trigraded",
     "build_table",
     "eval_bch",
     "eval_bch_trivariate",

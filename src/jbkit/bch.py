@@ -106,14 +106,6 @@ def build_table(max_degree: int = DEFAULT_MAX_DEGREE, tri: bool = False) -> BchT
     return table
 
 
-def bch_bigraded(i: int, j: int, table: BchTable) -> FreeLieElement:
-    return table.bigraded(i, j)
-
-
-def bch_trigraded(i: int, j: int, k: int, table: BchTable) -> FreeLieElement:
-    return table.trigraded(i, j, k)
-
-
 def _reinterpret(element: FreeLieElement, alphabet: Alphabet, index_map) -> FreeLieElement:
     """Transport along a strictly increasing letter map (keeps Lyndon words)."""
     return FreeLieElement(

@@ -454,7 +454,10 @@ def _suite_jb(seed):
     jb = jb_assemble(sela)
     bad = verify_d_squared(jb)
     if bad:
-        return False, "d*d has %d nonzero entries" % len(bad)
+        deg, src, dst, v = bad[0]
+        return False, "d*d has %d nonzero entries, first in degree %d: %s -> %s, coefficient %s" % (
+            len(bad), deg, src, dst, format_rational(v)
+        )
     rng = random.Random(seed)
     ring = ArtinLine(sela.artin_order)
     gauges = {}
@@ -470,7 +473,10 @@ def _suite_jb(seed):
     cocycle = special_cocycle(sela, {}, psi)
     residual = verify_cocycle(jb, cocycle)
     if residual:
-        return False, "coboundary family is not a cycle (%d terms)" % len(residual)
+        mono, v = residual[0]
+        return False, "coboundary family is not a cycle (%d terms), first %s, coefficient %s" % (
+            len(residual), mono, format_rational(v)
+        )
     return True, "d*d = 0 on %s and one seeded coboundary cocycle" % (
         "dimensions " + ",".join(str(jb.dim(d)) for d in jb.degrees())
     )

@@ -189,18 +189,21 @@ class SparseRatMatrix:
         m.entries = {key: Fraction(s, ab) for key, s in acc.items()}
         return m
 
-    def apply(self, vec: dict[int, Fraction]) -> dict[int, Fraction]:
-        """Apply to a sparse column vector {index: coeff}; returns sparse vector."""
-        out: dict[int, Fraction] = {}
+    def apply(self, vec: dict) -> dict:
+        """Apply to a sparse column vector {index: coeff}; zeros dropped.
+
+        The only sparse linear map: a coefficient may be a Fraction or
+        any ring element that a Fraction scales from the left and whose
+        truthiness means nonzero (liecore.ArtinElt).
+        """
+        out: dict = {}
         for (i, j), a in self.entries.items():
             c = vec.get(j)
             if c:
-                s = out.get(i, ZERO) + a * c
-                if s == 0:
-                    out.pop(i, None)
-                else:
-                    out[i] = s
-        return out
+                term = a * c
+                s = out.get(i)
+                out[i] = term if s is None else s + term
+        return {i: w for i, w in out.items() if w}
 
     def column(self, j: int) -> dict[int, Fraction]:
         """Column j as a sparse vector {row index: Fraction}."""

@@ -1,6 +1,6 @@
 """Semi-simplicial Lie algebra gluing data and the associated complexes."""
 
-from .sela import Sela, TotalComplex, coface_sign, standard_complex
+from .sela import Sela, TotalComplex, coface_sign
 from .assemble import (
     JBComplex,
     jb_assemble,
@@ -25,7 +25,6 @@ __all__ = [
     "Sela",
     "TotalComplex",
     "coface_sign",
-    "standard_complex",
     "JBComplex",
     "jb_assemble",
     "verify_d_squared",

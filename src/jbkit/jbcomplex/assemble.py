@@ -52,12 +52,14 @@ once:
 
 A family value is a function of the selected factors (simplex and
 basis index, in slot order): the coface matrices, brackets and series
-it reads are fixed by them and by the gluing datum.  The rest of the
-monomial and its power of t only enter through the Koszul sign and the
-merge that emit applies per monomial.  Values are stored with the key
-and parity of every factor they produce, ready for emit, which signs a
-coefficient by negation and merges the new factor into the sorted
-remainder in one walk.
+it reads are fixed by them and by the gluing datum.  It is computed on
+plain sparse maps {basis index: Fraction}, with StructLie.bracket_maps
+for every bracket and SparseRatMatrix.apply for every coface.  The
+rest of the monomial and its power of t only enter through the Koszul
+sign and the merge that emit applies per monomial.  Values are stored
+with the key and parity of every factor they produce, ready for emit,
+which signs a coefficient by negation and merges the new factor into
+the sorted remainder in one walk.
 
 Scope: d*d = 0 holds exactly for arbitrary gradings on covers without
 2-simplices, and on covers with 2-simplices whenever every odd edge
@@ -69,17 +71,17 @@ module does not model; verify_d_squared is the guard for that regime.
 
 from __future__ import annotations
 
-from fractions import Fraction
 from itertools import combinations, combinations_with_replacement, permutations, product
 
 from ..bch import build_table
 from ..exactnum import (
-    ONE, ZERO, SparseRatMatrix, bernoulli_normalized, column_echelon, insert, kernel_vectors,
+    ONE, SparseRatMatrix, bernoulli_normalized, column_echelon, insert, kernel_vectors,
     row_echelon,
 )
 # Unused here, but kept bound: perfbench/tracer.py patches this module's rank_kernel.
 from ..exactnum import rank_kernel  # noqa: F401
 from ..freelie import Alphabet, AssocPoly, _extract_lie, evaluate_lie, expand_associative
+from ..liecore import _add_maps
 from .sela import coface_sign, _acc, _simplex_name
 
 __all__ = [
@@ -147,50 +149,6 @@ def format_monomial(sela, mono):
     return "[%s] t^%d" % (" ".join(parts), q)
 
 
-# -- scalar-coefficient elements for series evaluation -------------------
-
-class _RatElt:
-    """Sparse vector in one algebra with plain rational coefficients."""
-
-    __slots__ = ("lie", "coeffs")
-
-    def __init__(self, lie, coeffs=None):
-        self.lie = lie
-        self.coeffs = {i: c for i, c in (coeffs or {}).items() if c}
-
-    def bracket(self, other):
-        out = {}
-        for a, ca in self.coeffs.items():
-            for b, cb in other.coeffs.items():
-                targets = self.lie.bracket_basis(a, b)
-                if not targets:
-                    continue
-                p = ca * cb
-                for c, w in targets.items():
-                    s = out.get(c, ZERO) + p * w
-                    if s:
-                        out[c] = s
-                    elif c in out:
-                        del out[c]
-        return _RatElt(self.lie, out)
-
-    def __add__(self, other):
-        out = dict(self.coeffs)
-        for c, v in other.coeffs.items():
-            s = out.get(c, ZERO) + v
-            if s:
-                out[c] = s
-            else:
-                out.pop(c, None)
-        return _RatElt(self.lie, out)
-
-    def scale(self, c):
-        return _RatElt(self.lie, {i: c * v for i, v in self.coeffs.items()})
-
-    def is_zero(self):
-        return not self.coeffs
-
-
 # -- bracket-series components, multilinearized --------------------------
 
 _TABLE_CACHE = {}
@@ -252,24 +210,14 @@ def _polarized(table, j, k, l):
 
 def _eval_polar(polar, args, lie):
     """Evaluate a multilinear element on sparse vectors in one algebra."""
-    assignment = {"a%d" % i: _RatElt(lie, vec) for i, vec in enumerate(args)}
-    res = evaluate_lie(
+    return evaluate_lie(
         polar,
-        assignment,
-        bracket=lambda u, v: u.bracket(v),
-        add=lambda u, v: u + v,
-        scale=lambda c, u: u.scale(c),
-        zero=_RatElt(lie),
+        {"a%d" % i: vec for i, vec in enumerate(args)},
+        bracket=lie.bracket_maps,
+        add=_add_maps,
+        scale=lambda c, u: {i: c * v for i, v in u.items()},
+        zero={},
     )
-    return res.coeffs
-
-
-def _ad(lie, y, vec):
-    out = {}
-    for m, cm in vec.items():
-        for c, w in lie.bracket_basis(y, m).items():
-            _acc(out, c, cm * w)
-    return out
 
 
 def _vertex_into_triangle(sela, vert, tri, a):
@@ -283,14 +231,9 @@ def _vertex_into_triangle(sela, vert, tri, a):
     for edge in combinations(tri, 2):
         if v not in edge or sela.algebra(edge).dim == 0:
             continue
-        corr = Fraction(coface_sign(vert, edge) * coface_sign(edge, tri))
-        step = sela.coface(vert, edge).column(a)
-        outer = sela.coface(edge, tri)
-        out = {}
-        for m, cm in step.items():
-            for c, w in outer.column(m).items():
-                _acc(out, c, corr * cm * w)
-        return out
+        corr = coface_sign(vert, edge) * coface_sign(edge, tri)
+        vec = sela.coface(edge, tri).apply(sela.coface(vert, edge).column(a))
+        return {c: corr * w for c, w in vec.items()}
     return {}
 
 
@@ -332,11 +275,7 @@ def _family_value(sela, table, key):
         return [((e, c), scalar * w) for c, w in acc.items()]
     if kind == "top":
         (vert, a), (tri, b) = key[1:]
-        lie_t = sela.algebra(tri)
-        acc = {}
-        for m, cm in _vertex_into_triangle(sela, vert, tri, a).items():
-            for c, w in lie_t.bracket_basis(m, b).items():
-                _acc(acc, c, cm * w)
+        acc = sela.algebra(tri).bracket_maps(_vertex_into_triangle(sela, vert, tri, a), {b: ONE})
         odd = sela.algebra(vert).degrees[a] % 2
         return [((tri, c), -w if odd else w) for c, w in acc.items()]
     tri, selected = key[1], key[2:]
@@ -466,9 +405,9 @@ def _transport(lie, rx, idxs):
     """Sum over orderings of idxs of the iterated adjoint action on rx."""
     acc = {}
     for perm in permutations(idxs):
-        vec = dict(rx)
+        vec = rx
         for y in reversed(perm):
-            vec = _ad(lie, y, vec)
+            vec = lie.bracket_maps({y: ONE}, vec)
             if not vec:
                 break
         for c, w in vec.items():

@@ -47,33 +47,8 @@ __all__ = [
 def restrict_element(sela, inner, outer, elt):
     """Push an element along the coface with the orientation sign divided out."""
     inner, outer = tuple(inner), tuple(outer)
-    target = sela.algebra(outer)
-    mat = sela.coface(inner, outer)
-    corr = Fraction(coface_sign(inner, outer))
-    out = {}
-    for (r, c), v in mat.entries.items():
-        a = elt.coeffs.get(c)
-        if a is None:
-            continue
-        piece = a.scale(corr * v)
-        s = out.get(r)
-        out[r] = piece if s is None else s + piece
-    return LieElement(target, elt.ring, out)
-
-
-def _pushed(sela, inner, outer, elt):
-    # stored coface, orientation sign included
-    target = sela.algebra(outer)
-    mat = sela.coface(inner, outer)
-    out = {}
-    for (r, c), v in mat.entries.items():
-        a = elt.coeffs.get(c)
-        if a is None:
-            continue
-        piece = a.scale(v)
-        s = out.get(r)
-        out[r] = piece if s is None else s + piece
-    return LieElement(target, elt.ring, out)
+    pushed = LieElement(sela.algebra(outer), elt.ring, sela.coface(inner, outer).apply(elt.coeffs))
+    return pushed.scale(coface_sign(inner, outer))
 
 
 def bernoulli_transport(psi, x):
@@ -249,9 +224,11 @@ def special_cocycle(sela, phi, psi, table=None):
         if sela.algebra(tri).dim == 0:
             continue
         a, b, c = tri
-        outer = _pushed(sela, (a, c), tri, edge[(a, c)])
-        first = _pushed(sela, (a, b), tri, edge[(a, b)])
-        second = _pushed(sela, (b, c), tri, edge[(b, c)])
+        # stored cofaces, orientation signs included
+        outer, first, second = (
+            LieElement(sela.algebra(tri), ring, sela.coface(e, tri).apply(edge[e].coeffs))
+            for e in ((a, c), (a, b), (b, c))
+        )
         comp = eval_bch_trivariate(table, outer, first, second, order)
         if not comp.is_zero():
             raise ValueError(

@@ -16,12 +16,10 @@ applications; higher simplices are rejected.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from ..exactnum import SparseRatMatrix, parse_rational, format_rational, ZERO
 from ..liecore import StructLie, check_lie_axioms
 
-__all__ = ["coface_sign", "Sela", "TotalComplex", "standard_complex"]
+__all__ = ["coface_sign", "Sela", "TotalComplex"]
 
 
 def coface_sign(inner, outer):
@@ -153,25 +151,18 @@ class Sela:
             if v and dst.degrees[r] != src.degrees[c]:
                 problems.append("%s: entry (%d,%d) mixes internal degrees" % (name, r, c))
         sign = coface_sign(inner, outer)
+        cols = [mat.column(b) for b in range(src.dim)]
         # sign * map must take brackets to brackets: r[a,b] = sign [ra, rb]
         for a in range(src.dim):
+            signed = {c: sign * v for c, v in cols[a].items()}
             for b in range(a, src.dim):
-                lhs = mat.apply(_frac_vec(src.bracket_basis(a, b)))
-                rhs = {}
-                for c, va in mat.column(a).items():
-                    for d, vb in mat.column(b).items():
-                        for e, w in dst.bracket_basis(c, d).items():
-                            _acc(rhs, e, va * vb * w * sign)
-                if _clean(lhs) != _clean(rhs):
+                if mat.apply(src.bracket_basis(a, b)) != dst.bracket_maps(signed, cols[b]):
                     problems.append("%s: fails the signed homomorphism rule on basis pair (%d,%d)" % (name, a, b))
         # coface must commute with the internal differentials
         for b in range(src.dim):
-            lhs = mat.apply(_frac_vec(src.differential_basis(b)))
-            rhs = {}
-            for c, v in mat.column(b).items():
-                for e, w in dst.differential_basis(c).items():
-                    _acc(rhs, e, v * w)
-            if _clean(lhs) != _clean(rhs):
+            lhs = mat.apply(src.differential_basis(b))
+            rhs = dst.differential.apply(cols[b]) if dst.differential is not None else {}
+            if lhs != rhs:
                 problems.append("%s: does not commute with the internal differential at basis %d" % (name, b))
         return problems
 
@@ -291,20 +282,12 @@ def _matrix_from_json(rows, nrows, ncols):
     return mat
 
 
-def _frac_vec(d):
-    return {k: Fraction(v) for k, v in d.items()}
-
-
 def _acc(d, k, v):
     w = d.get(k, ZERO) + v
     if w:
         d[k] = w
     elif k in d:
         del d[k]
-
-
-def _clean(d):
-    return {k: v for k, v in d.items() if v}
 
 
 class TotalComplex:
@@ -375,8 +358,3 @@ class TotalComplex:
         if n - 1 in self.matrices:
             ker -= rank(self.matrices[n - 1])
         return ker
-
-
-def standard_complex(sela):
-    """Total complex carried by the gluing datum."""
-    return TotalComplex(sela)

@@ -6,6 +6,13 @@ matrix representation.  Elements take coefficients in ArtinLine(N), the
 ring Q[t]/(t^N); coefficients in the maximal ideal (t) make every bracket
 word of length >= N vanish, which is the nilpotency bound the series
 evaluators rely on.
+
+Sparse coefficient maps {basis index: coefficient} are bracketed by
+StructLie.bracket_maps and mapped by SparseRatMatrix.apply, whatever
+the coefficient ring.  A coefficient only has to support the ring's *
+and +, multiplication by a Fraction scalar on its left, and truthiness
+meaning nonzero: Fraction and ArtinElt both do, and neither kernel
+stores a zero.
 """
 from __future__ import annotations
 
@@ -101,6 +108,13 @@ class ArtinElt:
         c = Fraction(c)
         return ArtinElt(self.ring, tuple(c * a for a in self.coeffs))
 
+    def __rmul__(self, c) -> "ArtinElt":
+        """A rational scalar on the left: c * self."""
+        return self.scale(c)
+
+    def __bool__(self) -> bool:
+        return any(self.coeffs)
+
     def __eq__(self, other):
         return (
             isinstance(other, ArtinElt)
@@ -183,7 +197,11 @@ class StructLie:
         return self.differential.column(a)
 
     def bracket_maps(self, u: dict, v: dict) -> dict:
-        """Bracket of sparse coefficient maps over any commutative ring."""
+        """Bracket of sparse coefficient maps, zeros dropped.
+
+        The only sparse bracket: coefficients follow the protocol of the
+        module docstring.
+        """
         out: dict = {}
         for a, ca in u.items():
             for b, cb in v.items():
@@ -192,23 +210,10 @@ class StructLie:
                     continue
                 prod = ca * cb
                 for c, coeff in targets.items():
-                    term = prod.scale(coeff) if hasattr(prod, "scale") else prod * coeff
+                    term = coeff * prod
                     s = out.get(c)
                     out[c] = term if s is None else s + term
-        return {c: v for c, v in out.items() if not _ring_zero(v)}
-
-    def differential_maps(self, u: dict) -> dict:
-        if self.differential is None:
-            return {}
-        out: dict = {}
-        for (c, a), coeff in self.differential.entries.items():
-            ca = u.get(a)
-            if ca is None:
-                continue
-            term = ca.scale(coeff) if hasattr(ca, "scale") else ca * coeff
-            s = out.get(c)
-            out[c] = term if s is None else s + term
-        return {c: v for c, v in out.items() if not _ring_zero(v)}
+        return {c: w for c, w in out.items() if w}
 
     # -- serialization ----------------------------------------------------
 
@@ -284,26 +289,13 @@ class StructLie:
         return out
 
 
-def _ring_zero(v) -> bool:
-    return v.is_zero() if hasattr(v, "is_zero") else not v
-
-
-def _frac_maps_bracket(lie: StructLie, u: dict, v: dict) -> dict:
-    """bracket_maps specialized to plain Fraction coefficients."""
-    out: dict = {}
-    for a, ca in u.items():
-        for b, cb in v.items():
-            targets = lie.brackets.get((a, b))
-            if not targets:
-                continue
-            prod = ca * cb
-            for c, coeff in targets.items():
-                s = out.get(c, ZERO) + prod * coeff
-                if s:
-                    out[c] = s
-                elif c in out:
-                    del out[c]
-    return out
+def _add_maps(u: dict, v: dict) -> dict:
+    """Sum of two sparse coefficient maps, zeros dropped."""
+    out = dict(u)
+    for c, w in v.items():
+        s = out.get(c)
+        out[c] = w if s is None else s + w
+    return {c: w for c, w in out.items() if w}
 
 
 def check_lie_axioms(lie: StructLie) -> list:
@@ -340,16 +332,13 @@ def check_lie_axioms(lie: StructLie) -> list:
 
     for a in range(n):
         for b in range(n):
+            sign = Fraction((-1) ** (deg[a] * deg[b]))
             for c in range(n):
-                lhs = _frac_maps_bracket(lie, {a: ONE}, lie.bracket_basis(b, c))
-                rhs = _frac_maps_bracket(lie, lie.bracket_basis(a, b), {c: ONE})
-                sign = Fraction((-1) ** (deg[a] * deg[b]))
-                for t, v in _frac_maps_bracket(lie, {b: ONE}, lie.bracket_basis(a, c)).items():
-                    s = rhs.get(t, ZERO) + sign * v
-                    if s:
-                        rhs[t] = s
-                    elif t in rhs:
-                        del rhs[t]
+                lhs = lie.bracket_maps({a: ONE}, lie.bracket_basis(b, c))
+                rhs = _add_maps(
+                    lie.bracket_maps(lie.bracket_basis(a, b), {c: ONE}),
+                    lie.bracket_maps({b: sign}, lie.bracket_basis(a, c)),
+                )
                 if lhs != rhs:
                     report.append(
                         f"jacobi: triple ({names[a]},{names[b]},{names[c]})"
@@ -363,27 +352,14 @@ def check_lie_axioms(lie: StructLie) -> list:
         if not d.mul(d).is_zero():
             report.append("differential: square is nonzero")
         for a in range(n):
+            da = lie.differential_basis(a)
+            sign = Fraction((-1) ** deg[a])
             for b in range(n):
-                ab = lie.bracket_basis(a, b)
-                lhs: dict = {}
-                for t, v in ab.items():
-                    for (c, src), w in d.entries.items():
-                        if src == t:
-                            s = lhs.get(c, ZERO) + v * w
-                            if s:
-                                lhs[c] = s
-                            elif c in lhs:
-                                del lhs[c]
-                da = {c: w for (c, src), w in d.entries.items() if src == a}
-                db = {c: w for (c, src), w in d.entries.items() if src == b}
-                rhs = _frac_maps_bracket(lie, da, {b: ONE})
-                sign = Fraction((-1) ** deg[a])
-                for t, v in _frac_maps_bracket(lie, {a: ONE}, db).items():
-                    s = rhs.get(t, ZERO) + sign * v
-                    if s:
-                        rhs[t] = s
-                    elif t in rhs:
-                        del rhs[t]
+                lhs = d.apply(lie.bracket_basis(a, b))
+                rhs = _add_maps(
+                    lie.bracket_maps(da, {b: ONE}),
+                    lie.bracket_maps({a: sign}, lie.differential_basis(b)),
+                )
                 if lhs != rhs:
                     report.append(f"leibniz: pair ({names[a]},{names[b]})")
 
@@ -503,9 +479,8 @@ class LieElement:
         )
 
     def apply_differential(self) -> "LieElement":
-        return LieElement(
-            self.lie, self.ring, self.lie.differential_maps(self.coeffs)
-        )
+        d = self.lie.differential
+        return LieElement(self.lie, self.ring, d.apply(self.coeffs) if d is not None else {})
 
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -571,7 +546,7 @@ def exp_conjugate(psi, D, bracket=None, max_steps: int = 64):
     while True:
         k += 1
         term = bracket(psi, term)
-        if _ring_zero(term):
+        if term.is_zero():
             break
         if k > max_steps:
             raise ValueError("conjugator is not nilpotent within the step bound")

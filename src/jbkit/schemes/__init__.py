@@ -14,8 +14,8 @@ from .groebner import (
     quotient_dimension,
     standard_monomials,
 )
-from .complexes import PolyComplex, hypersurface_resolution, koszul_resolution
-from .normal import HomDgla, HomElement, kappa, normal_dgla
+from .complexes import PolyComplex, koszul_resolution
+from .normal import HomDgla, HomElement, kappa
 from .tangent import (
     TangentComplex,
     ci_t1_dimension,
@@ -50,12 +50,10 @@ __all__ = [
     "quotient_dimension",
     "standard_monomials",
     "PolyComplex",
-    "hypersurface_resolution",
     "koszul_resolution",
     "HomDgla",
     "HomElement",
     "kappa",
-    "normal_dgla",
     "TangentComplex",
     "ci_t1_dimension",
     "hypersurface_tangent_dgla",

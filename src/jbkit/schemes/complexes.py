@@ -12,7 +12,7 @@ from itertools import combinations
 
 from .poly import Poly, parse_poly
 
-__all__ = ["PolyComplex", "koszul_resolution", "hypersurface_resolution"]
+__all__ = ["PolyComplex", "koszul_resolution"]
 
 
 def _zero_matrix(vars, order, rows, cols):
@@ -176,8 +176,3 @@ def koszul_resolution(fs, order="grevlex"):
                 mat[row][col] = mat[row][col] + fs[i].scale(sign)
         maps.append(mat)
     return PolyComplex(vars, 1 - c, ranks, maps, order)
-
-
-def hypersurface_resolution(f, order="grevlex"):
-    """Two terms, one map: the distinguished generator goes to f."""
-    return koszul_resolution([f], order)

@@ -21,7 +21,7 @@ from ..jbcomplex.assemble import _shared_table
 from ..jbcomplex.cocycle import special_cocycle
 from ..jbcomplex.obstruct import obstruction
 from ..jbcomplex.sela import Sela
-from .complexes import hypersurface_resolution
+from .complexes import koszul_resolution
 from .groebner import buchberger, normal_form, standard_monomials
 from .poly import Poly
 
@@ -301,7 +301,7 @@ class KSCochain:
         if phi.valuation() < 1:
             raise ValueError("perturbation must vanish at t = 0")
         self.f = f
-        self.complex = hypersurface_resolution(f)
+        self.complex = koszul_resolution([f])
         self.order = order
         self.phi = phi
         defects = deformed_square_defects(self.complex, {0: ((self.phi,),)}, order)

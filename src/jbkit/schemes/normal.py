@@ -14,7 +14,7 @@ from fractions import Fraction
 from .complexes import PolyComplex, _mat_mul, _zero_matrix
 from .poly import Poly
 
-__all__ = ["HomDgla", "HomElement", "normal_dgla", "kappa"]
+__all__ = ["HomDgla", "HomElement", "kappa"]
 
 
 def _mul_shaped(a, b, vars, order, rows, cols):
@@ -190,11 +190,6 @@ class HomElement:
     def __repr__(self):
         parts = ["%d:(%d,%d)=%s" % (i, r, c, p) for i, r, c, p in self.entries()]
         return "HomElement(deg %d; %s)" % (self.degree, ", ".join(parts) or "0")
-
-
-def normal_dgla(F: PolyComplex) -> HomDgla:
-    """The commutator dgla of maps from a resolution to its augmentation."""
-    return HomDgla(F)
 
 
 def _apply_field(coeffs, p):

@@ -86,20 +86,27 @@ def hypersurface_tangent_dgla(f: Poly) -> TangentComplex:
 
 
 def milnor_dim(f: Poly) -> int:
-    """Dimension of Q[x]/(f, df/dx_1, ..., df/dx_n): the Tjurina number.
+    """Dimension of Q[x]/(f, df/dx_1, ..., df/dx_n), a global quotient.
 
-    It equals the Milnor number dim Q[x]/(df/dx_1, ..., df/dx_n) when f
-    is quasi-homogeneous (then f lies in the ideal of its partials), as
-    for every row of the bundled table, but not in general: for
-    x^4 + y^5 + x^2*y^3 it is 11, while the Milnor number is 14.
+    It is the sum of the local Tjurina numbers over the complex singular
+    points of the hypersurface f = 0.  For quasi-homogeneous f, as for
+    every row of the bundled table, the origin is the only one and the
+    Tjurina number there equals the Milnor number.  Not in general: for
+    x^4 + y^5 + x^2*y^3 it is 11, the Tjurina number of the W12
+    singularity at the origin, whose Milnor number is 12.
     """
     return _isolated_quotient_dim([f] + [f.diff(v) for v in f.vars])
 
 
 def milnor_number(f: Poly) -> int:
-    """Dimension of Q[x]/(df/dx_1, ..., df/dx_n): the Milnor number.
+    """Dimension of Q[x]/(df/dx_1, ..., df/dx_n), a global quotient.
 
-    At least ``milnor_dim(f)``, with equality when f is quasi-homogeneous.
+    It is the sum of the local Milnor numbers over all complex critical
+    points of f, which may lie off the hypersurface f = 0, so it is the
+    Milnor number at the origin only when f has no other critical point
+    (as for quasi-homogeneous f).  For x^4 + y^5 + x^2*y^3 it is 14: 12
+    at the origin plus two nondegenerate critical points elsewhere.  At
+    least ``milnor_dim(f)``, since (df) lies inside (f, df).
     """
     return _isolated_quotient_dim([f.diff(v) for v in f.vars])
 

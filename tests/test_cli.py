@@ -3,6 +3,7 @@ fails a mathematical check) or 2 (malformed invocation) on every
 subcommand, JSON on stdout and never a traceback."""
 
 import json
+from fractions import Fraction
 
 import pytest
 
@@ -282,3 +283,22 @@ def test_selfcheck(capsys, monkeypatch):
     assert rc == 1
     assert out["jb"]["pass"] is False
     assert "fails validation" in out["jb"]["detail"]
+
+
+def test_selfcheck_jb_names_the_first_failure(capsys, monkeypatch):
+    monkeypatch.setattr(
+        cli, "verify_d_squared", lambda jb: [(-1, "[0:e12] t^1", "[01:e13] t^1", Fraction(-3, 2))]
+    )
+    rc, out = run_json(capsys, "selfcheck", "--suite", "jb", "--format", "json")
+    assert rc == 1
+    assert out["jb"]["detail"] == (
+        "d*d has 1 nonzero entries, first in degree -1: [0:e12] t^1 -> [01:e13] t^1, "
+        "coefficient -3/2"
+    )
+    monkeypatch.undo()
+    monkeypatch.setattr(cli, "verify_cocycle", lambda jb, cocycle: [("[012:e13] t^2", Fraction(5))])
+    rc, out = run_json(capsys, "selfcheck", "--suite", "jb", "--format", "json")
+    assert rc == 1
+    assert out["jb"]["detail"] == (
+        "coboundary family is not a cycle (1 terms), first [012:e13] t^2, coefficient 5"
+    )

@@ -8,19 +8,19 @@ from importlib import resources
 import pytest
 
 from jbkit.schemes import (
+    HomDgla,
     HomElement,
     Poly,
     PolyComplex,
     buchberger,
     ci_t1_dimension,
-    hypersurface_resolution,
     hypersurface_tangent_dgla,
     kappa,
     koszul_resolution,
     milnor_dim,
     milnor_number,
-    normal_dgla,
     parse_poly,
+    quotient_dimension,
     truncated_module_quotient_dim,
 )
 
@@ -32,7 +32,7 @@ F = Fraction
 
 def test_hypersurface_resolution_shape():
     f = parse_poly("x^2+y^3", V)
-    pc = hypersurface_resolution(f)
+    pc = koszul_resolution([f])
     assert list(pc.degrees()) == [0, 1]
     assert [pc.rank(d) for d in pc.degrees()] == [1, 1]
     assert pc.matrix(0)[0][0] == f
@@ -92,7 +92,7 @@ def _random_element(N, degree, rng):
 
 
 def test_graded_bracket_laws():
-    N = normal_dgla(koszul_resolution([parse_poly("x", V), parse_poly("y", V)]))
+    N = HomDgla(koszul_resolution([parse_poly("x", V), parse_poly("y", V)]))
     rng = random.Random(2)
     for da, db, dc in [(0, 0, 1), (0, 1, 1), (1, 1, 0), (-1, 1, 0)]:
         h = _random_element(N, da, rng)
@@ -108,7 +108,7 @@ def test_graded_bracket_laws():
 
 
 def test_differential_is_graded_derivation():
-    N = normal_dgla(koszul_resolution([parse_poly("x", V), parse_poly("y^2", V)]))
+    N = HomDgla(koszul_resolution([parse_poly("x", V), parse_poly("y^2", V)]))
     rng = random.Random(4)
     for da, db in [(0, 0), (0, 1), (1, 1), (-1, 1)]:
         h = _random_element(N, da, rng)
@@ -125,7 +125,7 @@ def test_hypersurface_normal_laws():
     # both graded pieces are copies of the ring: d(a) = a f and the
     # mixed bracket is minus the product
     f = parse_poly("x^2+y^3", V)
-    N = normal_dgla(hypersurface_resolution(f))
+    N = HomDgla(koszul_resolution([f]))
     p = parse_poly("x+1", V)
     q = parse_poly("y", V)
     a = HomElement(N, 0, {0: ((p,),)})
@@ -140,7 +140,7 @@ def test_kappa_chain_map():
     # the scaling field acts on the homogeneous pieces of any Koszul
     # differential, so its component matrices stay closed
     pc = koszul_resolution([parse_poly("x", V), parse_poly("y", V)])
-    N = normal_dgla(pc)
+    N = HomDgla(pc)
     euler = kappa({"x": parse_poly("x", V), "y": parse_poly("y", V)}, N)
     assert euler.degree == 1
     assert euler.apply_differential().is_zero()
@@ -150,7 +150,7 @@ def test_kappa_closed_for_any_field():
     # entrywise application of a derivation to d is closed by the
     # Leibniz rule whenever the maps genuinely compose to zero
     pc = koszul_resolution([parse_poly("x", V), parse_poly("y", V)])
-    N = normal_dgla(pc)
+    N = HomDgla(pc)
     rng = random.Random(13)
     for _ in range(5):
         coeffs = {
@@ -209,6 +209,27 @@ def test_milnor_number_is_the_partials_only_quotient():
     assert milnor_dim(f) == 11
     with pytest.raises(ValueError, match="not isolated"):
         milnor_number(parse_poly("x^2", V))
+
+
+def test_local_milnor_and_tjurina_numbers_at_the_origin():
+    # x^4+y^5+x^2*y^3 has a W12 singularity at 0: Milnor number 12 and
+    # Tjurina number 11 there; the global quotients (14 and 11) add the
+    # critical points elsewhere.  If I + m^k = I + m^(k+1), Nakayama gives
+    # m^k inside I in the local ring at 0, so dim Q[x]/(I + m^k) is the
+    # local dimension.
+    f = parse_poly("x^4+y^5+x^2*y^3", V)
+    partials = [f.diff(v) for v in V]
+
+    def local_dims(gens):
+        return [
+            quotient_dimension(buchberger(gens + [
+                parse_poly("x^%d*y^%d" % (i, k - i), V) for i in range(k + 1)
+            ]))
+            for k in (6, 7)
+        ]
+
+    assert local_dims(partials) == [12, 12]
+    assert local_dims([f] + partials) == [11, 11]
 
 
 def test_milnor_number_equals_table_rows():

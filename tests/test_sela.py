@@ -8,7 +8,7 @@ import pytest
 
 from jbkit.exactnum import SparseRatMatrix
 from jbkit.liecore import StructLie
-from jbkit.jbcomplex import Sela, coface_sign, standard_complex, factories
+from jbkit.jbcomplex import Sela, TotalComplex, coface_sign, factories
 
 
 # -- sign of a codimension-one inclusion ------------------------------
@@ -55,14 +55,14 @@ def test_factories_validate(factory):
 def test_single_vertex_complex():
     g = factories.upper_triangular(3)
     sela = Sela((0,), {(0,): g}, {}, 2)
-    K = standard_complex(sela)
+    K = TotalComplex(sela)
     assert K.degrees() == [0]
     assert K.dim(0) == 3
     assert K.cohomology_dim(0) == 3
 
 
 def test_lie_pair_complex():
-    K = standard_complex(factories.lie_pair())
+    K = TotalComplex(factories.lie_pair())
     assert (K.dim(0), K.dim(1)) == (3, 6)
     assert K.verify() == []
     assert K.cohomology_dim(0) == 0
@@ -70,7 +70,7 @@ def test_lie_pair_complex():
 
 
 def test_triangle_complex_dims_and_cohomology():
-    K = standard_complex(factories.nonabelian_triangle())
+    K = TotalComplex(factories.nonabelian_triangle())
     assert [K.dim(n) for n in (0, 1, 2)] == [9, 9, 3]
     assert K.verify() == []
     # constants on the vertices survive; edges and the face are matched
@@ -78,14 +78,14 @@ def test_triangle_complex_dims_and_cohomology():
 
 
 def test_dg_pair_complex_is_exact():
-    K = standard_complex(factories.dg_pair())
+    K = TotalComplex(factories.dg_pair())
     assert K.verify() == []
     assert [K.dim(n) for n in (0, 1, 2)] == [2, 3, 1]
     assert [K.cohomology_dim(n) for n in (0, 1, 2)] == [0, 0, 0]
 
 
 def test_obstructed_triangle_complex():
-    K = standard_complex(factories.obstructed_triangle())
+    K = TotalComplex(factories.obstructed_triangle())
     assert [K.dim(n) for n in (1, 2)] == [3, 3]
     # matching edge elements across the triangle leaves one line, and
     # the commutator direction e13 is never hit
@@ -130,7 +130,7 @@ def _bundled_triangle():
 @pytest.mark.parametrize("make", [_bundled_triangle, factories.dg_triangle])
 def test_total_complex_matches_dense_rebuild(make):
     sela = make()
-    K = standard_complex(sela)
+    K = TotalComplex(sela)
     want = _reference_total_matrices(sela)
     assert set(K.matrices) == set(want)
     for n, dense in want.items():
@@ -143,7 +143,7 @@ def test_total_complex_matches_dense_rebuild(make):
 
 
 def test_zero_sela_complex_is_empty():
-    K = standard_complex(factories.zero_sela())
+    K = TotalComplex(factories.zero_sela())
     assert K.degrees() == []
 
 
@@ -215,7 +215,7 @@ def test_restrict_to_edge():
     sub = factories.nonabelian_triangle().restrict((0, 1))
     assert sub.simplices() == [(0,), (1,), (0, 1)]
     assert sub.validate() == []
-    K = standard_complex(sub)
+    K = TotalComplex(sub)
     assert [K.dim(n) for n in (0, 1)] == [6, 3]
 
 
