@@ -20,7 +20,6 @@ from .bch import (
     BchTable,
     build_table,
     eval_bch,
-    eval_bch_trivariate,
 )
 from .liecore import ArtinLine, LieElement, StructLie, exp_conjugate
 from . import jbcomplex, schemes
@@ -40,7 +39,6 @@ __all__ = [
     "BchTable",
     "build_table",
     "eval_bch",
-    "eval_bch_trivariate",
     "ArtinLine",
     "LieElement",
     "StructLie",

@@ -9,8 +9,13 @@ where C(x) = x/(e^x - 1) is the Bernoulli generating function.  Summing the
 two identities, the degree-n component on the left is the Euler operator
 acting on beta_n, i.e. n*beta_n, while on the right only beta_{<n} can
 appear inside the adjoints; this solves the recursion with beta_1 = X + Y.
-An independent oracle computes log(exp X exp Y) in the associative span and
-pulls the result back through the left-normed bracketing projection.
+
+One route, ``_log_of_exps``, computes log(exp f_1 ... exp f_m) in the
+associative span and pulls the result back through the left-normed
+bracketing projection.  It is the independent oracle for the bivariate
+and trivariate series, and it composes the trivariate table from the
+bivariate one.  One evaluator, ``eval_bch``, sums the bigraded parts on
+two elements of a nilpotent Lie algebra or the trigraded parts on three.
 """
 from __future__ import annotations
 
@@ -106,18 +111,15 @@ def build_table(max_degree: int = DEFAULT_MAX_DEGREE, tri: bool = False) -> BchT
     return table
 
 
-def _reinterpret(element: FreeLieElement, alphabet: Alphabet, index_map) -> FreeLieElement:
-    """Transport along a strictly increasing letter map (keeps Lyndon words)."""
-    return FreeLieElement(
-        alphabet,
-        {tuple(index_map[i] for i in w): c for w, c in element.terms.items()},
-    )
-
-
 def _series_sum(table: BchTable, alphabet, index_map) -> FreeLieElement:
+    """The bivariate series with x, y sent to letters ``index_map`` of ``alphabet``.
+
+    The letter map must be strictly increasing, which keeps every word Lyndon.
+    """
     total = FreeLieElement.zero(alphabet)
     for part in table.bidegree.values():
-        total = total + _reinterpret(part, alphabet, index_map)
+        moved = {tuple(index_map[i] for i in w): c for w, c in part.terms.items()}
+        total = total + FreeLieElement(alphabet, moved)
     return total
 
 
@@ -140,9 +142,7 @@ def _compose_trivariate(table: BchTable, order: str = "left") -> dict:
         second = expand_associative(inner)
     else:
         raise ValueError("order must be 'left' or 'right'")
-    product = exp_assoc(first, cap).mul(exp_assoc(second, cap), cap)
-    lie = dynkin_lie(log_assoc(product, cap))
-    return {md: lie.multidegree_part(md) for md in lie.multidegrees()}
+    return _log_of_exps([first, second], cap)
 
 
 # ---------------------------------------------------------------------------
@@ -150,20 +150,25 @@ def _compose_trivariate(table: BchTable, order: str = "left") -> dict:
 # ---------------------------------------------------------------------------
 
 
+def _power_series(u: AssocPoly, cap: int, coeff, acc: AssocPoly) -> AssocPoly:
+    """acc + sum_{k >= 1} coeff(k) u^k, truncated above ``cap``."""
+    power = AssocPoly.unit(u.alphabet)
+    k = 0
+    while True:
+        k += 1
+        power = power.mul(u, cap)
+        if power.is_zero():
+            return acc
+        acc = acc + power.scale(coeff(k))
+
+
 def exp_assoc(p: AssocPoly, cap: int) -> AssocPoly:
     """exp of a constant-term-free associative polynomial, truncated."""
     if () in p.terms:
         raise ValueError("exp needs a zero constant term")
-    acc = AssocPoly.unit(p.alphabet)
-    power = AssocPoly.unit(p.alphabet)
-    k = 0
-    while True:
-        k += 1
-        power = power.mul(p, cap)
-        if power.is_zero():
-            break
-        acc = acc + power.scale(Fraction(1, factorial(k)))
-    return acc
+    return _power_series(
+        p, cap, lambda k: Fraction(1, factorial(k)), AssocPoly.unit(p.alphabet)
+    )
 
 
 def log_assoc(p: AssocPoly, cap: int) -> AssocPoly:
@@ -171,49 +176,40 @@ def log_assoc(p: AssocPoly, cap: int) -> AssocPoly:
     u = p - AssocPoly.unit(p.alphabet)
     if () in u.terms:
         raise ValueError("log needs constant term exactly 1")
-    acc = AssocPoly.zero(p.alphabet)
-    power = AssocPoly.unit(p.alphabet)
-    k = 0
-    while True:
-        k += 1
-        power = power.mul(u, cap)
-        if power.is_zero():
-            break
-        acc = acc + power.scale(Fraction((-1) ** (k + 1), k))
-    return acc
+    return _power_series(
+        u, cap, lambda k: Fraction((-1) ** (k + 1), k), AssocPoly.zero(p.alphabet)
+    )
+
+
+def _log_of_exps(factors, cap: int) -> dict:
+    """log(exp f_1 ... exp f_m) up to degree ``cap``, split by multidegree.
+
+    The product is formed in the associative span and pulled back
+    through the left-normed bracketing projection, which certifies that
+    every graded piece is a genuine Lie element.
+    """
+    if cap < 1:
+        raise ValueError("degree cap must be at least 1")
+    product = exp_assoc(factors[0], cap)
+    for f in factors[1:]:
+        product = product.mul(exp_assoc(f, cap), cap)
+    lie = dynkin_lie(log_assoc(product, cap))
+    return {md: lie.multidegree_part(md) for md in lie.multidegrees()}
 
 
 def bch_oracle(max_degree: int) -> dict:
     """Independent route: log(exp x exp y) in the associative span.
 
-    Returns {(i, j): FreeLieElement}; the left-normed bracketing projection
-    certifies that each graded piece is a genuine Lie element.
+    Returns {(i, j): FreeLieElement}.
     """
-    if max_degree < 1:
-        raise ValueError("degree cap must be at least 1")
-    x = AssocPoly.generator(BCH_ALPHABET, "x")
-    y = AssocPoly.generator(BCH_ALPHABET, "y")
-    product = exp_assoc(x, max_degree).mul(exp_assoc(y, max_degree), max_degree)
-    lie = dynkin_lie(log_assoc(product, max_degree))
-    out: dict = {}
-    for md in lie.multidegrees():
-        out[md] = lie.multidegree_part(md)
-    return out
+    gens = [AssocPoly.generator(BCH_ALPHABET, lab) for lab in BCH_ALPHABET.labels]
+    return _log_of_exps(gens, max_degree)
 
 
 def bch_oracle_trivariate(max_degree: int) -> dict:
     """log(exp x exp y exp z) the same way, split by tridegree."""
-    if max_degree < 1:
-        raise ValueError("degree cap must be at least 1")
-    gens = [AssocPoly.generator(BCH_ALPHABET3, lab) for lab in ("x", "y", "z")]
-    product = exp_assoc(gens[0], max_degree)
-    for g in gens[1:]:
-        product = product.mul(exp_assoc(g, max_degree), max_degree)
-    lie = dynkin_lie(log_assoc(product, max_degree))
-    out: dict = {}
-    for md in lie.multidegrees():
-        out[md] = lie.multidegree_part(md)
-    return out
+    gens = [AssocPoly.generator(BCH_ALPHABET3, lab) for lab in BCH_ALPHABET3.labels]
+    return _log_of_exps(gens, max_degree)
 
 
 # ---------------------------------------------------------------------------
@@ -221,52 +217,38 @@ def bch_oracle_trivariate(max_degree: int) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def eval_bch(table: BchTable, u, v, nilpotency_order: int):
-    """sum beta_{i,j}(u, v) in the algebra of u and v.
+def eval_bch(table: BchTable, *args, nilpotency_order: int):
+    """sum beta_{i,j}(u, v), or sum beta_{i,j,k}(u, v, w), in the algebra of the args.
 
-    ``nilpotency_order`` is the caller-certified bound: every bracket
-    word of length >= nilpotency_order vanishes on these elements (for
-    coefficients in the maximal ideal of a truncated polynomial line this
-    is the truncation order).  The table must reach that far.
+    Two arguments sum the bigraded parts, three the trigraded ones,
+    which the table must carry.  ``nilpotency_order`` is the
+    caller-certified bound: every bracket word of length >=
+    nilpotency_order vanishes on these elements (for coefficients in the
+    maximal ideal of a truncated polynomial line this is the truncation
+    order).  The table must reach that far.
     """
+    if len(args) not in (2, 3):
+        raise TypeError(f"eval_bch takes two or three elements, not {len(args)}")
     cap = nilpotency_order - 1
     if cap > table.max_degree:
         raise ValueError(
             f"nilpotency bound {nilpotency_order} exceeds table cap {table.max_degree}"
         )
-    zero = u.scale(0)
-    acc = zero
-    for (i, j), part in sorted(table.bidegree.items()):
-        if i + j > cap:
-            continue
-        acc = acc + evaluate_lie(
-            part,
-            {"x": u, "y": v},
-            bracket=lambda a, b: a.bracket(b),
-            add=lambda a, b: a + b,
-            scale=lambda c, a: a.scale(c),
-            zero=zero,
-        )
-    return acc
-
-
-def eval_bch_trivariate(table: BchTable, u, v, w, nilpotency_order: int):
-    """sum beta_{i,j,k}(u, v, w); the table must carry trigraded parts."""
-    cap = nilpotency_order - 1
-    if cap > table.max_degree:
-        raise ValueError(
-            f"nilpotency bound {nilpotency_order} exceeds table cap {table.max_degree}"
-        )
-    if not table.tridegree:
+    if len(args) == 2:
+        parts, labels = table.bidegree, BCH_ALPHABET.labels
+    elif table.tridegree:
+        parts, labels = table.tridegree, BCH_ALPHABET3.labels
+    else:
         raise ValueError("trigraded components were not built for this table")
-    zero = u.scale(0)
+    assignment = dict(zip(labels, args))
+    zero = args[0].scale(0)
     acc = zero
-    for (i, j, k), part in sorted(table.tridegree.items()):
-        if i + j + k > cap:
+    for md, part in sorted(parts.items()):
+        if sum(md) > cap:
             continue
         acc = acc + evaluate_lie(
             part,
-            {"x": u, "y": v, "z": w},
+            assignment,
             bracket=lambda a, b: a.bracket(b),
             add=lambda a, b: a + b,
             scale=lambda c, a: a.scale(c),

@@ -317,22 +317,13 @@ def cmd_jb(args):
 
 def cmd_milnor(args):
     f = _poly_arg("--poly", args.poly, _vars_arg(args.vars))
-    try:
-        dim = milnor_dim(f)
-    except ValueError as e:
-        _emit({"error": str(e)})
-        return 1
-    _emit({"dimension": dim})
+    _emit({"dimension": milnor_dim(f)})
     return 0
 
 
 def cmd_tangent_dgla(args):
     f = _poly_arg("--poly", args.poly, _vars_arg(args.vars))
-    try:
-        tc = hypersurface_tangent_dgla(f)
-    except ValueError as e:
-        _emit({"error": str(e)})
-        return 1
+    tc = hypersurface_tangent_dgla(f)
     pc = tc.complex
     report = {
         "vars": list(pc.vars),
@@ -361,11 +352,7 @@ def cmd_deform(args):
     f = _poly_arg("--poly", args.poly, vars)
     g = _poly_arg("--direction", args.direction, vars)
     _cap(args.to_order, "--to-order")
-    try:
-        rep = lift_deformation(f, g, args.from_order, args.to_order)
-    except ValueError as e:
-        _emit({"error": str(e)})
-        return 1
+    rep = lift_deformation(f, g, args.from_order, args.to_order)
     eq = rep.equation()
     _emit(
         {

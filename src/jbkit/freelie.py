@@ -7,6 +7,11 @@ is a basis of the corresponding graded piece of the free Lie algebra.
 Normal forms are computed by expanding into the associative span and
 peeling off Lyndon leading words, which is exact because the expansion of
 a Lyndon bracketing is its own word plus lexicographically larger words.
+
+``_WordSum`` is the one home of word-sum arithmetic (zero, generators,
+sums, scaling, truncation, degree and multidegree parts).  ``AssocPoly``
+adds only the unit and the capped product; ``FreeLieElement`` adds only
+the Lyndon check, the bracket and serialization.
 """
 from __future__ import annotations
 
@@ -121,14 +126,8 @@ def _bracketing(word: Word):
     return (_bracketing(u), _bracketing(v))
 
 
-@lru_cache(maxsize=None)
-def _expand_word(word: Word) -> dict:
-    """Associative expansion of the Lyndon bracketing; integer coefficients."""
-    if len(word) == 1:
-        return {word: 1}
-    u, v = standard_factorization(word)
-    a = _expand_word(u)
-    b = _expand_word(v)
+def _commutator(a: dict, b: dict) -> dict:
+    """ab - ba for integer word sums, zeros dropped."""
     out: dict = {}
     for wa, ca in a.items():
         for wb, cb in b.items():
@@ -140,38 +139,47 @@ def _expand_word(word: Word) -> dict:
     return {k: v for k, v in out.items() if v}
 
 
-class AssocPoly:
-    """Polynomial in noncommuting generators: {word: Fraction}."""
+@lru_cache(maxsize=None)
+def _expand_word(word: Word) -> dict:
+    """Associative expansion of the Lyndon bracketing; integer coefficients."""
+    if len(word) == 1:
+        return {word: 1}
+    u, v = standard_factorization(word)
+    return _commutator(_expand_word(u), _expand_word(v))
+
+
+class _WordSum:
+    """Exact linear combination of words: {word: Fraction}, zeros dropped.
+
+    Each method returns the type it is called on.  Equality is
+    type-strict, so a Lie element never equals the associative
+    polynomial with the same terms.
+    """
 
     __slots__ = ("alphabet", "terms")
 
-    def __init__(self, alphabet: Alphabet, terms=None):
-        self.alphabet = alphabet
-        self.terms: dict = {}
-        if terms:
-            for w, c in dict(terms).items():
-                c = Fraction(c)
-                if c:
-                    self.terms[tuple(w)] = c
+    @classmethod
+    def _of(cls, alphabet: Alphabet, terms: dict):
+        """Wrap a dict of tuple words with nonzero Fraction values as is."""
+        s = cls.__new__(cls)
+        s.alphabet = alphabet
+        s.terms = terms
+        return s
 
-    @staticmethod
-    def zero(alphabet):
-        return AssocPoly(alphabet)
+    @classmethod
+    def zero(cls, alphabet):
+        return cls._of(alphabet, {})
 
-    @staticmethod
-    def unit(alphabet):
-        return AssocPoly(alphabet, {(): ONE})
-
-    @staticmethod
-    def generator(alphabet, label):
-        return AssocPoly(alphabet, {(alphabet.index(label),): ONE})
+    @classmethod
+    def generator(cls, alphabet, label):
+        return cls._of(alphabet, {(alphabet.index(label),): ONE})
 
     def is_zero(self):
         return not self.terms
 
     def __eq__(self, other):
         return (
-            isinstance(other, AssocPoly)
+            type(other) is type(self)
             and self.alphabet == other.alphabet
             and self.terms == other.terms
         )
@@ -184,19 +192,58 @@ class AssocPoly:
                 out[w] = s
             else:
                 out.pop(w, None)
-        p = AssocPoly(self.alphabet)
-        p.terms = out
-        return p
+        return self._of(self.alphabet, out)
 
     def __sub__(self, other):
         return self + other.scale(-1)
 
     def scale(self, c):
         c = Fraction(c)
-        p = AssocPoly(self.alphabet)
-        if c:
-            p.terms = {w: c * v for w, v in self.terms.items()}
-        return p
+        if not c:
+            return self._of(self.alphabet, {})
+        return self._of(self.alphabet, {w: c * v for w, v in self.terms.items()})
+
+    def truncate(self, degree_cap: int):
+        deg = self.alphabet.degree
+        kept = {w: c for w, c in self.terms.items() if deg(w) <= degree_cap}
+        return self._of(self.alphabet, kept)
+
+    def degree_part(self, n: int):
+        deg = self.alphabet.degree
+        kept = {w: c for w, c in self.terms.items() if deg(w) == n}
+        return self._of(self.alphabet, kept)
+
+    def multidegree_part(self, multidegree):
+        multidegree = tuple(multidegree)
+        md = self.alphabet.multidegree
+        kept = {w: c for w, c in self.terms.items() if md(w) == multidegree}
+        return self._of(self.alphabet, kept)
+
+    def multidegrees(self) -> set:
+        return {self.alphabet.multidegree(w) for w in self.terms}
+
+    def max_degree(self) -> int:
+        deg = self.alphabet.degree
+        return max((deg(w) for w in self.terms), default=0)
+
+
+class AssocPoly(_WordSum):
+    """Polynomial in noncommuting generators: {word: Fraction}."""
+
+    __slots__ = ()
+
+    def __init__(self, alphabet: Alphabet, terms=None):
+        clean = {}
+        for w, c in dict(terms or {}).items():
+            c = Fraction(c)
+            if c:
+                clean[tuple(w)] = c
+        self.alphabet = alphabet
+        self.terms = clean
+
+    @staticmethod
+    def unit(alphabet):
+        return AssocPoly._of(alphabet, {(): ONE})
 
     def mul(self, other: "AssocPoly", degree_cap=None) -> "AssocPoly":
         """Product, with every word above ``degree_cap`` dropped.
@@ -226,25 +273,7 @@ class AssocPoly:
                     out[w] = s
                 else:
                     out.pop(w, None)
-        p = AssocPoly(self.alphabet)
-        p.terms = out
-        return p
-
-    def truncate(self, degree_cap: int) -> "AssocPoly":
-        deg = self.alphabet.degree
-        p = AssocPoly(self.alphabet)
-        p.terms = {w: c for w, c in self.terms.items() if deg(w) <= degree_cap}
-        return p
-
-    def degree_part(self, n: int) -> "AssocPoly":
-        deg = self.alphabet.degree
-        p = AssocPoly(self.alphabet)
-        p.terms = {w: c for w, c in self.terms.items() if deg(w) == n}
-        return p
-
-    def max_degree(self) -> int:
-        deg = self.alphabet.degree
-        return max((deg(w) for w in self.terms), default=0)
+        return AssocPoly._of(self.alphabet, out)
 
 
 class LyndonBasisElement:
@@ -293,9 +322,8 @@ class LyndonBasisElement:
         return walk(_bracketing(self.word))
 
     def expand(self) -> AssocPoly:
-        p = AssocPoly(self.alphabet)
-        p.terms = {w: Fraction(c) for w, c in _expand_word(self.word).items()}
-        return p
+        expansion = {w: Fraction(c) for w, c in _expand_word(self.word).items()}
+        return AssocPoly._of(self.alphabet, expansion)
 
 
 def lyndon_basis(alphabet: Alphabet, degree: int) -> list:
@@ -310,55 +338,22 @@ def lyndon_basis(alphabet: Alphabet, degree: int) -> list:
     return out
 
 
-class FreeLieElement:
+class FreeLieElement(_WordSum):
     """Exact linear combination of Lyndon basis elements: {word: Fraction}."""
 
-    __slots__ = ("alphabet", "terms")
+    __slots__ = ()
 
     def __init__(self, alphabet: Alphabet, terms=None):
+        clean = {}
+        for w, c in dict(terms or {}).items():
+            w = tuple(w)
+            c = Fraction(c)
+            if not is_lyndon(w):
+                raise ValueError(f"{w} is not a Lyndon word")
+            if c:
+                clean[w] = c
         self.alphabet = alphabet
-        self.terms: dict = {}
-        if terms:
-            for w, c in dict(terms).items():
-                w = tuple(w)
-                c = Fraction(c)
-                if not is_lyndon(w):
-                    raise ValueError(f"{w} is not a Lyndon word")
-                if c:
-                    self.terms[w] = c
-
-    @staticmethod
-    def zero(alphabet):
-        return FreeLieElement(alphabet)
-
-    @staticmethod
-    def generator(alphabet, label):
-        return FreeLieElement(alphabet, {(alphabet.index(label),): ONE})
-
-    def is_zero(self):
-        return not self.terms
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, FreeLieElement)
-            and self.alphabet == other.alphabet
-            and self.terms == other.terms
-        )
-
-    def __add__(self, other):
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w, ZERO) + c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-        e = FreeLieElement(self.alphabet)
-        e.terms = out
-        return e
-
-    def __sub__(self, other):
-        return self + other.scale(-1)
+        self.terms = clean
 
     def __repr__(self):
         if not self.terms:
@@ -369,13 +364,6 @@ class FreeLieElement:
         ]
         return "FreeLieElement(" + " + ".join(bits) + ")"
 
-    def scale(self, c):
-        c = Fraction(c)
-        e = FreeLieElement(self.alphabet)
-        if c:
-            e.terms = {w: c * v for w, v in self.terms.items()}
-        return e
-
     def bracket(self, other: "FreeLieElement", degree_cap=None) -> "FreeLieElement":
         """[self, other], re-expressed in the Lyndon basis."""
         a = expand_associative(self)
@@ -385,35 +373,6 @@ class FreeLieElement:
         else:
             comm = a.mul(b) - b.mul(a)
         return _extract_lie(comm)
-
-    def truncate(self, degree_cap: int) -> "FreeLieElement":
-        deg = self.alphabet.degree
-        e = FreeLieElement(self.alphabet)
-        e.terms = {w: c for w, c in self.terms.items() if deg(w) <= degree_cap}
-        return e
-
-    def degree_part(self, n: int) -> "FreeLieElement":
-        deg = self.alphabet.degree
-        e = FreeLieElement(self.alphabet)
-        e.terms = {w: c for w, c in self.terms.items() if deg(w) == n}
-        return e
-
-    def multidegree_part(self, multidegree) -> "FreeLieElement":
-        multidegree = tuple(multidegree)
-        e = FreeLieElement(self.alphabet)
-        e.terms = {
-            w: c
-            for w, c in self.terms.items()
-            if self.alphabet.multidegree(w) == multidegree
-        }
-        return e
-
-    def multidegrees(self) -> set:
-        return {self.alphabet.multidegree(w) for w in self.terms}
-
-    def max_degree(self) -> int:
-        deg = self.alphabet.degree
-        return max((deg(w) for w in self.terms), default=0)
 
     def to_terms(self) -> list:
         """Serialization: [{"word": ..., "coeff": ...}] sorted by (degree, word)."""
@@ -442,9 +401,7 @@ def expand_associative(element: FreeLieElement) -> AssocPoly:
                 out[w] = s
             else:
                 out.pop(w, None)
-    p = AssocPoly(element.alphabet)
-    p.terms = out
-    return p
+    return AssocPoly._of(element.alphabet, out)
 
 
 def _extract_lie(poly: AssocPoly) -> FreeLieElement:
@@ -471,9 +428,7 @@ def _extract_lie(poly: AssocPoly) -> FreeLieElement:
                 remaining[w2] = s
             else:
                 remaining.pop(w2, None)
-    e = FreeLieElement(poly.alphabet)
-    e.terms = out
-    return e
+    return FreeLieElement._of(poly.alphabet, out)
 
 
 def _expr_to_assoc(alphabet: Alphabet, expr) -> AssocPoly:
@@ -529,9 +484,7 @@ def dynkin_lie(poly: AssocPoly) -> FreeLieElement:
                     acc[w2] = s
                 else:
                     acc.pop(w2, None)
-        p = AssocPoly(alphabet)
-        p.terms = acc
-        part = _extract_lie(p).scale(Fraction(1, length))
+        part = _extract_lie(AssocPoly._of(alphabet, acc)).scale(Fraction(1, length))
         total = total + part
     if expand_associative(total) != poly:
         raise ValueError("projection changed the element; input was not Lie")
@@ -543,20 +496,27 @@ def _leftnormed_expand(word: Word) -> dict:
     """Associative expansion of [[..[a1,a2],..],ad] for a plain word."""
     if len(word) == 1:
         return {word: 1}
-    prev = _leftnormed_expand(word[:-1])
-    last = word[-1:]
-    out: dict = {}
-    for w, c in prev.items():
-        k = w + last
-        out[k] = out.get(k, 0) + c
-        k = last + w
-        out[k] = out.get(k, 0) - c
-    return {k: v for k, v in out.items() if v}
+    return _commutator(_leftnormed_expand(word[:-1]), {word[-1:]: 1})
 
 
 # ---------------------------------------------------------------------------
 # iterated adjoint monomials
 # ---------------------------------------------------------------------------
+
+
+def _checked_subset(subset, i: int, j: int) -> set:
+    subset = set(subset)
+    if len(subset) != i or not subset <= set(range(1, i + j + 1)):
+        raise ValueError("subset must pick i positions among 1..i+j")
+    return subset
+
+
+def _nested_ad(alphabet: Alphabet, letters) -> FreeLieElement:
+    """Normal form of ad(L_1)...ad(L_{n-1})(L_n) for letter indices L_k."""
+    expr = alphabet.labels[letters[-1]]
+    for idx in reversed(letters[:-1]):
+        expr = (alphabet.labels[idx], expr)
+    return lie_normal_form(alphabet, expr)
 
 
 def ad_monomial(alphabet: Alphabet, subset, i: int, j: int) -> FreeLieElement:
@@ -568,15 +528,8 @@ def ad_monomial(alphabet: Alphabet, subset, i: int, j: int) -> FreeLieElement:
     """
     if len(alphabet) < 2:
         raise ValueError("need a two-letter alphabet")
-    subset = set(subset)
-    n = i + j
-    if len(subset) != i or not subset <= set(range(1, n + 1)):
-        raise ValueError("subset must pick i positions among 1..i+j")
-    letters = [0 if k in subset else 1 for k in range(1, n + 1)]
-    expr = alphabet.labels[letters[-1]]
-    for idx in reversed(letters[:-1]):
-        expr = (alphabet.labels[idx], expr)
-    return lie_normal_form(alphabet, expr)
+    subset = _checked_subset(subset, i, j)
+    return _nested_ad(alphabet, [0 if k in subset else 1 for k in range(1, i + j + 1)])
 
 
 def ad_monomial_sym(subset, i: int, j: int) -> FreeLieElement:
@@ -588,22 +541,16 @@ def ad_monomial_sym(subset, i: int, j: int) -> FreeLieElement:
     """
     labels = [f"X{k}" for k in range(1, i + 1)] + [f"Y{k}" for k in range(1, j + 1)]
     alphabet = Alphabet(labels)
-    subset = set(subset)
-    n = i + j
-    if len(subset) != i or not subset <= set(range(1, n + 1)):
-        raise ValueError("subset must pick i positions among 1..i+j")
+    subset = _checked_subset(subset, i, j)
     acc = FreeLieElement.zero(alphabet)
     for pi in permutations(range(i)):
         for rho in permutations(range(j)):
             xs = iter(pi)
             ys = iter(rho)
             letters = [
-                next(xs) if k in subset else i + next(ys) for k in range(1, n + 1)
+                next(xs) if k in subset else i + next(ys) for k in range(1, i + j + 1)
             ]
-            expr = alphabet.labels[letters[-1]]
-            for idx in reversed(letters[:-1]):
-                expr = (alphabet.labels[idx], expr)
-            acc = acc + lie_normal_form(alphabet, expr)
+            acc = acc + _nested_ad(alphabet, letters)
     return acc.scale(Fraction(1, factorial(i) * factorial(j)))
 
 

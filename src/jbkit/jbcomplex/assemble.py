@@ -201,9 +201,7 @@ def _polarized(table, j, k, l):
                 for p, a in zip(positions, letters):
                     fresh[p] = a
             terms[tuple(fresh)] = c
-    poly = AssocPoly(Alphabet(["a%d" % i for i in range(n)]))
-    poly.terms = terms
-    cached = _extract_lie(poly)
+    cached = _extract_lie(AssocPoly._of(Alphabet(["a%d" % i for i in range(n)]), terms))
     _POLAR_CACHE[key] = cached
     return cached
 
@@ -443,17 +441,11 @@ class JBComplex:
 
     degree_window restricts enumeration to chain degrees lo..hi
     (inclusive); None enumerates everything the truncation order
-    admits.  sym_cap bounds the factor count and must not truncate:
-    anything below N-1 changes the complex and is refused.
+    admits.
     """
 
-    def __init__(self, sela, degree_window=None, sym_cap=None):
+    def __init__(self, sela, degree_window=None):
         order = sela.artin_order
-        if sym_cap is not None and sym_cap < order - 1:
-            raise ValueError(
-                "symmetric-power cap %d is below the nilpotency bound %d"
-                % (sym_cap, order - 1)
-            )
         self.sela = sela
         self.order = order
         if degree_window is not None:
@@ -536,9 +528,9 @@ class JBComplex:
         return list(self.basis.get(degree, ()))
 
 
-def jb_assemble(sela, degree_window=None, sym_cap=None):
+def jb_assemble(sela, degree_window=None):
     """Enumerate the chain groups of a gluing datum and assemble d."""
-    return JBComplex(sela, degree_window, sym_cap)
+    return JBComplex(sela, degree_window)
 
 
 # -- verification and invariants -------------------------------------------

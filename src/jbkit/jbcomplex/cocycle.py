@@ -25,7 +25,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ..bch import eval_bch, eval_bch_trivariate
+from ..bch import eval_bch
 from ..exactnum import ZERO, bernoulli_normalized
 from ..liecore import ArtinLine, LieElement
 from .assemble import _shared_table, format_monomial, sort_word
@@ -39,6 +39,7 @@ __all__ = [
     "bernoulli_transport",
     "restrict_element",
     "element_chain",
+    "family_chain",
     "chain_mul",
     "exp_chain",
 ]
@@ -80,6 +81,16 @@ def element_chain(sela, simplex, elt):
             if c:
                 out[(((simplex, i),), q)] = c
     return out
+
+
+def family_chain(sela, elements):
+    """Sum of the one-factor chains of {simplex: element}, zero elements skipped."""
+    w = {}
+    for simplex, elt in elements.items():
+        if elt.coeffs:
+            for key, val in element_chain(sela, simplex, elt).items():
+                w[key] = w.get(key, ZERO) + val
+    return w
 
 
 def chain_mul(sela, u, v):
@@ -229,22 +240,14 @@ def special_cocycle(sela, phi, psi, table=None):
             LieElement(sela.algebra(tri), ring, sela.coface(e, tri).apply(edge[e].coeffs))
             for e in ((a, c), (a, b), (b, c))
         )
-        comp = eval_bch_trivariate(table, outer, first, second, order)
+        comp = eval_bch(table, outer, first, second, nilpotency_order=order)
         if not comp.is_zero():
             raise ValueError(
                 "composition fails on triangle %s: series value %r"
                 % (_simplex_name(tri), comp)
             )
 
-    w = {}
-    for v, f in vert.items():
-        if f.coeffs:
-            for key, val in element_chain(sela, v, f).items():
-                w[key] = w.get(key, ZERO) + val
-    for e, g in edge.items():
-        if g.coeffs:
-            for key, val in element_chain(sela, e, g).items():
-                w[key] = w.get(key, ZERO) + val
+    w = family_chain(sela, {**vert, **edge})
     return SpecialCocycle(sela, phi, psi, exp_chain(sela, w))
 
 
@@ -278,25 +281,19 @@ def coboundary_gluing(sela, gauges, table=None):
         if len(v) != 1:
             raise ValueError("%s is not a vertex" % _simplex_name(v))
         _component(sela, gauges, v, ring, 0, "gauge")
+
+    def restricted(v, e):
+        z = gauges.get(v)
+        if z is None:
+            return LieElement.zero(sela.algebra(e), ring)
+        return restrict_element(sela, v, e, z)
+
     psi = {}
     for e in sela.all_simplices(2):
         if sela.algebra(e).dim == 0:
             continue
-        lo, hi = (e[0],), (e[1],)
-        za = gauges.get(lo)
-        zb = gauges.get(hi)
-        lie = sela.algebra(e)
-        left = (
-            restrict_element(sela, lo, e, za)
-            if za is not None
-            else LieElement.zero(lie, ring)
-        )
-        right = (
-            restrict_element(sela, hi, e, zb)
-            if zb is not None
-            else LieElement.zero(lie, ring)
-        )
-        val = eval_bch(table, left, right.scale(-1), order)
+        left, right = restricted((e[0],), e), restricted((e[1],), e)
+        val = eval_bch(table, left, right.scale(-1), nilpotency_order=order)
         if not val.is_zero():
             psi[e] = val
     return psi

@@ -16,10 +16,10 @@ linear in the correction.
 
 from __future__ import annotations
 
-from ..exactnum import ZERO, column_echelon, remainder, solve
+from ..exactnum import column_echelon, remainder, solve
 from ..liecore import ArtinLine, LieElement
 from .assemble import _shared_table, chain_differential, format_monomial
-from .cocycle import element_chain, exp_chain, special_cocycle
+from .cocycle import exp_chain, family_chain, special_cocycle
 from .sela import TotalComplex, _simplex_name
 
 __all__ = ["ObstructionResult", "obstruction"]
@@ -115,15 +115,7 @@ def obstruction(cocycle, to_order, pad=None):
         for e, elt in pad_psi.items():
             psi[tuple(e)] = psi[tuple(e)] + elt
 
-    w = {}
-    for v, f in phi.items():
-        if f.coeffs:
-            for key, val in element_chain(big, v, f).items():
-                w[key] = w.get(key, ZERO) + val
-    for e, g in psi.items():
-        if g.coeffs:
-            for key, val in element_chain(big, e, g).items():
-                w[key] = w.get(key, ZERO) + val
+    w = family_chain(big, {**phi, **psi})
     residual_chain = chain_differential(big, exp_chain(big, w), table)
 
     residual = {}

@@ -5,7 +5,7 @@ constants, an optional degree-+1 differential and an optional faithful
 matrix representation.  Elements take coefficients in ArtinLine(N), the
 ring Q[t]/(t^N); coefficients in the maximal ideal (t) make every bracket
 word of length >= N vanish, which is the nilpotency bound the series
-evaluators rely on.
+evaluator relies on.
 
 Sparse coefficient maps {basis index: coefficient} are bracketed by
 StructLie.bracket_maps and mapped by SparseRatMatrix.apply, whatever
@@ -80,10 +80,14 @@ class ArtinElt:
             raise ValueError("mixed artin rings")
 
     def __add__(self, other: "ArtinElt") -> "ArtinElt":
+        if not isinstance(other, ArtinElt):
+            return NotImplemented
         self._check(other)
         return ArtinElt(self.ring, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __sub__(self, other: "ArtinElt") -> "ArtinElt":
+        if not isinstance(other, ArtinElt):
+            return NotImplemented
         self._check(other)
         return ArtinElt(self.ring, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
@@ -91,6 +95,8 @@ class ArtinElt:
         return ArtinElt(self.ring, tuple(-a for a in self.coeffs))
 
     def __mul__(self, other: "ArtinElt") -> "ArtinElt":
+        if not isinstance(other, ArtinElt):
+            return NotImplemented
         self._check(other)
         n = self.ring.order
         out = [ZERO] * n
@@ -178,9 +184,6 @@ class StructLie:
     @property
     def dim(self) -> int:
         return len(self.names)
-
-    def degree_of(self, idx: int) -> int:
-        return self.degrees[idx]
 
     def basis_indices(self, degree=None):
         if degree is None:

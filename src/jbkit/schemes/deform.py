@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from ..bch import eval_bch, eval_bch_trivariate
+from ..bch import eval_bch
 from ..liecore import LieElement, StructLie, exp_conjugate
 from ..jbcomplex.assemble import _shared_table
 from ..jbcomplex.cocycle import special_cocycle
@@ -127,9 +127,6 @@ class TruncPoly:
             if not p.is_zero():
                 return k
         return self.order
-
-    def map_coeffs(self, fn):
-        return TruncPoly(self.vars, self.order, [fn(p) for p in self.coeffs])
 
     def __eq__(self, other):
         return (
@@ -416,7 +413,7 @@ def gauge_triple_check(psi_01, psi_12, psi_02):
             )
     order = psi_01.order
     table = _shared_table(max(order - 1, 1))
-    residual = eval_bch_trivariate(table, psi_02.scale(-1), psi_01, psi_12, order)
+    residual = eval_bch(table, psi_02.scale(-1), psi_01, psi_12, nilpotency_order=order)
     return {
         "holds": residual.is_zero(),
         "residual": None if residual.is_zero() else residual.describe(),
@@ -433,7 +430,7 @@ def compose_gauges(psi_1, psi_2):
             )
     order = psi_1.order
     table = _shared_table(max(order - 1, 1))
-    return eval_bch(table, psi_1, psi_2, order)
+    return eval_bch(table, psi_1, psi_2, nilpotency_order=order)
 
 
 # -- lifting a family up the coefficient line --------------------------------

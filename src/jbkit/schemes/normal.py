@@ -45,30 +45,11 @@ class HomDgla:
                 out.append((i, self.F.rank(j), self.F.rank(i)))
         return out
 
-    def piece_rank(self, degree):
-        """Free-module rank of one graded piece over the coordinate ring."""
-        return sum(r * c for _, r, c in self.components(degree))
-
     def zero(self, degree):
         return HomElement(self, degree, {})
 
     def element(self, degree, comps):
         return HomElement(self, degree, comps)
-
-    def identity_shift(self, scalar):
-        """Degree-zero element acting as a scalar on every source term."""
-        comps = {}
-        for i in self.sources:
-            n = self.F.rank(i)
-            mat = [
-                [
-                    scalar if r == c else Poly.zero(self.F.vars, self.F.order)
-                    for c in range(n)
-                ]
-                for r in range(n)
-            ]
-            comps[i] = tuple(tuple(row) for row in mat)
-        return HomElement(self, 0, comps)
 
 
 class HomElement:

@@ -16,7 +16,6 @@ from jbkit.bch import (
     bch_oracle_trivariate,
     build_table,
     eval_bch,
-    eval_bch_trivariate,
     exp_assoc,
     log_assoc,
     _compose_trivariate,
@@ -214,7 +213,7 @@ def test_eval_matches_matrix_exponentials():
 
     combined = eval_bch(table, u, v, nilpotency_order=4)
     assert mat_exp(combined) == mat_exp(u).mul(mat_exp(v))
-    triple = eval_bch_trivariate(table, u, v, w, nilpotency_order=4)
+    triple = eval_bch(table, u, v, w, nilpotency_order=4)
     assert mat_exp(triple) == mat_exp(u).mul(mat_exp(v)).mul(mat_exp(w))
 
 
@@ -224,3 +223,14 @@ def test_eval_rejects_nilpotency_beyond_table():
     v = unit_matrix(5, 1, 2)
     with pytest.raises(ValueError, match="exceeds table cap"):
         eval_bch(table, u, v, nilpotency_order=5)
+
+
+def test_eval_refuses_other_arities_and_missing_trigraded_parts():
+    u = unit_matrix(3, 0, 1)
+    v = unit_matrix(3, 1, 2)
+    tri_table = build_table(3, tri=True)
+    for args in ((u,), (u, v, u, v)):
+        with pytest.raises(TypeError, match="two or three"):
+            eval_bch(tri_table, *args, nilpotency_order=3)
+    with pytest.raises(ValueError, match="trigraded components were not built"):
+        eval_bch(build_table(3), u, v, u, nilpotency_order=3)

@@ -238,3 +238,44 @@ def test_capped_product_below_every_term_is_zero():
     assert a.mul(b, -1).is_zero()
     assert a.mul(b, 0) == AssocPoly(W123, {(): 3})
     assert a.mul(b, 2) == AssocPoly(W123, {(): 3, (1,): 6})
+
+
+# -- the shared word-sum methods ------------------------------------------
+
+_LYNDON3 = list(lyndon_words(3, 4))
+_lie_elements = st.dictionaries(
+    st.sampled_from(_LYNDON3),
+    st.fractions(min_value=-2, max_value=2, max_denominator=3),
+    max_size=6,
+).map(lambda terms: FreeLieElement(XYZ, terms))
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    _lie_elements,
+    _lie_elements,
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    st.integers(0, 5),
+    st.tuples(*[st.integers(0, 2)] * 3),
+)
+def test_word_sum_methods_commute_with_expansion(a, b, c, n, md):
+    ex = expand_associative
+    assert ex(a + b) == ex(a) + ex(b)
+    assert ex(a - b) == ex(a) - ex(b)
+    assert ex(a.scale(c)) == ex(a).scale(c)
+    assert ex(a.truncate(n)) == ex(a).truncate(n)
+    assert ex(a.degree_part(n)) == ex(a).degree_part(n)
+    assert ex(a.multidegree_part(md)) == ex(a).multidegree_part(md)
+    assert (a - a).is_zero() and (a + b) - b == a
+    same_terms = AssocPoly(XYZ, a.terms)
+    assert same_terms != a and a != same_terms
+    for part in (a + b, a - b, a.scale(c), a.truncate(n), a.degree_part(n)):
+        assert type(part) is FreeLieElement
+
+
+def test_zero_and_generator_return_the_class_they_are_called_on():
+    for cls in (AssocPoly, FreeLieElement):
+        assert type(cls.zero(XYZ)) is cls
+        assert type(cls.generator(XYZ, "Y")) is cls
+        assert cls.generator(XYZ, "Y").terms == {(1,): 1}
+    assert AssocPoly.zero(XYZ) != FreeLieElement.zero(XYZ)

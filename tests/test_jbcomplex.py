@@ -196,7 +196,7 @@ def test_zero_sela_is_unit_complex():
     assert deformation_ring_dimension(jb) == 1
 
 
-# -- degree windows and caps ----------------------------------------------
+# -- degree windows ------------------------------------------------------
 
 def test_window_matches_full_complex_inside():
     full = jb_assemble(factories.nonabelian_triangle(3))
@@ -214,13 +214,6 @@ def test_window_validation():
         jb_cohomology(jb, 0)
     with pytest.raises(ValueError, match="full complex"):
         euler_characteristic_check(jb)
-
-
-def test_sym_cap_refuses_truncation():
-    with pytest.raises(ValueError, match="below the nilpotency bound"):
-        jb_assemble(factories.abelian_triangle(4), sym_cap=1)
-    jb = jb_assemble(factories.abelian_triangle(4), sym_cap=3)
-    assert verify_d_squared(jb) == []
 
 
 # -- functoriality ---------------------------------------------------------

@@ -148,6 +148,25 @@ def test_artin_arithmetic_truncates():
         ring.element(["1", "2", "3", "4"])
 
 
+def test_artin_operators_refuse_non_artin_operands():
+    ring = ArtinLine(3)
+    elt = ring.element(["1", "2", "0"])
+    assert Fraction(2) * elt == ring.element(["2", "4", "0"])
+    for op in (
+        lambda: elt * Fraction(2),
+        lambda: elt + 1,
+        lambda: elt - Fraction(1, 2),
+        lambda: 1 + elt,
+        lambda: elt * "t",
+    ):
+        with pytest.raises(TypeError):
+            op()
+    other = ArtinLine(4).one()
+    for op in (lambda: elt + other, lambda: elt - other, lambda: elt * other):
+        with pytest.raises(ValueError, match="mixed artin rings"):
+            op()
+
+
 def test_maximal_ideal_products_vanish_at_order():
     ring = ArtinLine(4)
     rng = random.Random(7)
