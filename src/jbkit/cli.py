@@ -135,7 +135,8 @@ def cmd_bch(args):
     n = _cap(args.max_degree, "--max-degree")
     if n < 1:
         raise _Usage("--max-degree must be at least 1")
-    table = build_table(n, tri=args.tri)
+    # the trivariate table is the one the JB pipelines share
+    table = _shared_table(n) if args.tri else build_table(n)
     out = {
         "max_degree": n,
         "bigraded": [

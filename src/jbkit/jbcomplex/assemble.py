@@ -61,6 +61,17 @@ with the key and parity of every factor they produce, ready for emit,
 which signs a coefficient by negation and merges the new factor into
 the sorted remainder in one walk.
 
+Slot selections too long to be nonzero are never formed.  Every term of
+the trivariate series on n selected factors is a bracketing of n
+vectors of the triangle algebra, and every bracketing of n vectors lies
+in F_n, where F_1 is the algebra and F_n is spanned by [F_i, F_j] over
+i + j = n; that follows by induction on the bracketing alone, with no
+Jacobi identity.  StructLie.nilpotency_class certifies the largest n
+with F_n != 0, so a selection of more factors is exactly zero and is
+skipped before its memo key is built.  An algebra without a certificate
+(None, as for a triangle algebra with a non-nilpotent bracket) keeps
+every selection.
+
 Scope: d*d = 0 holds exactly for arbitrary gradings on covers without
 2-simplices, and on covers with 2-simplices whenever every odd edge
 element has vanishing self-bracket (in particular for all algebras in
@@ -383,17 +394,21 @@ def monomial_differential(sela, mono, table=None, memo=None):
         if len(si) == 1 and len(sj) == 3 and si[0] == sj[2]:
             family((i, j), ("top", factors[i], factors[j]))
 
-    # edge factors feeding the slots of a triangle
+    # edge factors feeding the slots of a triangle; a selection of more
+    # factors than the nilpotency class of the triangle algebra is zero
     for tri in sela.simplices(3):
         a0, a1, a2 = tri
         slot_positions = [
             [t for t in range(k) if factors[t][0] == e] for e in ((a0, a2), (a0, a1), (a1, a2))
         ]
+        most = sela.algebra(tri).nilpotency_class()
+        if most is None:
+            most = k
         for qx in _subsets(slot_positions[0]):
             for qy in _subsets(slot_positions[1]):
                 for qz in _subsets(slot_positions[2]):
                     selected = qx + qy + qz
-                    if len(selected) >= 2:
+                    if 2 <= len(selected) <= most:
                         family(selected, ("slot", tri) + tuple(factors[p] for p in selected))
 
     return out

@@ -15,10 +15,11 @@ consistent gluing datum:
             right edge).
 
 special_cocycle checks the three conditions and packages the result
-together with exp(sum phi + sum psi) as a chain; that chain is a cycle
-of the assembled complex, which verify_cocycle confirms by applying the
-differential literally.  coboundary_gluing manufactures edge data from
-per-vertex gauges, the cocycles that deform nothing.
+together with exp(sum phi + sum psi) as a chain, built when first read;
+that chain is a cycle of the assembled complex, which verify_cocycle
+confirms by applying the differential literally.  coboundary_gluing
+manufactures edge data from per-vertex gauges, the cocycles that deform
+nothing.
 """
 
 from __future__ import annotations
@@ -135,16 +136,24 @@ class SpecialCocycle:
     phi maps vertices to degree-one elements, psi edges to degree-zero
     ones; absent simplices mean zero.  chain is exp of the sum of all
     one-factor chains and is a degree-zero cycle of the assembled
-    complex.
+    complex.  Only that sum is stored: the chain is built on its first
+    read and kept, so a family that is only extended never pays for it.
     """
 
-    __slots__ = ("sela", "phi", "psi", "chain")
+    __slots__ = ("sela", "phi", "psi", "_w", "_chain")
 
-    def __init__(self, sela, phi, psi, chain):
+    def __init__(self, sela, phi, psi, w):
         self.sela = sela
         self.phi = phi
         self.psi = psi
-        self.chain = chain
+        self._w = w
+        self._chain = None
+
+    @property
+    def chain(self):
+        if self._chain is None:
+            self._chain = exp_chain(self.sela, self._w)
+        return self._chain
 
     def __repr__(self):
         return "SpecialCocycle(%d vertex, %d edge components, %d chain terms)" % (
@@ -247,8 +256,7 @@ def special_cocycle(sela, phi, psi, table=None):
                 % (_simplex_name(tri), comp)
             )
 
-    w = family_chain(sela, {**vert, **edge})
-    return SpecialCocycle(sela, phi, psi, exp_chain(sela, w))
+    return SpecialCocycle(sela, phi, psi, family_chain(sela, {**vert, **edge}))
 
 
 def verify_cocycle(jb, cocycle):

@@ -19,7 +19,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import factorial
 
-from .exactnum import ONE, ZERO, SparseRatMatrix, format_rational, parse_rational, rank
+from .exactnum import ONE, ZERO, SparseRatMatrix, format_rational, insert, parse_rational, rank
 from .freelie import FreeLieElement, evaluate_lie
 
 
@@ -151,6 +151,9 @@ class ArtinElt:
         return f"ArtinElt({self.to_list()})"
 
 
+_UNKNOWN = object()
+
+
 class StructLie:
     """Finite-dimensional graded Lie algebra given by structure constants.
 
@@ -159,7 +162,7 @@ class StructLie:
     that validation can spot asymmetric input.
     """
 
-    __slots__ = ("names", "degrees", "index", "brackets", "differential", "rep")
+    __slots__ = ("names", "degrees", "index", "brackets", "differential", "rep", "_class")
 
     def __init__(self, names, degrees, brackets, differential=None, rep=None):
         self.names = list(names)
@@ -176,6 +179,7 @@ class StructLie:
                 self.brackets[(a, b)] = cleaned
         self.differential = differential
         self.rep = rep
+        self._class = _UNKNOWN
         if differential is not None and (
             differential.nrows != self.dim or differential.ncols != self.dim
         ):
@@ -217,6 +221,22 @@ class StructLie:
                     s = out.get(c)
                     out[c] = term if s is None else s + term
         return {c: w for c, w in out.items() if w}
+
+    def nilpotency_class(self):
+        """The largest n with F_n != 0, or None when that is not certified.
+
+        F_1 is the algebra and F_n the span of [F_i, F_j] over i + j = n,
+        both operand orders.  Every bracketing of n vectors lies in F_n
+        by induction on the bracketing, whatever identities the structure
+        constants satisfy, so any bracket expression of more than the
+        class vectors vanishes.  The F_n shrink; once two consecutive
+        nonzero ones have equal dimension the answer is None, which
+        certifies nothing.  Computed on the first call and kept, so the
+        structure constants must not change after it.
+        """
+        if self._class is _UNKNOWN:
+            self._class = _nilpotency_class(self)
+        return self._class
 
     # -- serialization ----------------------------------------------------
 
@@ -290,6 +310,25 @@ class StructLie:
                 for name, mat in self.rep.items()
             }
         return out
+
+
+def _nilpotency_class(lie: StructLie):
+    if not lie.dim:
+        return 0
+    spans = [None, [{a: ONE} for a in range(lie.dim)]]  # spans[n]: a basis of F_n
+    n = 1
+    while True:
+        echelon = {}
+        for i in range(1, n + 1):
+            for u in spans[i]:
+                for v in spans[n + 1 - i]:
+                    insert(echelon, lie.bracket_maps(u, v))
+        if not echelon:
+            return n
+        if len(echelon) == len(spans[n]):
+            return None
+        spans.append(list(echelon.values()))
+        n += 1
 
 
 def _add_maps(u: dict, v: dict) -> dict:

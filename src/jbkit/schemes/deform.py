@@ -370,6 +370,21 @@ def deformed_square_defects(pc, phi, order):
 # -- gluing identities --------------------------------------------------------
 
 
+def _check_gauges(*gauges, table=False):
+    """Refuse a gauge with a constant term.
+
+    With table=True, return the series table that composing gauges of
+    this truncation order needs.
+    """
+    for p in gauges:
+        if not p.in_maximal_ideal():
+            raise ValueError(
+                "gauge is not trivial to first order: every component needs a factor of t"
+            )
+    if table:
+        return _shared_table(max(gauges[0].order - 1, 1))
+
+
 def glue_check(ks_rho, ks_sigma, psi):
     """Does exp(psi) carry one deformed equation to the other?
 
@@ -384,10 +399,7 @@ def glue_check(ks_rho, ks_sigma, psi):
         raise ValueError("charts and gauge use different truncation orders")
     if psi.vars != ks_rho.f.vars:
         raise ValueError("gauge uses different variables")
-    if not psi.in_maximal_ideal():
-        raise ValueError(
-            "gauge is not trivial to first order: every component needs a factor of t"
-        )
+    _check_gauges(psi)
     conj = exp_conjugate(psi, ks_sigma.operator(), bracket=lambda g, op: g.apply(op))
     residual = conj - ks_rho.operator()
     return {
@@ -406,14 +418,8 @@ def gauge_triple_check(psi_01, psi_12, psi_02):
     """
     psi_01._check(psi_12)
     psi_01._check(psi_02)
-    for p in (psi_01, psi_12, psi_02):
-        if not p.in_maximal_ideal():
-            raise ValueError(
-                "gauge is not trivial to first order: every component needs a factor of t"
-            )
-    order = psi_01.order
-    table = _shared_table(max(order - 1, 1))
-    residual = eval_bch(table, psi_02.scale(-1), psi_01, psi_12, nilpotency_order=order)
+    table = _check_gauges(psi_01, psi_12, psi_02, table=True)
+    residual = eval_bch(table, psi_02.scale(-1), psi_01, psi_12, nilpotency_order=psi_01.order)
     return {
         "holds": residual.is_zero(),
         "residual": None if residual.is_zero() else residual.describe(),
@@ -423,14 +429,8 @@ def gauge_triple_check(psi_01, psi_12, psi_02):
 def compose_gauges(psi_1, psi_2):
     """Logarithm of exp(psi_1) exp(psi_2) via the bracket series."""
     psi_1._check(psi_2)
-    for p in (psi_1, psi_2):
-        if not p.in_maximal_ideal():
-            raise ValueError(
-                "gauge is not trivial to first order: every component needs a factor of t"
-            )
-    order = psi_1.order
-    table = _shared_table(max(order - 1, 1))
-    return eval_bch(table, psi_1, psi_2, nilpotency_order=order)
+    table = _check_gauges(psi_1, psi_2, table=True)
+    return eval_bch(table, psi_1, psi_2, nilpotency_order=psi_1.order)
 
 
 # -- lifting a family up the coefficient line --------------------------------

@@ -77,6 +77,25 @@ def test_bch(capsys):
     usage_error(capsys, "bch", "--max-degree", "two")
 
 
+def test_bch_tri_from_the_shared_table(capsys, monkeypatch):
+    from jbkit.bch import build_table
+    from jbkit.jbcomplex import assemble
+
+    def outputs():
+        return [run(capsys, "bch", "--max-degree", str(d), "--tri") for d in range(3, 7)]
+
+    monkeypatch.setattr(assemble, "_TABLE_CACHE", {})
+    cold = outputs()
+    assert sorted(assemble._TABLE_CACHE) == [3, 4, 5, 6]
+    monkeypatch.setattr(assemble, "_TABLE_CACHE", {})
+    assemble._shared_table(7)
+    warm = outputs()
+    monkeypatch.setattr(cli, "_shared_table", lambda n: build_table(n, tri=True))
+    built = outputs()
+    assert cold == warm == built
+    assert all(rc == 0 and '"trigraded"' in out for rc, out, _ in built)
+
+
 # -- jb --------------------------------------------------------------------
 
 def test_jb_check(capsys, tmp_path):

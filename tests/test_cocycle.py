@@ -162,6 +162,33 @@ def test_pruned_chain_mul_matches_unpruned_in_value_and_order(seed):
     assert list(exp_chain(sela, w).items()) == want_exp
 
 
+def test_chain_is_built_on_first_read(monkeypatch):
+    from jbkit.jbcomplex import cocycle, obstruct
+
+    rng = random.Random(4)
+    sela = factories.nonabelian_triangle(3)
+    ring = ArtinLine(3)
+    g = sela.algebra((0,))
+    psi = coboundary_gluing(sela, {v: _random_gauge(g, ring, rng) for v in sela.simplices(1)})
+    built = []
+
+    def counted(sela, w):
+        built.append(len(w))
+        return exp_chain(sela, w)
+
+    monkeypatch.setattr(cocycle, "exp_chain", counted)
+    monkeypatch.setattr(obstruct, "exp_chain", counted)
+    sc = special_cocycle(sela, {}, psi)
+    assert built == []
+    res = obstruct.obstruction(sc, 4)
+    assert res.vanishes and len(built) == 1  # the padded chain of the step only
+    w = cocycle.family_chain(sela, psi)
+    assert list(sc.chain.items()) == list(exp_chain(sela, w).items())
+    assert sc.chain is sc.chain and len(built) == 2
+    assert verify_cocycle(jb_assemble(res.lift.sela), res.lift) == []
+    assert len(built) == 3
+
+
 def test_coboundary_gluing_with_missing_vertex():
     # vertex 1 of the pair carries the zero algebra; its gauge is
     # implicitly zero and the edge still glues

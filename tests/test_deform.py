@@ -1,6 +1,7 @@
 """Deformed equations, gauges, gluing identities, order-by-order lifts."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -117,6 +118,21 @@ def test_gauge_needs_factor_of_t():
     flat = GlueGauge(W, 3, fields={"x": TruncPoly.from_poly(parse_poly("x", W), 3)})
     with pytest.raises(ValueError, match="factor of t"):
         compose_gauges(flat, GlueGauge.zero(W, 3))
+    # the same message from every entry point, whichever gauge is flat
+    message = re.escape(
+        "gauge is not trivial to first order: every component needs a factor of t"
+    )
+    flat = GlueGauge(V, 3, fields={"x": TruncPoly.from_poly(parse_poly("x", V), 3)})
+    zero = GlueGauge.zero(V, 3)
+    ks = ks_cochain(parse_poly("x^2", V), Poly.zero(V), 3)
+    with pytest.raises(ValueError, match=message):
+        glue_check(ks, ks, flat)
+    for gauges in ((flat, zero, zero), (zero, flat, zero), (zero, zero, flat)):
+        with pytest.raises(ValueError, match=message):
+            gauge_triple_check(*gauges)
+    for gauges in ((flat, zero), (zero, flat)):
+        with pytest.raises(ValueError, match=message):
+            compose_gauges(*gauges)
 
 
 # -- chart gluing ---------------------------------------------------------------

@@ -241,6 +241,55 @@ def test_milnor_number_equals_table_rows():
         assert milnor_number(f) == milnor_dim(f) == row["dimension"]
 
 
+# Polynomials that are not quasi-homogeneous, with their global Milnor
+# number dim Q[x]/(df) and their global Tjurina number dim Q[x]/(f, df)
+# (milnor_dim); the two differ on every row.
+NOT_QUASI_HOMOGENEOUS = [
+    ("x^4+y^5+x^2*y^3", "x,y", 14, 11),
+    ("x^3+y^7+x*y^5", "x,y", 13, 11),
+    ("x^3+y^3+x^2*y^2", "x,y", 7, 4),
+    ("x^4+y^4+x^2*y^3", "x,y", 13, 9),
+    ("x^2+y^3+z^4+y^2*z^2", "x,y,z", 8, 6),
+]
+
+
+def test_milnor_and_tjurina_rows_that_differ():
+    bundled = json.loads(
+        resources.files("jbkit").joinpath("data/milnor_table.json").read_text()
+    )
+    assert not {row["poly"] for row in bundled} & {row[0] for row in NOT_QUASI_HOMOGENEOUS}
+    for text, vars, mu, tau in NOT_QUASI_HOMOGENEOUS:
+        assert mu != tau
+        f = parse_poly(text, tuple(vars.split(",")))
+        assert (milnor_number(f), milnor_dim(f)) == (mu, tau), text
+
+
+def _sympy_quotient_dim(sympy, gens, xs):
+    """Standard monomials of Q[xs]/(gens) under a sympy grevlex basis."""
+    from itertools import product
+
+    basis = sympy.groebner(gens, *xs, order="grevlex")
+    leads = [sympy.Poly(g, *xs).monoms(order="grevlex")[0] for g in basis.exprs]
+    box = [
+        min(m[i] for m in leads if not any(m[:i] + m[i + 1:]))
+        for i in range(len(xs))
+    ]
+    return sum(
+        1 for e in product(*(range(b) for b in box))
+        if not any(all(a >= b for a, b in zip(e, m)) for m in leads)
+    )
+
+
+def test_milnor_and_tjurina_rows_against_sympy():
+    sympy = pytest.importorskip("sympy")
+    for text, vars, mu, tau in NOT_QUASI_HOMOGENEOUS:
+        xs = sympy.symbols(vars.replace(",", " "))
+        f = sympy.sympify(text.replace("^", "**"))
+        partials = [sympy.diff(f, x) for x in xs]
+        assert _sympy_quotient_dim(sympy, partials, xs) == mu, text
+        assert _sympy_quotient_dim(sympy, [f] + partials, xs) == tau, text
+
+
 def test_milnor_invariant_under_unimodular_change():
     rng = random.Random(9)
     f = parse_poly("x^3+y^5", V)
