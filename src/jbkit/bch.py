@@ -10,6 +10,22 @@ two identities, the degree-n component on the left is the Euler operator
 acting on beta_n, i.e. n*beta_n, while on the right only beta_{<n} can
 appear inside the adjoints; this solves the recursion with beta_1 = X + Y.
 
+The recursion runs on homogeneous components in the associative span.
+With B_j the expansion of beta_j and g = X or Y, the degree-m part of
+(ad beta)^k g is
+
+    T_0^(1)(g) = g,    T_k^(m)(g) = sum_j (B_j T_{k-1}^(m-j)(g) - T_{k-1}^(m-j)(g) B_j),
+
+which reads only B_j with j <= m - k, so each T_k^(m) is computed once
+and serves every later degree.  Then
+
+    n B_n = sum_k C_k (T_k^(n)(X) + (-1)^k T_k^(n)(Y)),
+
+and one peel into the Lyndon basis per degree gives beta_n; that peel
+also certifies that B_n is the expansion of a Lie element.  Components
+are integer word sums over one denominator, and every output word is
+divided once.
+
 One route, ``_log_of_exps``, computes log(exp f_1 ... exp f_m) in the
 associative span and pulls the result back through the left-normed
 bracketing projection.  It is the independent oracle for the bivariate
@@ -20,13 +36,18 @@ two elements of a nilpotent Lie algebra or the trigraded parts on three.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
+from math import factorial, gcd, lcm
 
-from .exactnum import bernoulli_normalized
+from .exactnum import ONE, bernoulli_normalized
 from .freelie import (
     Alphabet,
     AssocPoly,
     FreeLieElement,
+    _commutator,
+    _integer_form,
+    _peel,
+    _ranked,
+    _word_products,
     dynkin_lie,
     evaluate_lie,
     expand_associative,
@@ -78,37 +99,65 @@ class BchTable:
 
 
 def build_table(max_degree: int = DEFAULT_MAX_DEGREE, tri: bool = False) -> BchTable:
-    """Solve the recursion up to total degree ``max_degree``."""
+    """Solve the recursion up to total degree ``max_degree``.
+
+    ``expanded[j]`` is B_j and ``powers[g][k]`` maps m to T_k^(m)(g),
+    both as integer word sums (d, {word: int}), meaning {word: int / d}.
+    """
     if max_degree < 1:
         raise ValueError("degree cap must be at least 1")
-    x = FreeLieElement.generator(BCH_ALPHABET, "x")
-    y = FreeLieElement.generator(BCH_ALPHABET, "y")
-    beta_parts = [FreeLieElement.zero(BCH_ALPHABET), x + y]
-    partial = x + y  # sum of the known lower-degree components
+    expanded = [None, (1, {(0,): 1, (1,): 1})]
+    powers = ([{1: (1, {(0,): 1})}], [{1: (1, {(1,): 1})}])
+    beta_parts = [FreeLieElement._of(BCH_ALPHABET, {(0,): ONE, (1,): ONE})]
     for n in range(2, max_degree + 1):
-        acc = FreeLieElement.zero(BCH_ALPHABET)
-        term_x, term_y = x, y
-        for k in range(n):
-            ck = bernoulli_normalized(k)
-            if ck:
-                acc = acc + term_x.scale(ck)
-                acc = acc + term_y.scale(ck if k % 2 == 0 else -ck)
-            if k + 1 < n:
-                term_x = partial.bracket(term_x, degree_cap=n)
-                term_y = partial.bracket(term_y, degree_cap=n)
-                if term_x.is_zero() and term_y.is_zero():
-                    break
-        beta_n = acc.degree_part(n).scale(Fraction(1, n))
-        beta_parts.append(beta_n)
-        partial = partial + beta_n
+        den, total = 1, {}  # n * beta_n
+        for g, by_k in enumerate(powers):
+            by_k.append({})
+            for k in range(1, n):
+                below = by_k[k - 1]
+                comp = _bracket_sum(
+                    [(expanded[j], below[n - j]) for j in range(1, n) if n - j in below]
+                )
+                if not comp[1]:
+                    continue
+                if n < max_degree:  # no later degree reads the last ones
+                    by_k[k][n] = comp
+                ck = bernoulli_normalized(k)
+                if ck:
+                    ck = ck if g == 0 or k % 2 == 0 else -ck
+                    den, total = _linear([(ONE, (den, total)), (ck, comp)])
+        beta_parts.append(_peel(BCH_ALPHABET, den * n, total))
+        expanded.append(_lowest(den * n, total))
     bidegree: dict = {}
-    for part in beta_parts[1:]:
+    for part in beta_parts:
         for md in part.multidegrees():
             bidegree[md] = part.multidegree_part(md)
     table = BchTable(max_degree, bidegree)
     if tri:
         table = BchTable(max_degree, bidegree, _compose_trivariate(table))
     return table
+
+
+def _linear(parts) -> tuple:
+    """sum c * (v / d) over (Fraction c, (d, v)) in ``parts``, as an integer word sum."""
+    den = lcm(*(c.denominator * d for c, (d, _) in parts))
+    out: dict = {}
+    for c, (d, v) in parts:
+        f = c.numerator * (den // (c.denominator * d))
+        for w, x in v.items():
+            out[w] = out.get(w, 0) + f * x
+    return den, {w: x for w, x in out.items() if x}
+
+
+def _bracket_sum(pairs) -> tuple:
+    """sum ab - ba over pairs (a, b) of integer word sums, in lowest terms."""
+    return _lowest(*_linear([(ONE, (da * db, _commutator(a, b))) for (da, a), (db, b) in pairs]))
+
+
+def _lowest(den: int, v: dict) -> tuple:
+    """The integer word sum v / den with the common factor cancelled."""
+    g = gcd(den, *v.values())
+    return den // g, {w: c // g for w, c in v.items()}
 
 
 def _series_sum(table: BchTable, alphabet, index_map) -> FreeLieElement:
@@ -151,15 +200,25 @@ def _compose_trivariate(table: BchTable, order: str = "left") -> dict:
 
 
 def _power_series(u: AssocPoly, cap: int, coeff, acc: AssocPoly) -> AssocPoly:
-    """acc + sum_{k >= 1} coeff(k) u^k, truncated above ``cap``."""
-    power = AssocPoly.unit(u.alphabet)
+    """acc + sum_{k >= 1} coeff(k) u^k, truncated above ``cap``.
+
+    With u = v / d for an integer word sum v, the k-th power is the
+    integer word sum v^k over d^k; the sum is kept over one common
+    denominator and each output word is divided once.
+    """
+    deg = u.alphabet.degree
+    d, v = _integer_form(u.terms)
+    right = _ranked(deg, v, cap)
+    den, total = _integer_form(acc.terms)
+    power = {(): 1}
     k = 0
     while True:
+        power = _word_products(deg, power, right, cap)
+        if not power:
+            break
         k += 1
-        power = power.mul(u, cap)
-        if power.is_zero():
-            return acc
-        acc = acc + power.scale(coeff(k))
+        den, total = _linear([(ONE, (den, total)), (coeff(k), (d**k, power))])
+    return AssocPoly._of(u.alphabet, {w: Fraction(c, den) for w, c in total.items()})
 
 
 def exp_assoc(p: AssocPoly, cap: int) -> AssocPoly:

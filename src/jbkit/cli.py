@@ -19,6 +19,7 @@ import re
 import sys
 import time
 from fractions import Fraction
+from functools import lru_cache
 from importlib import resources
 
 from .bch import build_table
@@ -517,7 +518,14 @@ def cmd_selfcheck(args):
 # -- wiring -------------------------------------------------------------------
 
 
+@lru_cache(maxsize=1)
 def _build_parser():
+    """The argument parser, built on the first run and reused.
+
+    Reuse matters because an argparse tree is a web of reference cycles:
+    a parser per run would leave one such tree per command for the
+    cyclic garbage collector.
+    """
     p = argparse.ArgumentParser(
         prog="jbkit",
         description="exact bracket series, glued complexes, hypersurface deformations",

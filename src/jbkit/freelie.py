@@ -11,14 +11,16 @@ a Lyndon bracketing is its own word plus lexicographically larger words.
 ``_WordSum`` is the one home of word-sum arithmetic (zero, generators,
 sums, scaling, truncation, degree and multidegree parts).  ``AssocPoly``
 adds only the unit and the capped product; ``FreeLieElement`` adds only
-the Lyndon check, the bracket and serialization.
+the Lyndon check, the bracket and serialization.  Products, expansions
+and the peeling into the Lyndon basis run on integer numerators over one
+common denominator (``_integer_form``) and divide once per output word.
 """
 from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial
+from math import factorial, lcm
 from itertools import permutations
 
 from .exactnum import ZERO, ONE, format_rational, parse_rational
@@ -248,32 +250,59 @@ class AssocPoly(_WordSum):
     def mul(self, other: "AssocPoly", degree_cap=None) -> "AssocPoly":
         """Product, with every word above ``degree_cap`` dropped.
 
-        Under a cap only the pairs within it are formed: each term's
-        degree is computed once per call, the right operand is walked in
-        ascending degree, and each left term stops at the room the cap
-        leaves it.
+        Accumulated in integers over the product of the two operands'
+        common denominators and divided once per output word, as
+        SparseRatMatrix.mul does.
         """
+        a, left = _integer_form(self.terms)
+        b, right = _integer_form(other.terms)
         deg = self.alphabet.degree
+        out = _word_products(deg, left, _ranked(deg, right, degree_cap), degree_cap)
+        ab = a * b
+        return AssocPoly._of(self.alphabet, {w: Fraction(s, ab) for w, s in out.items()})
+
+
+def _integer_form(terms: dict) -> tuple:
+    """(d, {word: int}) with d the lcm of the denominators: terms = ints / d."""
+    d = lcm(*(c.denominator for c in terms.values()))
+    return d, {w: c.numerator * (d // c.denominator) for w, c in terms.items()}
+
+
+def _ranked(deg, terms: dict, degree_cap) -> tuple:
+    """The right operand of _word_products: (degrees, [(word, coeff)]).
+
+    Under a cap the terms are sorted by degree and their degrees listed;
+    without one they stay in their order and the degrees are None.
+    """
+    if degree_cap is None:
+        return None, list(terms.items())
+    order = sorted((deg(w), w, c) for w, c in terms.items())
+    return [d for d, _, _ in order], [(w, c) for _, w, c in order]
+
+
+def _word_products(deg, left: dict, right: tuple, degree_cap) -> dict:
+    """Sum of the word products of two integer word sums, capped.
+
+    Under a cap only the pairs within it are formed: each left term
+    stops at the room the cap leaves it in the ranked right operand.  A
+    word is dropped as soon as its running sum is zero, so no zero
+    reaches the result.
+    """
+    degrees, pairs = right
+    out: dict = {}
+    for wa, ca in left.items():
         if degree_cap is None:
-            right = list(other.terms.items())
+            rows = pairs
         else:
-            ranked = sorted((deg(w), w, c) for w, c in other.terms.items())
-            degrees = [d for d, _, _ in ranked]
-            right = [(w, c) for _, w, c in ranked]
-        out: dict = {}
-        for wa, ca in self.terms.items():
-            if degree_cap is None:
-                stop = len(right)
+            rows = pairs[: bisect_right(degrees, degree_cap - deg(wa))]
+        for wb, cb in rows:
+            w = wa + wb
+            s = out.get(w, 0) + ca * cb
+            if s:
+                out[w] = s
             else:
-                stop = bisect_right(degrees, degree_cap - deg(wa))
-            for wb, cb in right[:stop]:
-                w = wa + wb
-                s = out.get(w, ZERO) + ca * cb
-                if s:
-                    out[w] = s
-                else:
-                    out.pop(w, None)
-        return AssocPoly._of(self.alphabet, out)
+                del out[w]
+    return out
 
 
 class LyndonBasisElement:
@@ -364,15 +393,11 @@ class FreeLieElement(_WordSum):
         ]
         return "FreeLieElement(" + " + ".join(bits) + ")"
 
-    def bracket(self, other: "FreeLieElement", degree_cap=None) -> "FreeLieElement":
+    def bracket(self, other: "FreeLieElement") -> "FreeLieElement":
         """[self, other], re-expressed in the Lyndon basis."""
         a = expand_associative(self)
         b = expand_associative(other)
-        if degree_cap is not None:
-            comm = a.mul(b, degree_cap) - b.mul(a, degree_cap)
-        else:
-            comm = a.mul(b) - b.mul(a)
-        return _extract_lie(comm)
+        return _extract_lie(a.mul(b) - b.mul(a))
 
     def to_terms(self) -> list:
         """Serialization: [{"word": ..., "coeff": ...}] sorted by (degree, word)."""
@@ -393,42 +418,47 @@ class FreeLieElement(_WordSum):
 
 def expand_associative(element: FreeLieElement) -> AssocPoly:
     """Image of a Lie element in the associative (word) span."""
+    d, coeffs = _integer_form(element.terms)
     out: dict = {}
-    for word, coeff in element.terms.items():
+    for word, coeff in coeffs.items():
         for w, c in _expand_word(word).items():
-            s = out.get(w, ZERO) + coeff * c
+            s = out.get(w, 0) + coeff * c
             if s:
                 out[w] = s
             else:
-                out.pop(w, None)
-    return AssocPoly._of(element.alphabet, out)
+                del out[w]
+    return AssocPoly._of(element.alphabet, {w: Fraction(s, d) for w, s in out.items()})
 
 
 def _extract_lie(poly: AssocPoly) -> FreeLieElement:
-    """Invert expand_associative by peeling lexicographically least words.
+    """Invert expand_associative by peeling lexicographically least words."""
+    return _peel(poly.alphabet, *_integer_form(poly.terms))
+
+
+def _peel(alphabet: Alphabet, d: int, remaining: dict) -> FreeLieElement:
+    """The Lie element whose expansion is the integer word sum remaining / d.
 
     The expansion of the bracketing of a Lyndon word w is w plus words that
     are strictly larger in the same multidegree, so the least remaining word
     must be Lyndon with the coefficient it will have in the basis; anything
-    else means the input was not a Lie element.
+    else means the input was not a Lie element.  The peeling runs on the
+    integer numerators and divides each basis coefficient by d once.
     """
-    remaining = dict(poly.terms)
+    remaining = dict(remaining)
     out: dict = {}
     while remaining:
         w = min(remaining)
         c = remaining[w]
         if not is_lyndon(w):
-            raise ValueError(
-                f"not a Lie element: leading word {poly.alphabet.word_str(w)}"
-            )
-        out[w] = c
+            raise ValueError(f"not a Lie element: leading word {alphabet.word_str(w)}")
+        out[w] = Fraction(c, d)
         for w2, c2 in _expand_word(w).items():
-            s = remaining.get(w2, ZERO) - c * c2
+            s = remaining.get(w2, 0) - c * c2
             if s:
                 remaining[w2] = s
             else:
-                remaining.pop(w2, None)
-    return FreeLieElement._of(poly.alphabet, out)
+                del remaining[w2]
+    return FreeLieElement._of(alphabet, out)
 
 
 def _expr_to_assoc(alphabet: Alphabet, expr) -> AssocPoly:
@@ -471,21 +501,21 @@ def dynkin_lie(poly: AssocPoly) -> FreeLieElement:
     if () in poly.terms:
         raise ValueError("constant term present; not a Lie element")
     alphabet = poly.alphabet
+    d, coeffs = _integer_form(poly.terms)
     by_length: dict[int, dict] = {}
-    for w, c in poly.terms.items():
+    for w, c in coeffs.items():
         by_length.setdefault(len(w), {})[w] = c
     total = FreeLieElement.zero(alphabet)
     for length, terms in sorted(by_length.items()):
         acc: dict = {}
         for w, c in terms.items():
             for w2, c2 in _leftnormed_expand(w).items():
-                s = acc.get(w2, ZERO) + c * c2
+                s = acc.get(w2, 0) + c * c2
                 if s:
                     acc[w2] = s
                 else:
-                    acc.pop(w2, None)
-        part = _extract_lie(AssocPoly._of(alphabet, acc)).scale(Fraction(1, length))
-        total = total + part
+                    del acc[w2]
+        total = total + _peel(alphabet, d * length, acc)
     if expand_associative(total) != poly:
         raise ValueError("projection changed the element; input was not Lie")
     return total
@@ -562,13 +592,22 @@ def evaluate_lie(element: FreeLieElement, assignment: dict, bracket, add, scale,
     Lyndon term is evaluated through its standard bracketing.
     """
     labels = element.alphabet.labels
-
-    def walk(node):
-        if isinstance(node, int):
-            return assignment[labels[node]]
-        return bracket(walk(node[0]), walk(node[1]))
-
     acc = zero
     for word, coeff in sorted(element.terms.items()):
-        acc = add(acc, scale(coeff, walk(_bracketing(word))))
+        acc = add(acc, scale(coeff, _evaluate_node(_bracketing(word), labels, assignment, bracket)))
     return acc
+
+
+def _evaluate_node(node, labels, assignment, bracket):
+    """The value of a nested pair of letter indices under ``assignment``.
+
+    A module function rather than a recursive closure, which would be a
+    reference cycle keeping the caller's values alive until the cyclic
+    garbage collector runs.
+    """
+    if isinstance(node, int):
+        return assignment[labels[node]]
+    return bracket(
+        _evaluate_node(node[0], labels, assignment, bracket),
+        _evaluate_node(node[1], labels, assignment, bracket),
+    )

@@ -404,11 +404,18 @@ def monomial_differential(sela, mono, table=None, memo=None):
         most = sela.algebra(tri).nilpotency_class()
         if most is None:
             most = k
-        for qx in _subsets(slot_positions[0]):
-            for qy in _subsets(slot_positions[1]):
-                for qz in _subsets(slot_positions[2]):
+        # each slot's subsets ascend in size, so a slot stops at the room
+        # the earlier slots leave it
+        sx, sy, sz = (_subsets(p, most) for p in slot_positions)
+        for qx in sx:
+            for qy in sy:
+                if len(qx) + len(qy) > most:
+                    break
+                for qz in sz:
                     selected = qx + qy + qz
-                    if 2 <= len(selected) <= most:
+                    if len(selected) > most:
+                        break
+                    if len(selected) >= 2:
                         family(selected, ("slot", tri) + tuple(factors[p] for p in selected))
 
     return out
@@ -428,9 +435,11 @@ def _transport(lie, rx, idxs):
     return acc
 
 
-def _subsets(positions):
+def _subsets(positions, most=None):
+    """Subsets of positions by size, then in combinations order; at most ``most`` long."""
+    top = len(positions) if most is None else min(most, len(positions))
     out = [()]
-    for t in range(1, len(positions) + 1):
+    for t in range(1, top + 1):
         out.extend(combinations(positions, t))
     return out
 

@@ -24,12 +24,14 @@ nothing.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
+from math import lcm
 
 from ..bch import eval_bch
 from ..exactnum import ZERO, bernoulli_normalized
 from ..liecore import ArtinLine, LieElement
-from .assemble import _shared_table, format_monomial, sort_word
+from .assemble import _shared_table, factor_key, factor_parity, format_monomial
 from .sela import coface_sign, _acc, _simplex_name
 
 __all__ = [
@@ -95,36 +97,93 @@ def family_chain(sela, elements):
 
 
 def chain_mul(sela, u, v):
-    """Koszul product of sparse chains; tags add, overflow truncates."""
+    """Koszul product of sparse chains; tags add, overflow truncates.
+
+    Chain words are sorted and free of repeated odd factors, so each
+    product merges the right word into the left one: a right factor
+    lands after the left factors whose key is not larger, and an odd one
+    flips the sign once for every odd left factor it passes.  An odd
+    factor that meets itself kills the product.  Each factor's key and
+    parity are read once per call.  Coefficients may be Fractions or ints.
+    """
     order = sela.artin_order
-    v_terms = list(v.items())
+    read = {}  # factor -> (key, parity)
+
+    def factors_of(word):
+        out = []
+        for f in word:
+            kp = read.get(f)
+            if kp is None:
+                kp = read[f] = (factor_key(f), factor_parity(sela, f))
+            out.append(kp)
+        return out
+
     below = {}  # room -> the terms of v with tag below room, in v's order
     out = {}
     for (wu, qu), cu in u.items():
         room = order - qu
         terms = below.get(room)
         if terms is None:
-            terms = below[room] = [(wv, qv, cv) for (wv, qv), cv in v_terms if qv < room]
-        for wv, qv, cv in terms:
-            word, sign = sort_word(sela, wu + wv)
-            if word is not None:
-                _acc(out, (word, qu + qv), cu * cv * sign)
+            terms = below[room] = [
+                (qv, cv, [(f, k, p) for f, (k, p) in zip(wv, factors_of(wv))])
+                for (wv, qv), cv in v.items()
+                if qv < room
+            ]
+        if not terms:
+            continue
+        items = factors_of(wu)
+        keys = [k for k, _ in items]
+        odd_from = [0] * (len(items) + 1)  # odd factors from each position on
+        for i in range(len(items) - 1, -1, -1):
+            odd_from[i] = odd_from[i + 1] + items[i][1]
+        for qv, cv, rights in terms:
+            word, lo, passed = (), 0, 0
+            for f, k, p in rights:
+                pos = bisect_right(keys, k, lo)
+                if p:
+                    if pos and keys[pos - 1] == k:
+                        break  # odd square
+                    passed += odd_from[pos]
+                word += wu[lo:pos] + (f,)
+                lo = pos
+            else:
+                key = (word + wu[lo:], qu + qv)
+                val = cu * cv
+                s = out.get(key, 0) + (-val if passed % 2 else val)
+                if s:
+                    out[key] = s
+                else:
+                    out.pop(key, None)
     return out
 
 
 def exp_chain(sela, w):
-    """sum_{k >= 1} w^k / k!; terminates because every tag is positive."""
+    """sum_{k >= 1} w^k / k!; terminates because every tag is in 1..N-1.
+
+    With w = v / d for an integer chain v, the k-th power is the integer
+    chain v^k over d^k, so the products run on ints and each term of
+    each power is divided once, by d^k k!.
+    """
+    order = sela.artin_order
+    for mono in w:
+        if not 1 <= mono[1] < order:
+            raise ValueError(
+                "cannot exponentiate %s: its tag is outside 1..%d"
+                % (format_monomial(sela, mono), order - 1)
+            )
+    coeffs = [Fraction(c) for c in w.values()]
+    d = lcm(*(c.denominator for c in coeffs))
+    v = {key: c.numerator * (d // c.denominator) for key, c in zip(w, coeffs)}
     out = {}
-    power = dict(w)
+    power = v
+    den = d
     k = 1
-    fact = 1
     while power:
-        inv = Fraction(1, fact)
         for key, c in power.items():
-            _acc(out, key, c * inv)
+            _acc(out, key, Fraction(c, den))
         k += 1
-        fact *= k
-        power = chain_mul(sela, power, w)
+        den *= d * k
+        power = chain_mul(sela, power, v)
     return out
 
 

@@ -1,13 +1,21 @@
 """Graded BCH table against an independent associative-logarithm oracle.
 
-The recursion under test never touches the associative span; the oracle
-never touches the recursion.  Low-degree components are also frozen
-against the classical hand-computed coefficients.
+The recursion solves for the Lie components through their homogeneous
+parts (ad beta)^k x, (ad beta)^k y in the associative span; the oracle
+takes log(exp x exp y) there instead and never touches the recursion.
+Both run on the same integer word products, so those are checked on
+their own against a plain Fraction reference.  Low-degree components are
+also frozen against the classical hand-computed coefficients, and the
+CLI's table output against its bytes.
 """
+import contextlib
+import hashlib
+import io
 from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jbkit.bch import (
     BCH_ALPHABET,
@@ -20,8 +28,9 @@ from jbkit.bch import (
     log_assoc,
     _compose_trivariate,
 )
+from jbkit.cli import run
 from jbkit.exactnum import SparseRatMatrix, bernoulli_normalized
-from jbkit.freelie import AssocPoly, FreeLieElement, evaluate_lie, lie_normal_form
+from jbkit.freelie import Alphabet, AssocPoly, FreeLieElement, evaluate_lie, lie_normal_form
 
 
 X = FreeLieElement.generator(BCH_ALPHABET, "x")
@@ -144,6 +153,81 @@ def test_exp_log_roundtrip_in_associative_span():
         exp_assoc(AssocPoly.unit(BCH_ALPHABET), 3)
     with pytest.raises(ValueError, match="constant term"):
         log_assoc(x, 3)
+
+
+@pytest.mark.parametrize(
+    "argv, prefix",
+    [
+        (["bch", "--max-degree", "8"], "98951af2c59a0e8b"),
+        (["bch", "--max-degree", "6", "--tri"], "d26398a7e1156b7c"),
+        (["bch", "--max-degree", "9"], "9394e17df69e61f9"),
+        (["bch", "--max-degree", "7", "--tri"], "5fda7b741404b213"),
+    ],
+)
+def test_cli_table_bytes_are_pinned(argv, prefix):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert run(argv) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest()[:16] == prefix
+
+
+# -- the integer word products against a plain Fraction reference ----------
+
+W123 = Alphabet(["a", "b", "c"], weights=(1, 2, 3))
+_coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=12)
+_words = st.lists(st.integers(0, 2), max_size=3).map(tuple)
+_caps = st.integers(-1, 14)
+
+
+def _ref_mul(a: dict, b: dict, cap) -> dict:
+    """Every pair formed in Fractions, then the words above cap dropped."""
+    out = {}
+    for wa, ca in a.items():
+        for wb, cb in b.items():
+            out[wa + wb] = out.get(wa + wb, Fraction(0)) + ca * cb
+    return {
+        w: c for w, c in out.items() if c and (cap is None or W123.degree(w) <= cap)
+    }
+
+
+def _ref_series(u: dict, cap: int, coeff, acc: dict) -> dict:
+    """acc + sum_k coeff(k) u^k, each power truncated above cap."""
+    total = dict(acc)
+    power = {(): Fraction(1)}
+    k = 0
+    while True:
+        k += 1
+        power = _ref_mul(power, u, cap)
+        if not power:
+            return {w: c for w, c in total.items() if c}
+        for w, c in power.items():
+            total[w] = total.get(w, Fraction(0)) + coeff(k) * c
+
+
+@settings(max_examples=60, deadline=None, database=None)
+@given(
+    st.dictionaries(_words, _coeffs, max_size=6),
+    st.dictionaries(_words, _coeffs, max_size=6),
+    st.one_of(st.none(), _caps),
+)
+def test_product_matches_fraction_reference(a, b, cap):
+    got = AssocPoly(W123, a).mul(AssocPoly(W123, b), cap)
+    assert got.terms == _ref_mul(a, b, cap)
+    assert all(type(c) is Fraction for c in got.terms.values())
+
+
+@settings(max_examples=30, deadline=None, database=None)
+@given(
+    st.dictionaries(_words.filter(len), _coeffs, min_size=1, max_size=3),
+    _caps,
+)
+def test_exp_and_log_match_fraction_reference(u, cap):
+    p = AssocPoly(W123, u)
+    u = p.terms
+    want_exp = _ref_series(u, cap, lambda k: Fraction(1, factorial(k)), {(): Fraction(1)})
+    assert exp_assoc(p, cap).terms == want_exp
+    want_log = _ref_series(u, cap, lambda k: Fraction((-1) ** (k + 1), k), {})
+    assert log_assoc(p + AssocPoly.unit(W123), cap).terms == want_log
 
 
 class MatElt:

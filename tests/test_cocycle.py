@@ -1,12 +1,13 @@
 """Families on gluing data: flatness, transport, composition, coboundaries."""
 
 import random
+import re
 from fractions import Fraction
 
 import pytest
 
 from jbkit.liecore import ArtinLine, LieElement
-from jbkit.jbcomplex.assemble import sort_word
+from jbkit.jbcomplex.assemble import factor_key, factor_parity, format_monomial, sort_word
 from jbkit.jbcomplex.cocycle import chain_mul, element_chain, exp_chain
 from jbkit.jbcomplex import (
     bernoulli_transport,
@@ -160,6 +161,105 @@ def test_pruned_chain_mul_matches_unpruned_in_value_and_order(seed):
     assert power == {}
     want_exp = [(key, c) for key, c in want_exp.items() if c]
     assert list(exp_chain(sela, w).items()) == want_exp
+
+
+def _insertion_sort_word(sela, word):
+    """Reference: the insertion sort with Koszul sign that chain_mul used to apply."""
+    items = list(word)
+    sign = 1
+    for i in range(1, len(items)):
+        j = i
+        while j > 0 and factor_key(items[j - 1]) > factor_key(items[j]):
+            if factor_parity(sela, items[j - 1]) and factor_parity(sela, items[j]):
+                sign = -sign
+            items[j - 1], items[j] = items[j], items[j - 1]
+            j -= 1
+    for a, b in zip(items, items[1:]):
+        if a == b and factor_parity(sela, a):
+            return None, 0
+    return tuple(items), sign
+
+
+def _sorting_chain_mul(sela, u, v):
+    """Reference: every concatenated word re-sorted, in chain_mul's pair order."""
+    order = sela.artin_order
+    out = {}
+    for (wu, qu), cu in u.items():
+        for (wv, qv), cv in v.items():
+            if qu + qv >= order:
+                continue
+            word, sign = _insertion_sort_word(sela, wu + wv)
+            if word is None:
+                continue
+            key = (word, qu + qv)
+            s = out.get(key, 0) + cu * cv * sign
+            if s:
+                out[key] = s
+            else:
+                out.pop(key, None)
+    return out
+
+
+def _random_chain(sela, rng, pool, size):
+    chain = {}
+    while len(chain) < size:
+        raw = [rng.choice(pool) for _ in range(rng.randint(1, 4))]
+        word, _ = _insertion_sort_word(sela, raw)
+        if word is None:
+            continue
+        coeff = rng.choice([1, -2, 3, F(1, 2), F(-5, 6), F(7, 4)])
+        chain[(word, rng.randint(1, sela.artin_order - 1))] = coeff
+    return chain
+
+
+@pytest.mark.parametrize("name, order", [("dg_triangle", 4), ("mc_triangle", 3)])
+@pytest.mark.parametrize("seed", range(4))
+def test_merged_chain_mul_matches_sorting_reference(name, order, seed):
+    sela = getattr(factories, name)(order)
+    rng = random.Random(seed)
+    factors = [
+        (s, i) for d in (1, 2, 3) for s in sela.all_simplices(d)
+        for i in range(sela.algebra(s).dim)
+    ]
+    # a small pool, three odd factors and three even ones, makes the same
+    # factor meet itself across the two words
+    odd = [f for f in factors if factor_parity(sela, f)]
+    even = [f for f in factors if not factor_parity(sela, f)]
+    pool = rng.sample(odd, 3) + rng.sample(even, 3)
+    u = _random_chain(sela, rng, pool, 40)
+    v = _random_chain(sela, rng, pool, 40)
+    got = chain_mul(sela, u, v)
+    assert list(got.items()) == list(_sorting_chain_mul(sela, u, v).items())
+    # the cases the merge must get right all occur
+    seen = {"multi": 0, "odd_square": 0, "odd_passes_odd": 0, "mixed": 0}
+    for (wu, qu) in u:
+        for (wv, qv) in v:
+            if qu + qv >= order:
+                continue
+            if len(wu) > 1 and len(wv) > 1:
+                seen["multi"] += 1
+            odd_u = [f for f in wu if factor_parity(sela, f)]
+            odd_v = [f for f in wv if factor_parity(sela, f)]
+            if set(odd_u) & set(odd_v):
+                seen["odd_square"] += 1
+            elif any(factor_key(a) > factor_key(b) for a in odd_u for b in odd_v):
+                seen["odd_passes_odd"] += 1
+            if odd_u and len(odd_u) < len(wu):
+                seen["mixed"] += 1
+    assert all(seen.values()), seen
+
+
+def test_exp_chain_refuses_tags_outside_the_maximal_ideal():
+    sela = factories.nonabelian_triangle(3)
+    edge = sela.simplices(2)[0]
+    for q in (0, -1, 3):
+        mono = (((edge, 0),), q)
+        with pytest.raises(ValueError, match=re.escape(format_monomial(sela, mono))):
+            exp_chain(sela, {mono: 1})
+    # the tags 1..N-1 are accepted
+    for q in (1, 2):
+        mono = (((edge, 0),), q)
+        assert exp_chain(sela, {mono: 1})[mono] == 1
 
 
 def test_chain_is_built_on_first_read(monkeypatch):
