@@ -130,8 +130,7 @@ def build_table(max_degree: int = DEFAULT_MAX_DEGREE, tri: bool = False) -> BchT
         expanded.append(_lowest(den * n, total))
     bidegree: dict = {}
     for part in beta_parts:
-        for md in part.multidegrees():
-            bidegree[md] = part.multidegree_part(md)
+        bidegree.update(part.multidegree_parts())
     table = BchTable(max_degree, bidegree)
     if tri:
         table = BchTable(max_degree, bidegree, _compose_trivariate(table))
@@ -253,7 +252,7 @@ def _log_of_exps(factors, cap: int) -> dict:
     for f in factors[1:]:
         product = product.mul(exp_assoc(f, cap), cap)
     lie = dynkin_lie(log_assoc(product, cap))
-    return {md: lie.multidegree_part(md) for md in lie.multidegrees()}
+    return lie.multidegree_parts()
 
 
 def bch_oracle(max_degree: int) -> dict:

@@ -74,11 +74,8 @@ def _cap(value, what):
     return value
 
 
-def _emit(obj, fmt="json"):
-    if fmt == "text":
-        print(obj)
-    else:
-        print(json.dumps(obj, indent=2, sort_keys=True))
+def _emit(obj):
+    print(json.dumps(obj, indent=2, sort_keys=True))
 
 
 def _load_json(path):
@@ -124,14 +121,6 @@ def cmd_bernoulli(args):
     return 0
 
 
-def _lie_terms(elt):
-    labels = elt.alphabet.labels
-    out = []
-    for word, coeff in sorted(elt.terms.items()):
-        out.append({"word": "".join(labels[i] for i in word), "coeff": format_rational(coeff)})
-    return out
-
-
 def cmd_bch(args):
     n = _cap(args.max_degree, "--max-degree")
     if n < 1:
@@ -141,13 +130,13 @@ def cmd_bch(args):
     out = {
         "max_degree": n,
         "bigraded": [
-            {"bidegree": list(md), "terms": _lie_terms(part)}
+            {"bidegree": list(md), "terms": part.to_terms()}
             for md, part in sorted(table.bidegree.items())
         ],
     }
     if args.tri:
         out["trigraded"] = [
-            {"tridegree": list(md), "terms": _lie_terms(part)}
+            {"tridegree": list(md), "terms": part.to_terms()}
             for md, part in sorted(table.tridegree.items())
         ]
     _emit(out)
@@ -424,7 +413,7 @@ def _suite_bch(seed):
     want = _fixture("bch_reference.json")
     table = build_table(int(want["max_degree"]))
     got = {
-        ",".join(str(d) for d in md): _lie_terms(part)
+        ",".join(str(d) for d in md): part.to_terms()
         for md, part in table.bidegree.items()
     }
     for key, terms in want["bigraded"].items():

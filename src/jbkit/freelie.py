@@ -221,12 +221,13 @@ class _WordSum:
         kept = {w: c for w, c in self.terms.items() if md(w) == multidegree}
         return self._of(self.alphabet, kept)
 
-    def multidegrees(self) -> set:
-        return {self.alphabet.multidegree(w) for w in self.terms}
-
-    def max_degree(self) -> int:
-        deg = self.alphabet.degree
-        return max((deg(w) for w in self.terms), default=0)
+    def multidegree_parts(self) -> dict:
+        """{multidegree: part}, every term read once."""
+        md = self.alphabet.multidegree
+        parts: dict = {}
+        for w, c in self.terms.items():
+            parts.setdefault(md(w), {})[w] = c
+        return {m: self._of(self.alphabet, kept) for m, kept in parts.items()}
 
 
 class AssocPoly(_WordSum):

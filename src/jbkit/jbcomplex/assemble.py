@@ -52,7 +52,8 @@ once:
 
 A family value is a function of the selected factors (simplex and
 basis index, in slot order): the coface matrices, brackets and series
-it reads are fixed by them and by the gluing datum.  It is computed on
+it reads are fixed by them and by the gluing datum, whose truncation
+order N picks the shared series table of degree N - 1.  It is computed on
 plain sparse maps {basis index: Fraction}, with StructLie.bracket_maps
 for every bracket and SparseRatMatrix.apply for every coface.  The
 rest of the monomial and its power of t only enter through the Koszul
@@ -261,7 +262,7 @@ def _factor_data(sela, memo, f):
     return data
 
 
-def _family_value(sela, table, key):
+def _family_value(sela, key):
     """Value of one family on a selection, read off its memo key alone.
 
     The key names the family and the selected factors: ("bracket", x, y)
@@ -289,7 +290,7 @@ def _family_value(sela, table, key):
         return [((tri, c), -w if odd else w) for c, w in acc.items()]
     tri, selected = key[1], key[2:]
     a0, a1, a2 = tri
-    polar = _polarized(table, *(
+    polar = _polarized(_shared_table(sela.artin_order - 1), *(
         sum(1 for s, _ in selected if s == e) for e in ((a0, a2), (a0, a1), (a1, a2))
     ))
     args = [sela.coface(s, tri).column(b) for s, b in selected]
@@ -300,15 +301,13 @@ def _family_value(sela, table, key):
 
 # -- the differential of one monomial -------------------------------------
 
-def monomial_differential(sela, mono, table=None, memo=None):
+def monomial_differential(sela, mono, memo=None):
     """d of one basis monomial as a sparse chain {monomial: Fraction}.
 
     memo holds the per-factor data and the family values by factor
     selection; pass one dict to every call of an assembly to compute
     each of them once.
     """
-    if table is None:
-        table = _shared_table(sela.artin_order - 1)
     if memo is None:
         memo = {}
     factors, q = mono
@@ -354,7 +353,7 @@ def monomial_differential(sela, mono, table=None, memo=None):
     def family(selected, key):
         targets = memo.get(key)
         if targets is None:
-            targets = memo[key] = _targets(sela, _family_value(sela, table, key))
+            targets = memo[key] = _targets(sela, _family_value(sela, key))
         if targets:
             emit(tuple(sorted(selected)), targets)
 
@@ -444,16 +443,14 @@ def _subsets(positions, most=None):
     return out
 
 
-def chain_differential(sela, chain, table=None):
+def chain_differential(sela, chain):
     """d of a sparse chain {monomial: Fraction}."""
-    if table is None:
-        table = _shared_table(sela.artin_order - 1)
     out = {}
     memo = {}
     for mono, coeff in chain.items():
         if not coeff:
             continue
-        for target, v in monomial_differential(sela, mono, table, memo).items():
+        for target, v in monomial_differential(sela, mono, memo).items():
             _acc(out, target, coeff * v)
     return out
 
@@ -479,7 +476,6 @@ class JBComplex:
             self.window = (lo, hi)
         else:
             self.window = None
-        self.table = _shared_table(order - 1)
         self._enumerate()
         self._assemble()
 
@@ -523,7 +519,7 @@ class JBComplex:
             rows = self.index.get(deg + 1, {})
             mat = SparseRatMatrix(len(rows), len(self.basis[deg]))
             for col, mono in enumerate(self.basis[deg]):
-                for target, v in monomial_differential(self.sela, mono, self.table, memo).items():
+                for target, v in monomial_differential(self.sela, mono, memo).items():
                     row = rows.get(target)
                     if row is None:
                         raise AssertionError(
@@ -546,7 +542,7 @@ class JBComplex:
         return SparseRatMatrix(self.dim(degree + 1), self.dim(degree))
 
     def differential_of_chain(self, chain):
-        return chain_differential(self.sela, chain, self.table)
+        return chain_differential(self.sela, chain)
 
     def monomials(self, degree):
         return list(self.basis.get(degree, ()))

@@ -248,7 +248,7 @@ def _component(sela, data, simplex, ring, degree, label):
     return elt
 
 
-def special_cocycle(sela, phi, psi, table=None):
+def special_cocycle(sela, phi, psi):
     """Validate a family and return it packaged with its chain.
 
     Raises ValueError naming the first simplex or triple where a
@@ -256,8 +256,6 @@ def special_cocycle(sela, phi, psi, table=None):
     """
     order = sela.artin_order
     ring = ArtinLine(order)
-    if table is None:
-        table = _shared_table(order - 1)
 
     phi = {tuple(k): v for k, v in phi.items()}
     psi = {tuple(k): v for k, v in psi.items()}
@@ -308,7 +306,7 @@ def special_cocycle(sela, phi, psi, table=None):
             LieElement(sela.algebra(tri), ring, sela.coface(e, tri).apply(edge[e].coeffs))
             for e in ((a, c), (a, b), (b, c))
         )
-        comp = eval_bch(table, outer, first, second, nilpotency_order=order)
+        comp = eval_bch(_shared_table(order - 1), outer, first, second, nilpotency_order=order)
         if not comp.is_zero():
             raise ValueError(
                 "composition fails on triangle %s: series value %r"
@@ -332,7 +330,7 @@ def verify_cocycle(jb, cocycle):
     ]
 
 
-def coboundary_gluing(sela, gauges, table=None):
+def coboundary_gluing(sela, gauges):
     """Edge data of the family gauged from the trivial one.
 
     gauges maps vertices to degree-zero elements in the maximal ideal;
@@ -341,8 +339,6 @@ def coboundary_gluing(sela, gauges, table=None):
     """
     order = sela.artin_order
     ring = ArtinLine(order)
-    if table is None:
-        table = _shared_table(order - 1)
     gauges = {tuple(k): v for k, v in gauges.items()}
     for v, a in gauges.items():
         if len(v) != 1:
@@ -360,7 +356,7 @@ def coboundary_gluing(sela, gauges, table=None):
         if sela.algebra(e).dim == 0:
             continue
         left, right = restricted((e[0],), e), restricted((e[1],), e)
-        val = eval_bch(table, left, right.scale(-1), nilpotency_order=order)
+        val = eval_bch(_shared_table(order - 1), left, right.scale(-1), nilpotency_order=order)
         if not val.is_zero():
             psi[e] = val
     return psi

@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from ..exactnum import column_echelon, remainder, solve
 from ..liecore import ArtinLine, LieElement
-from .assemble import _shared_table, chain_differential, format_monomial
+from .assemble import chain_differential, format_monomial
 from .cocycle import exp_chain, family_chain, special_cocycle
 from .sela import TotalComplex, _simplex_name
 
@@ -96,7 +96,6 @@ def obstruction(cocycle, to_order, pad=None):
         )
     big = small.with_order(to_order)
     ring = ArtinLine(to_order)
-    table = _shared_table(to_order - 1)
 
     phi = {
         v: _extended(cocycle.phi.get(v), big.algebra(v), ring)
@@ -116,7 +115,7 @@ def obstruction(cocycle, to_order, pad=None):
             psi[tuple(e)] = psi[tuple(e)] + elt
 
     w = family_chain(big, {**phi, **psi})
-    residual_chain = chain_differential(big, exp_chain(big, w), table)
+    residual_chain = chain_differential(big, exp_chain(big, w))
 
     residual = {}
     for (factors, q), c in residual_chain.items():
@@ -142,33 +141,34 @@ def obstruction(cocycle, to_order, pad=None):
     if up:
         raise AssertionError("defect vector is not closed")
 
-    basis2 = tot.basis.get(2, [])
-    cls = {basis2[r]: c for r, c in remainder(column_echelon(tot.matrix(1)), vec).items()}
+    # a preimage exists exactly when the class vanishes, so the class is
+    # reduced only when there is none, and must then be nonzero
+    eta = solve(tot.matrix(1), vec)
+    if eta is None:
+        basis2 = tot.basis.get(2, [])
+        cls = {basis2[r]: c for r, c in remainder(column_echelon(tot.matrix(1)), vec).items()}
+        if not cls:
+            raise AssertionError("no preimage exists but the reduced class vanished")
+        return ObstructionResult(k, residual, cls, None)
 
-    lift = None
-    if not cls:
-        eta = solve(tot.matrix(1), vec)
-        if eta is None:
-            raise AssertionError("reduced class vanished but no preimage exists")
-        basis1 = tot.basis.get(1, [])
-        for col, c in (eta or {}).items():
-            simplex, b = basis1[col]
-            if len(simplex) == 3:
-                raise AssertionError(
-                    "correction needs a triangle component; the family shape "
-                    "cannot absorb it"
-                )
-            bump = LieElement(
-                big.algebra(simplex), ring, {b: ring.t_power(k, -c)}
+    basis1 = tot.basis.get(1, [])
+    for col, c in eta.items():
+        simplex, b = basis1[col]
+        if len(simplex) == 3:
+            raise AssertionError(
+                "correction needs a triangle component; the family shape "
+                "cannot absorb it"
             )
-            if len(simplex) == 1:
-                phi[simplex] = phi[simplex] + bump
-            else:
-                psi[simplex] = psi[simplex] + bump
-        lift = special_cocycle(
-            big,
-            {v: f for v, f in phi.items() if f.coeffs},
-            {e: g for e, g in psi.items() if g.coeffs},
-            table,
+        bump = LieElement(
+            big.algebra(simplex), ring, {b: ring.t_power(k, -c)}
         )
-    return ObstructionResult(k, residual, cls, lift)
+        if len(simplex) == 1:
+            phi[simplex] = phi[simplex] + bump
+        else:
+            psi[simplex] = psi[simplex] + bump
+    lift = special_cocycle(
+        big,
+        {v: f for v, f in phi.items() if f.coeffs},
+        {e: g for e, g in psi.items() if g.coeffs},
+    )
+    return ObstructionResult(k, residual, {}, lift)

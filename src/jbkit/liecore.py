@@ -573,7 +573,11 @@ def evaluate(element: FreeLieElement, assignment: dict) -> LieElement:
     )
 
 
-def exp_conjugate(psi, D, bracket=None, max_steps: int = 64):
+# ad(psi) applied more often than this without dying counts as not nilpotent
+_CONJUGATION_STEPS = 64
+
+
+def exp_conjugate(psi, D, bracket=None):
     """Conjugate an operator by exp of a nilpotent element.
 
     Computes sum_k ad(psi)^k(D)/k!, stopping when the iterated bracket
@@ -590,7 +594,7 @@ def exp_conjugate(psi, D, bracket=None, max_steps: int = 64):
         term = bracket(psi, term)
         if term.is_zero():
             break
-        if k > max_steps:
+        if k > _CONJUGATION_STEPS:
             raise ValueError("conjugator is not nilpotent within the step bound")
         acc = acc + term.scale(Fraction(1, factorial(k)))
     return acc

@@ -23,7 +23,7 @@ from ..jbcomplex.obstruct import obstruction
 from ..jbcomplex.sela import Sela
 from .complexes import koszul_resolution
 from .groebner import buchberger, normal_form, standard_monomials
-from .poly import Poly
+from .poly import Poly, parse_poly
 
 __all__ = [
     "TruncPoly",
@@ -370,19 +370,13 @@ def deformed_square_defects(pc, phi, order):
 # -- gluing identities --------------------------------------------------------
 
 
-def _check_gauges(*gauges, table=False):
-    """Refuse a gauge with a constant term.
-
-    With table=True, return the series table that composing gauges of
-    this truncation order needs.
-    """
+def _check_gauges(*gauges):
+    """Refuse a gauge with a constant term."""
     for p in gauges:
         if not p.in_maximal_ideal():
             raise ValueError(
                 "gauge is not trivial to first order: every component needs a factor of t"
             )
-    if table:
-        return _shared_table(max(gauges[0].order - 1, 1))
 
 
 def glue_check(ks_rho, ks_sigma, psi):
@@ -418,7 +412,8 @@ def gauge_triple_check(psi_01, psi_12, psi_02):
     """
     psi_01._check(psi_12)
     psi_01._check(psi_02)
-    table = _check_gauges(psi_01, psi_12, psi_02, table=True)
+    _check_gauges(psi_01, psi_12, psi_02)
+    table = _shared_table(psi_01.order - 1)
     residual = eval_bch(table, psi_02.scale(-1), psi_01, psi_12, nilpotency_order=psi_01.order)
     return {
         "holds": residual.is_zero(),
@@ -429,7 +424,8 @@ def gauge_triple_check(psi_01, psi_12, psi_02):
 def compose_gauges(psi_1, psi_2):
     """Logarithm of exp(psi_1) exp(psi_2) via the bracket series."""
     psi_1._check(psi_2)
-    table = _check_gauges(psi_1, psi_2, table=True)
+    _check_gauges(psi_1, psi_2)
+    table = _shared_table(psi_1.order - 1)
     return eval_bch(table, psi_1, psi_2, nilpotency_order=psi_1.order)
 
 
@@ -451,7 +447,7 @@ def milnor_quotient_dgla(f):
     gb = buchberger([g for g in gens if not g.is_zero()])
     exps = standard_monomials(gb)
     monos = [Poly(vars, {e: Fraction(1)}) for e in exps]
-    labels = [_mono_label(vars, e) for e in exps]
+    labels = [str(m) for m in monos]
     names = ["a:%s" % s for s in labels] + ["b:%s" % s for s in labels]
     degrees = [0] * len(monos) + [1] * len(monos)
     n = len(monos)
@@ -466,16 +462,6 @@ def milnor_quotient_dgla(f):
                 brackets[(n + j, i)] = {k: -c for k, c in targets.items()}
     lie = StructLie(names, degrees, brackets)
     return lie, monos, gb
-
-
-def _mono_label(vars, exp):
-    parts = []
-    for v, e in zip(vars, exp):
-        if e == 1:
-            parts.append(v)
-        elif e > 1:
-            parts.append("%s^%d" % (v, e))
-    return "*".join(parts) if parts else "1"
 
 
 def package_one_chart(ks):
@@ -559,23 +545,11 @@ def _element_to_trunc(vars, order, sela, cocycle):
         name = lie.names[idx]
         if not name.startswith("b:"):
             raise ValueError("vertex element leaves the degree-one piece")
-        mono = _label_poly(vars, name[2:])
+        mono = parse_poly(name[2:], vars)
         for k, c in enumerate(a.coeffs):
             if c:
                 phi = phi + TruncPoly.from_poly(mono.scale(c), order, power=k)
     return phi
-
-
-def _label_poly(vars, label):
-    exp = [0] * len(vars)
-    if label != "1":
-        for part in label.split("*"):
-            if "^" in part:
-                v, e = part.split("^")
-                exp[vars.index(v)] = int(e)
-            else:
-                exp[vars.index(part)] = 1
-    return Poly(vars, {tuple(exp): Fraction(1)})
 
 
 def lift_deformation(f, g, from_order, to_order):

@@ -273,6 +273,17 @@ def test_word_sum_methods_commute_with_expansion(a, b, c, n, md):
         assert type(part) is FreeLieElement
 
 
+@settings(max_examples=40, deadline=None, database=None)
+@given(_lie_elements)
+def test_multidegree_parts_are_the_nonzero_multidegree_parts(a):
+    for elt in (a, expand_associative(a)):
+        parts = elt.multidegree_parts()
+        mds = {XYZ.multidegree(w) for w in elt.terms}
+        assert parts == {md: elt.multidegree_part(md) for md in mds}
+        for part in parts.values():
+            assert type(part) is type(elt) and not part.is_zero()
+
+
 def test_zero_and_generator_return_the_class_they_are_called_on():
     for cls in (AssocPoly, FreeLieElement):
         assert type(cls.zero(XYZ)) is cls

@@ -410,7 +410,7 @@ def _memo_free_matrices(jb):
         rows = jb.index.get(deg + 1, {})
         entries = {}
         for col, mono in enumerate(jb.basis[deg]):
-            for target, v in monomial_differential(jb.sela, mono, jb.table).items():
+            for target, v in monomial_differential(jb.sela, mono).items():
                 key = (rows[target], col)
                 entries[key] = entries.get(key, 0) + v
         out[deg] = {key: v for key, v in entries.items() if v}
@@ -445,7 +445,7 @@ def _reference_vertex_into_triangle(sela, vert, tri, a):
     return {}
 
 
-def _reference_monomial_differential(sela, mono, table):
+def _reference_monomial_differential(sela, mono):
     """Memo-free d of one monomial: Fraction signs, merge by sorting.
 
     Written independently of the assembly's per-factor data: cofaces and
@@ -453,6 +453,7 @@ def _reference_monomial_differential(sela, mono, table):
     coefficient is multiplied by its two signs, and every target word is
     sorted by factor_key.
     """
+    table = assemble._shared_table(sela.artin_order - 1)
     factors, q = mono
     k = len(factors)
     parities = [factor_parity(sela, f) for f in factors]
@@ -580,7 +581,7 @@ def test_assembly_equals_reference_monomial_differentials(factory, order):
         rows = jb.index.get(deg + 1, {})
         want = {}
         for col, mono in enumerate(jb.basis[deg]):
-            for target, v in _reference_monomial_differential(jb.sela, mono, jb.table).items():
+            for target, v in _reference_monomial_differential(jb.sela, mono).items():
                 want[rows[target], col] = v
         assert mat.entries == want, deg
         assert all(type(v) is Fraction and v for v in mat.entries.values())
@@ -600,16 +601,15 @@ def test_chain_differential_equals_memo_free_sum(seed):
         })
     chain = special_cocycle(sela, {}, coboundary_gluing(sela, gauges)).chain
     reweighted = {m: c * (n % 3 + 1) for n, (m, c) in enumerate(sorted(chain.items()))}
-    table = assemble._shared_table(3)
     for ch in (chain, reweighted):
         want = {}
         for mono, coeff in ch.items():
-            for target, v in monomial_differential(sela, mono, table).items():
+            for target, v in monomial_differential(sela, mono).items():
                 want[target] = want.get(target, 0) + coeff * v
         want = {target: v for target, v in want.items() if v}
-        assert chain_differential(sela, ch, table) == want
-    assert chain_differential(sela, chain, table) == {}
-    assert chain_differential(sela, reweighted, table) != {}
+        assert chain_differential(sela, ch) == want
+    assert chain_differential(sela, chain) == {}
+    assert chain_differential(sela, reweighted) != {}
 
 
 @lru_cache(maxsize=None)

@@ -408,4 +408,4 @@ def test_conjugation_rejects_non_nilpotent():
     psi = artin_unit(ring, 2, 0, 0, ring.one())
     d = artin_unit(ring, 2, 0, 1, ring.one())
     with pytest.raises(ValueError, match="not nilpotent"):
-        exp_conjugate(psi, d, max_steps=10)
+        exp_conjugate(psi, d)

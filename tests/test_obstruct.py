@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from jbkit.exactnum import column_echelon
 from jbkit.liecore import ArtinLine, LieElement
 from jbkit.jbcomplex import (
     factories,
@@ -156,3 +157,29 @@ def test_lift_chain_extends_the_family():
             for q in range(2):
                 want = low.coeffs[q] if low is not None else 0
                 assert a.coeffs[q] == want
+
+
+# -- one elimination per extending step ----------------------------------------
+
+def test_class_is_reduced_only_when_the_step_is_obstructed(monkeypatch):
+    from jbkit.jbcomplex import obstruct
+
+    calls = []
+
+    def counted(matrix):
+        calls.append(matrix)
+        return column_echelon(matrix)
+
+    monkeypatch.setattr(obstruct, "column_echelon", counted)
+    sela, sc = _tautological(2)
+    res = obstruction(sc, 3)
+    assert len(calls) == 1
+    tri = (0, 1, 2)
+    assert res.cls == {(tri, sela.algebra(tri).index["e13"]): F(1, 2)}
+
+    del calls[:]
+    sela = factories.mc_pair(2)
+    phi = LieElement.from_dict(sela.algebra((0,)), ArtinLine(2), {"y": [0, 1]})
+    res = obstruction(special_cocycle(sela, {(0,): phi, (1,): phi}, {}), 3)
+    assert res.vanishes and res.cls == {} and res.lift is not None
+    assert calls == []
