@@ -17,7 +17,6 @@ import os
 import random
 import re
 import sys
-import time
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
@@ -485,23 +484,17 @@ def cmd_selfcheck(args):
             raise _Usage("unknown suite %r (have: %s)" % (name, ", ".join(sorted(_SUITES))))
     results = []
     for name in names:
-        start = time.perf_counter()
         try:
             ok, detail = _SUITES[name](args.seed)
         except (ValueError, AssertionError) as e:
             ok, detail = False, "%s: %s" % (type(e).__name__, e)
-        results.append((name, ok, time.perf_counter() - start, detail))
+        results.append((name, ok, detail))
     if args.fmt == "json":
-        _emit(
-            {
-                name: {"pass": ok, "seconds": round(sec, 3), "detail": detail}
-                for name, ok, sec, detail in results
-            }
-        )
+        _emit({name: {"pass": ok, "detail": detail} for name, ok, detail in results})
     else:
-        for name, ok, sec, detail in results:
-            print("%-10s %s  (%.2fs)  %s" % (name, "pass" if ok else "FAIL", sec, detail))
-    return 0 if all(ok for _, ok, _, _ in results) else 1
+        for name, ok, detail in results:
+            print("%-10s %s  %s" % (name, "pass" if ok else "FAIL", detail))
+    return 0 if all(ok for _, ok, _ in results) else 1
 
 
 # -- wiring -------------------------------------------------------------------

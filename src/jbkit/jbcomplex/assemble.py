@@ -36,6 +36,9 @@ with true exponential normalization of product chains this makes
 d(exp w) close without stray factorials.  All other factor patterns
 contribute zero.
 
+JBComplex is a sela.GradedComplex on these monomials, so its matrices,
+d*d check and cohomology come from there.
+
 One JBComplex assembly, or one chain_differential call, keeps a dict
 (the memo) that lives as long as that call and holds, each computed
 once:
@@ -86,15 +89,12 @@ from __future__ import annotations
 from itertools import combinations, combinations_with_replacement, permutations, product
 
 from ..bch import build_table
-from ..exactnum import (
-    ONE, SparseRatMatrix, bernoulli_normalized, column_echelon, insert, kernel_vectors,
-    row_echelon,
-)
+from ..exactnum import ONE, SparseRatMatrix, bernoulli_normalized
 # Unused here, but kept bound: perfbench/tracer.py patches this module's rank_kernel.
 from ..exactnum import rank_kernel  # noqa: F401
 from ..freelie import Alphabet, AssocPoly, _extract_lie, evaluate_lie, expand_associative
 from ..liecore import _add_maps
-from .sela import coface_sign, _acc, _simplex_name
+from .sela import GradedComplex, coface_sign, _acc, _simplex_name
 
 __all__ = [
     "JBComplex",
@@ -457,7 +457,7 @@ def chain_differential(sela, chain):
 
 # -- the assembled complex -------------------------------------------------
 
-class JBComplex:
+class JBComplex(GradedComplex):
     """Enumerated monomial bases with sparse differential matrices.
 
     degree_window restricts enumeration to chain degrees lo..hi
@@ -466,29 +466,31 @@ class JBComplex:
     """
 
     def __init__(self, sela, degree_window=None):
-        order = sela.artin_order
-        self.sela = sela
-        self.order = order
+        self.order = sela.artin_order
+        window = None
         if degree_window is not None:
             lo, hi = degree_window
             if lo > hi:
                 raise ValueError("empty degree window")
-            self.window = (lo, hi)
-        else:
-            self.window = None
-        self._enumerate()
-        self._assemble()
+            window = (lo, hi)
+        memo = {}
+        super().__init__(
+            sela,
+            self._enumerate(sela, window),
+            lambda mono: monomial_differential(sela, mono, memo).items(),
+            lambda mono: format_monomial(sela, mono),
+            window,
+        )
 
     # enumeration is deterministic: factors ordered by (simplex size,
     # simplex, basis index), monomials by (factor count, factors, q)
-    def _enumerate(self):
-        sela = self.sela
+    def _enumerate(self, sela, window):
         factors = []
         for simplex in sela.simplices():
             for b in range(sela.algebras[simplex].dim):
                 factors.append((simplex, b))
         factors.sort(key=factor_key)
-        self.basis = {}
+        basis = {}
         for count in range(1, self.order):
             for combo in combinations_with_replacement(factors, count):
                 if any(
@@ -497,52 +499,13 @@ class JBComplex:
                 ):
                     continue
                 deg = sum(factor_degree(sela, f) for f in combo)
-                if self.window is not None and not (
-                    self.window[0] <= deg <= self.window[1]
-                ):
+                if window is not None and not window[0] <= deg <= window[1]:
                     continue
                 for q in range(count, self.order):
-                    self.basis.setdefault(deg, []).append((combo, q))
-        for deg in self.basis:
-            self.basis[deg].sort(key=lambda m: (len(m[0]), m[0], m[1]))
-        self.index = {
-            deg: {mono: i for i, mono in enumerate(monos)}
-            for deg, monos in self.basis.items()
-        }
-
-    def _assemble(self):
-        self.matrices = {}
-        memo = {}
-        for deg in sorted(self.basis):
-            if self.window is not None and deg + 1 > self.window[1]:
-                continue
-            rows = self.index.get(deg + 1, {})
-            mat = SparseRatMatrix(len(rows), len(self.basis[deg]))
-            for col, mono in enumerate(self.basis[deg]):
-                for target, v in monomial_differential(self.sela, mono, memo).items():
-                    row = rows.get(target)
-                    if row is None:
-                        raise AssertionError(
-                            "differential left the enumerated basis: %s -> %s"
-                            % (format_monomial(self.sela, mono),
-                               format_monomial(self.sela, target))
-                        )
-                    mat.entries[row, col] = v
-            self.matrices[deg] = mat
-
-    def degrees(self):
-        return sorted(self.basis)
-
-    def dim(self, degree):
-        return len(self.basis.get(degree, ()))
-
-    def matrix(self, degree):
-        if degree in self.matrices:
-            return self.matrices[degree]
-        return SparseRatMatrix(self.dim(degree + 1), self.dim(degree))
-
-    def differential_of_chain(self, chain):
-        return chain_differential(self.sela, chain)
+                    basis.setdefault(deg, []).append((combo, q))
+        for monos in basis.values():
+            monos.sort(key=lambda m: (len(m[0]), m[0], m[1]))
+        return basis
 
     def monomials(self, degree):
         return list(self.basis.get(degree, ()))
@@ -561,24 +524,10 @@ def verify_d_squared(jb):
     Failures come back as (degree, source monomial, target monomial,
     coefficient) with the monomials formatted for reading.
     """
-    bad = []
-    for deg in jb.degrees():
-        nxt = deg + 1
-        if nxt not in jb.matrices:
-            continue
-        if jb.window is not None and deg not in jb.matrices:
-            continue
-        prod = jb.matrix(nxt).mul(jb.matrix(deg))
-        for (r, c), v in sorted(prod.entries.items()):
-            bad.append(
-                (
-                    deg,
-                    format_monomial(jb.sela, jb.basis[deg][c]),
-                    format_monomial(jb.sela, jb.basis[deg + 2][r]),
-                    v,
-                )
-            )
-    return bad
+    return [
+        (deg, format_monomial(jb.sela, src), format_monomial(jb.sela, dst), v)
+        for deg, src, dst, v in jb.square_defects()
+    ]
 
 
 def graded_pieces(jb, count):
@@ -594,46 +543,13 @@ def graded_pieces(jb, count):
 
 
 def jb_cohomology(jb, degree):
-    """Dimension and representative chains in one degree.
-
-    Needs the degrees degree-1 .. degree+1 inside the window.  The
-    dimension comes from two ranks, as the number of chains minus
-    rank(d) minus rank(previous d), which is refused unless their
-    composite vanishes.  Kernel vectors
-    of d are then built one at a time, and only until there are that
-    many representatives: each one that stays independent modulo the
-    image of the previous d and the representatives before it is kept.
-    """
-    if jb.window is not None:
-        lo, hi = jb.window
-        if lo > degree - 1 or hi < degree + 1:
-            raise ValueError(
-                "degree window %s too small for cohomology in degree %d"
-                % (jb.window, degree)
-            )
-    d, prev = jb.matrix(degree), jb.matrix(degree - 1)
-    if not d.mul(prev).is_zero():
-        raise ValueError(
-            "d*d does not vanish from degree %d; no cohomology in degree %d"
-            % (degree - 1, degree)
-        )
-    echelon = row_echelon(d)
-    span = column_echelon(prev)
-    dim = d.ncols - len(echelon) - len(span)
-    monos = jb.basis.get(degree, [])
-    reps = []
-    if dim:
-        for vec in kernel_vectors(echelon, d.ncols):
-            if insert(span, vec):
-                reps.append({monos[i]: v for i, v in sorted(vec.items())})
-                if len(reps) == dim:
-                    break
-    return dim, reps
+    """Dimension and representative chains in one degree (GradedComplex.cohomology)."""
+    return jb.cohomology(degree)
 
 
 def deformation_ring_dimension(jb):
     """1 + dim of degree-zero cohomology: the unit plus dual generators."""
-    return 1 + jb_cohomology(jb, 0)[0]
+    return 1 + jb.cohomology(0)[0]
 
 
 def euler_characteristic_check(jb):
@@ -645,7 +561,7 @@ def euler_characteristic_check(jb):
     for deg in jb.degrees():
         s = -1 if deg % 2 else 1
         chain += s * jb.dim(deg)
-        coh += s * jb_cohomology(jb, deg)[0]
+        coh += s * jb.cohomology(deg)[0]
     return {"chain": chain, "cohomology": coh, "equal": chain == coh}
 
 

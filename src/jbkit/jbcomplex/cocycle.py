@@ -31,7 +31,7 @@ from math import lcm
 from ..bch import eval_bch
 from ..exactnum import ZERO, bernoulli_normalized
 from ..liecore import ArtinLine, LieElement
-from .assemble import _shared_table, factor_key, factor_parity, format_monomial
+from .assemble import _shared_table, chain_differential, factor_key, factor_parity, format_monomial
 from .sela import coface_sign, _acc, _simplex_name
 
 __all__ = [
@@ -323,7 +323,7 @@ def verify_cocycle(jb, cocycle):
     (formatted monomial, coefficient) pairs.
     """
     chain = getattr(cocycle, "chain", cocycle)
-    residual = jb.differential_of_chain(chain)
+    residual = chain_differential(jb.sela, chain)
     return [
         (format_monomial(jb.sela, mono), c)
         for mono, c in sorted(residual.items(), key=lambda kv: (len(kv[0][0]), kv[0]))

@@ -12,14 +12,26 @@ simplex dimension plus internal degree.
 
 Vertices, edges and triangles are enough for the intended deformation
 applications; higher simplices are rejected.
+
+GradedComplex holds what every complex over a gluing datum shares: an
+ordered basis per degree, one loop that assembles the sparse matrix of d
+in each degree from the differential of single basis items (an item
+mapped outside the enumerated basis raises AssertionError naming both),
+the d*d check over consecutive degrees, and cohomology refused unless
+d*d vanishes there.  TotalComplex (basis vectors of the per-simplex
+algebras) and assemble.JBComplex (chain monomials) supply only the basis
+and the differential.
 """
 
 from __future__ import annotations
 
-from ..exactnum import SparseRatMatrix, parse_rational, format_rational, ZERO
+from ..exactnum import (
+    SparseRatMatrix, ZERO, column_echelon, format_rational, insert, kernel_vectors,
+    parse_rational, row_echelon,
+)
 from ..liecore import StructLie, check_lie_axioms
 
-__all__ = ["coface_sign", "Sela", "TotalComplex"]
+__all__ = ["coface_sign", "Sela", "GradedComplex", "TotalComplex"]
 
 
 def coface_sign(inner, outer):
@@ -290,7 +302,101 @@ def _acc(d, k, v):
         del d[k]
 
 
-class TotalComplex:
+class GradedComplex:
+    """Chain groups with a sparse differential, assembled degree by degree.
+
+    basis maps a degree to its ordered list of basis items and index each
+    item to its position.  differential(item) gives the (target item,
+    coefficient) pairs of d(item), with distinct targets; label(item)
+    names an item in messages.  window = (lo, hi) marks enumeration
+    restricted to degrees lo..hi, so the matrix of degree n is assembled
+    only when n + 1 <= hi; None means the complex is complete.
+    """
+
+    def __init__(self, sela, basis, differential, label, window=None):
+        self.sela = sela
+        self.basis = basis
+        self.window = window
+        self.index = {n: {item: i for i, item in enumerate(items)} for n, items in basis.items()}
+        self.matrices = {}
+        for n in sorted(basis):
+            if window is not None and n + 1 > window[1]:
+                continue
+            rows = self.index.get(n + 1, {})
+            mat = SparseRatMatrix(len(rows), len(basis[n]))
+            for col, item in enumerate(basis[n]):
+                for target, v in differential(item):
+                    row = rows.get(target)
+                    if row is None:
+                        raise AssertionError(
+                            "differential left the enumerated basis: %s -> %s"
+                            % (label(item), label(target))
+                        )
+                    mat.entries[row, col] = v
+            self.matrices[n] = mat
+
+    def degrees(self):
+        return sorted(self.basis)
+
+    def dim(self, n):
+        return len(self.basis.get(n, ()))
+
+    def matrix(self, n):
+        if n in self.matrices:
+            return self.matrices[n]
+        return SparseRatMatrix(self.dim(n + 1), self.dim(n))
+
+    def square_defects(self):
+        """Nonzero entries of d*d as (degree, source item, target item, value).
+
+        Every pair of consecutive assembled degrees is composed; the list
+        is empty exactly when d squares to zero there.
+        """
+        bad = []
+        for n in self.degrees():
+            if n + 1 in self.matrices:  # then so is n: windows are intervals
+                prod = self.matrices[n + 1].mul(self.matrices[n])
+                for (r, c), v in sorted(prod.entries.items()):
+                    bad.append((n, self.basis[n][c], self.basis[n + 2][r], v))
+        return bad
+
+    def cohomology(self, n):
+        """Dimension and representative chains in degree n.
+
+        Needs the degrees n-1 .. n+1 inside the window.  The dimension
+        comes from two ranks, as the number of chains minus rank(d) minus
+        rank(previous d), which is refused unless their composite
+        vanishes.  Kernel vectors of d are then built one at a time, and
+        only until there are that many representatives: each one that
+        stays independent modulo the image of the previous d and the
+        representatives before it is kept.
+        """
+        if self.window is not None:
+            lo, hi = self.window
+            if lo > n - 1 or hi < n + 1:
+                raise ValueError(
+                    "degree window %s too small for cohomology in degree %d" % (self.window, n)
+                )
+        d, prev = self.matrix(n), self.matrix(n - 1)
+        if not d.mul(prev).is_zero():
+            raise ValueError(
+                "d*d does not vanish from degree %d; no cohomology in degree %d" % (n - 1, n)
+            )
+        echelon = row_echelon(d)
+        span = column_echelon(prev)
+        dim = d.ncols - len(echelon) - len(span)
+        items = self.basis.get(n, [])
+        reps = []
+        if dim:
+            for vec in kernel_vectors(echelon, d.ncols):
+                if insert(span, vec):
+                    reps.append({items[i]: v for i, v in sorted(vec.items())})
+                    if len(reps) == dim:
+                        break
+        return dim, reps
+
+
+class TotalComplex(GradedComplex):
     """Direct sum of the per-simplex algebras, graded by total degree.
 
     The total degree of a basis vector living on a simplex S in internal
@@ -301,60 +407,16 @@ class TotalComplex:
     """
 
     def __init__(self, sela):
-        self.sela = sela
-        self.basis = {}
+        basis = {}
         for simplex in sela.simplices():
             lie = sela.algebras[simplex]
             for b in range(lie.dim):
-                n = (len(simplex) - 1) + lie.degrees[b]
-                self.basis.setdefault(n, []).append((simplex, b))
-        for n in self.basis:
-            self.basis[n].sort(key=lambda sb: (_simplex_key(sb[0]), sb[1]))
-        self.index = {
-            n: {sb: i for i, sb in enumerate(items)} for n, items in self.basis.items()
-        }
-        self.matrices = {}
-        for n in sorted(self.basis):
-            self.matrices[n] = self._build_matrix(n)
-
-    def degrees(self):
-        return sorted(self.basis)
-
-    def dim(self, n):
-        return len(self.basis.get(n, ()))
-
-    def _build_matrix(self, n):
-        src = self.basis.get(n, [])
-        dst_index = self.index.get(n + 1, {})
-        mat = SparseRatMatrix(len(dst_index), len(src))
-        for col, (simplex, b) in enumerate(src):
-            for target, coeff in self.sela.differential_of(simplex, b):
-                row = dst_index.get(target)
-                if row is not None:
-                    mat.entries[row, col] = coeff
-        return mat
-
-    def matrix(self, n):
-        if n in self.matrices:
-            return self.matrices[n]
-        return SparseRatMatrix(self.dim(n + 1), self.dim(n))
-
-    def verify(self):
-        """Composites of consecutive differentials; empty list if zero."""
-        bad = []
-        for n in self.degrees():
-            prod = self.matrix(n + 1).mul(self.matrix(n))
-            for (r, c), v in prod.entries.items():
-                if v:
-                    bad.append((n, self.basis[n][c], self.basis[n + 2][r], v))
-        return bad
-
-    def cohomology_dim(self, n):
-        from ..exactnum import rank
-
-        d_n = self.matrix(n)
-        dim_n = self.dim(n)
-        ker = dim_n - rank(d_n)
-        if n - 1 in self.matrices:
-            ker -= rank(self.matrices[n - 1])
-        return ker
+                basis.setdefault((len(simplex) - 1) + lie.degrees[b], []).append((simplex, b))
+        for items in basis.values():
+            items.sort(key=lambda sb: (_simplex_key(sb[0]), sb[1]))
+        super().__init__(
+            sela,
+            basis,
+            lambda sb: sela.differential_of(*sb),
+            lambda sb: "%s:%s" % (_simplex_name(sb[0]), sela.algebra(sb[0]).names[sb[1]]),
+        )

@@ -410,14 +410,6 @@ def check_lie_axioms(lie: StructLie) -> list:
     return report
 
 
-def _dense_mul(p, q):
-    n = len(p)
-    return [
-        [sum((p[i][k] * q[k][j] for k in range(n)), ZERO) for j in range(n)]
-        for i in range(n)
-    ]
-
-
 def _check_rep(lie: StructLie) -> list:
     report = []
     mats = []
@@ -432,30 +424,21 @@ def _check_rep(lie: StructLie) -> list:
         if len(m) != size or any(len(row) != size for row in m):
             report.append(f"rep: matrix for {name} is not square of common size")
             return report
-        mats.append(m)
+        mats.append(SparseRatMatrix.from_dense(m))
     deg = lie.degrees
     for a in range(lie.dim):
         for b in range(lie.dim):
-            comm = _dense_mul(mats[a], mats[b])
-            sign = Fraction((-1) ** (deg[a] * deg[b]))
-            rev = _dense_mul(mats[b], mats[a])
-            expected = [
-                [comm[i][j] - sign * rev[i][j] for j in range(size)]
-                for i in range(size)
-            ]
-            target = [[ZERO] * size for _ in range(size)]
+            sign = (-1) ** (deg[a] * deg[b])
+            expected = mats[a].mul(mats[b]).add(mats[b].mul(mats[a]).scale(-sign))
+            target = SparseRatMatrix(size, size)
             for c, v in lie.bracket_basis(a, b).items():
-                for i in range(size):
-                    for j in range(size):
-                        target[i][j] += v * mats[c][i][j]
+                target = target.add(mats[c].scale(v))
             if expected != target:
                 report.append(f"rep: bracket mismatch on ({lie.names[a]},{lie.names[b]})")
     flat = SparseRatMatrix(lie.dim, size * size)
     for k, m in enumerate(mats):
-        for i in range(size):
-            for j in range(size):
-                if m[i][j]:
-                    flat[k, i * size + j] = m[i][j]
+        for (i, j), v in m.entries.items():
+            flat[k, i * size + j] = v
     if rank(flat) != lie.dim:
         report.append("rep: matrices are linearly dependent (not faithful)")
     return report

@@ -20,20 +20,35 @@ def _zero_matrix(vars, order, rows, cols):
     return tuple(tuple(z for _ in range(cols)) for _ in range(rows))
 
 
-def _mat_mul(a, b, vars, order):
-    if not a or not b:
-        return ()
-    rows, mid, cols = len(a), len(b), len(b[0]) if b else 0
+def _mat_mul(a, b, rows, cols, zero):
+    """a @ b as a rows x cols tuple of rows; zero is the zero of the entries' ring.
+
+    The shape is explicit so that a rank-zero middle term still gives a
+    well-shaped zero.
+    """
     out = []
     for r in range(rows):
         row = []
         for c in range(cols):
-            acc = Poly.zero(vars, order)
-            for m in range(mid):
+            acc = zero
+            for m in range(len(b)):
                 acc = acc + a[r][m] * b[m][c]
             row.append(acc)
         out.append(tuple(row))
     return tuple(out)
+
+
+def _square_defects(maps, zero):
+    """(k, row, col, entry) for every nonzero entry of maps[k + 1] @ maps[k]."""
+    out = []
+    for k in range(len(maps) - 1):
+        low, high = maps[k], maps[k + 1]
+        prod = _mat_mul(high, low, len(high), len(low[0]) if low else 0, zero)
+        for r, row in enumerate(prod):
+            for c, p in enumerate(row):
+                if not p.is_zero():
+                    out.append((k, r, c, p))
+    return out
 
 
 class PolyComplex:
@@ -104,14 +119,7 @@ class PolyComplex:
         return _zero_matrix(self.vars, self.order, self.rank(degree + 1), self.rank(degree))
 
     def composition_defects(self):
-        out = []
-        for k in range(len(self.maps) - 1):
-            prod = _mat_mul(self.maps[k + 1], self.maps[k], self.vars, self.order)
-            for r, row in enumerate(prod):
-                for c, p in enumerate(row):
-                    if not p.is_zero():
-                        out.append((k, r, c, p))
-        return out
+        return _square_defects(self.maps, Poly.zero(self.vars, self.order))
 
     # -- serialization ----------------------------------------------------
 

@@ -21,7 +21,7 @@ from ..jbcomplex.assemble import _shared_table
 from ..jbcomplex.cocycle import special_cocycle
 from ..jbcomplex.obstruct import obstruction
 from ..jbcomplex.sela import Sela
-from .complexes import koszul_resolution
+from .complexes import _square_defects, koszul_resolution
 from .groebner import buchberger, normal_form, standard_monomials
 from .poly import Poly, parse_poly
 
@@ -334,37 +334,15 @@ def deformed_square_defects(pc, phi, order):
     phi maps a complex degree to a matrix of TruncPoly perturbing the map
     out of that degree.  Returns (degree, row, col, entry) per violation.
     """
-    vars = pc.vars
-
-    def lifted(degree):
-        base = pc.matrix(degree)
-        pert = phi.get(degree)
-        rows = pc.rank(degree + 1)
-        cols = pc.rank(degree)
-        out = []
-        for i in range(rows):
-            row = []
-            for j in range(cols):
-                cell = TruncPoly.from_poly(base[i][j], order)
-                if pert is not None:
-                    cell = cell + pert[i][j]
-                row.append(cell)
-            out.append(row)
-        return out
-
-    defects = []
-    degrees = list(pc.degrees())
-    for d in degrees[:-1]:
-        low = lifted(d)
-        high = lifted(d + 1)
-        for i in range(pc.rank(d + 2)):
-            for j in range(pc.rank(d)):
-                acc = TruncPoly.zero(vars, order)
-                for k in range(pc.rank(d + 1)):
-                    acc = acc + high[i][k] * low[k][j]
-                if not acc.is_zero():
-                    defects.append((d, i, j, str(acc)))
-    return defects
+    zero = TruncPoly.zero(pc.vars, order)
+    maps = []
+    for d in list(pc.degrees())[:-1]:
+        lifted = [[TruncPoly.from_poly(p, order) for p in row] for row in pc.matrix(d)]
+        pert = phi.get(d)
+        if pert is not None:
+            lifted = [[x + pert[i][j] for j, x in enumerate(row)] for i, row in enumerate(lifted)]
+        maps.append(lifted)
+    return [(pc.start + k, r, c, str(p)) for k, r, c, p in _square_defects(maps, zero)]
 
 
 # -- gluing identities --------------------------------------------------------

@@ -17,14 +17,6 @@ from .poly import Poly
 __all__ = ["HomDgla", "HomElement", "kappa"]
 
 
-def _mul_shaped(a, b, vars, order, rows, cols):
-    # matrix product with an explicit result shape, so rank-zero middle
-    # terms still give a well-shaped zero
-    if not a or not b or not b[0]:
-        return _zero_matrix(vars, order, rows, cols)
-    return _mat_mul(a, b, vars, order)
-
-
 class HomDgla:
     """Graded maps from the resolution part into the augmented complex."""
 
@@ -123,9 +115,9 @@ class HomElement:
             mid = i + other.degree
             if mid not in self.dgla.sources:
                 continue
-            mat = _mul_shaped(
-                self.matrix(mid), other.comps[i], F.vars, F.order,
-                F.rank(mid + self.degree), F.rank(i),
+            mat = _mat_mul(
+                self.matrix(mid), other.comps[i], F.rank(mid + self.degree), F.rank(i),
+                Poly.zero(F.vars, F.order),
             )
             if any(not p.is_zero() for row in mat for p in row):
                 out[i] = mat
@@ -144,15 +136,10 @@ class HomElement:
             j = i + self.degree
             if j + 1 not in self.dgla.targets:
                 continue
-            mat = _mul_shaped(
-                F.matrix(j), self.matrix(i), F.vars, F.order,
-                F.rank(j + 1), F.rank(i),
-            )
+            zero = Poly.zero(F.vars, F.order)
+            mat = _mat_mul(F.matrix(j), self.matrix(i), F.rank(j + 1), F.rank(i), zero)
             if i + 1 in self.dgla.sources:
-                right = _mul_shaped(
-                    self.matrix(i + 1), F.matrix(i), F.vars, F.order,
-                    F.rank(j + 1), F.rank(i),
-                )
+                right = _mat_mul(self.matrix(i + 1), F.matrix(i), F.rank(j + 1), F.rank(i), zero)
                 mat = tuple(
                     tuple(x - y.scale(sign) for x, y in zip(ra, rb))
                     for ra, rb in zip(mat, right)

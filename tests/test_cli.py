@@ -321,3 +321,10 @@ def test_selfcheck_jb_names_the_first_failure(capsys, monkeypatch):
     assert out["jb"]["detail"] == (
         "coboundary family is not a cycle (1 terms), first [012:e13] t^2, coefficient 5"
     )
+
+
+def test_selfcheck_prints_the_same_bytes_on_every_run(capsys):
+    for argv in (["selfcheck"], ["selfcheck", "--format", "json"]):
+        first, second = run(capsys, *argv), run(capsys, *argv)
+        assert first[0] == 0
+        assert first == second

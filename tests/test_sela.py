@@ -8,7 +8,7 @@ import pytest
 
 from jbkit.exactnum import SparseRatMatrix
 from jbkit.liecore import StructLie
-from jbkit.jbcomplex import Sela, TotalComplex, coface_sign, factories
+from jbkit.jbcomplex import Sela, TotalComplex, coface_sign, factories, jb_assemble
 
 
 # -- sign of a codimension-one inclusion ------------------------------
@@ -58,30 +58,30 @@ def test_single_vertex_complex():
     K = TotalComplex(sela)
     assert K.degrees() == [0]
     assert K.dim(0) == 3
-    assert K.cohomology_dim(0) == 3
+    assert K.cohomology(0)[0] == 3
 
 
 def test_lie_pair_complex():
     K = TotalComplex(factories.lie_pair())
     assert (K.dim(0), K.dim(1)) == (3, 6)
-    assert K.verify() == []
-    assert K.cohomology_dim(0) == 0
-    assert K.cohomology_dim(1) == 3
+    assert K.square_defects() == []
+    assert K.cohomology(0)[0] == 0
+    assert K.cohomology(1)[0] == 3
 
 
 def test_triangle_complex_dims_and_cohomology():
     K = TotalComplex(factories.nonabelian_triangle())
     assert [K.dim(n) for n in (0, 1, 2)] == [9, 9, 3]
-    assert K.verify() == []
+    assert K.square_defects() == []
     # constants on the vertices survive; edges and the face are matched
-    assert [K.cohomology_dim(n) for n in (0, 1, 2)] == [3, 0, 0]
+    assert [K.cohomology(n)[0] for n in (0, 1, 2)] == [3, 0, 0]
 
 
 def test_dg_pair_complex_is_exact():
     K = TotalComplex(factories.dg_pair())
-    assert K.verify() == []
+    assert K.square_defects() == []
     assert [K.dim(n) for n in (0, 1, 2)] == [2, 3, 1]
-    assert [K.cohomology_dim(n) for n in (0, 1, 2)] == [0, 0, 0]
+    assert [K.cohomology(n)[0] for n in (0, 1, 2)] == [0, 0, 0]
 
 
 def test_obstructed_triangle_complex():
@@ -89,8 +89,8 @@ def test_obstructed_triangle_complex():
     assert [K.dim(n) for n in (1, 2)] == [3, 3]
     # matching edge elements across the triangle leaves one line, and
     # the commutator direction e13 is never hit
-    assert K.cohomology_dim(1) == 1
-    assert K.cohomology_dim(2) == 1
+    assert K.cohomology(1)[0] == 1
+    assert K.cohomology(2)[0] == 1
 
 
 def _reference_total_matrices(sela):
@@ -139,12 +139,42 @@ def test_total_complex_matches_dense_rebuild(make):
         assert mat.to_dense() == dense, n
         assert all(v for v in mat.entries.values())
     assert any(not K.matrix(n).is_zero() for n in K.degrees())
-    assert K.verify() == []
+    assert K.square_defects() == []
 
 
 def test_zero_sela_complex_is_empty():
     K = TotalComplex(factories.zero_sela())
     assert K.degrees() == []
+
+
+# the one-factor JB complex at order 2 is the total complex shifted down
+# by one degree, through its own enumeration and differential
+@pytest.mark.parametrize(
+    "make",
+    [
+        factories.nonabelian_triangle,
+        factories.abelian_triangle,
+        factories.dg_pair,
+        factories.mc_pair,
+        factories.lie_pair,
+        factories.obstructed_triangle,
+        factories.dg_triangle,
+        factories.mc_triangle,
+        _bundled_triangle,
+    ],
+)
+def test_total_complex_matches_one_factor_jb_complex(make):
+    sela = make()
+    K, jb = TotalComplex(sela), jb_assemble(sela.with_order(2))
+    assert [n - 1 for n in K.degrees()] == jb.degrees()
+    for n in K.degrees():
+        src, dst = K.basis[n], K.basis.get(n + 1, [])
+        assert sorted(((sb,), 1) for sb in src) == sorted(jb.basis[n - 1])
+        cols, rows = jb.index[n - 1], jb.index.get(n, {})
+        moved = {
+            (rows[(dst[r],), 1], cols[(src[c],), 1]): v for (r, c), v in K.matrix(n).entries.items()
+        }
+        assert moved == jb.matrix(n - 1).entries, n
 
 
 # -- validation catches broken data -------------------------------------
@@ -159,6 +189,13 @@ def test_flipped_sign_breaks_square():
     bad = _flip_coface(factories.abelian_triangle(), (0, 1), (0, 1, 2))
     probs = bad.validate()
     assert any("square" in p for p in probs)
+
+
+def test_flipped_sign_refuses_total_cohomology():
+    K = TotalComplex(_flip_coface(factories.abelian_triangle(), (0, 1), (0, 1, 2)))
+    assert len(K.square_defects()) == 2
+    with pytest.raises(ValueError, match="d\\*d does not vanish from degree 0"):
+        K.cohomology(1)
 
 
 def test_flipped_sign_breaks_homomorphism_rule():
@@ -200,6 +237,17 @@ def test_degree_mixing_coface_detected():
     cofaces[((0,), (0, 1))] = mix
     bad = Sela(sela.indices, sela.algebras, cofaces, sela.artin_order)
     assert any("degrees" in p for p in bad.validate())
+
+
+def test_degree_mixing_coface_leaves_the_total_basis():
+    sela = factories.dg_pair()
+    mix = SparseRatMatrix(2, 2)
+    mix[1, 0] = Fraction(1)
+    cofaces = dict(sela.cofaces)
+    cofaces[((0,), (0, 1))] = mix
+    bad = Sela(sela.indices, sela.algebras, cofaces, sela.artin_order)
+    with pytest.raises(AssertionError, match="left the enumerated basis: 0:x -> 01:y"):
+        TotalComplex(bad)
 
 
 def test_bad_algebra_reported_with_simplex_name():
