@@ -250,8 +250,7 @@ def cmd_jb(args):
         except ValueError as e:
             _emit({"valid": False, "error": str(e)})
             return 1
-        jb = jb_assemble(sela)
-        residual = verify_cocycle(jb, cocycle)
+        residual = verify_cocycle(sela, cocycle)
         _emit(
             {
                 "valid": True,
@@ -448,7 +447,7 @@ def _suite_jb(seed):
         gauges[v] = LieElement(lie, ring, coeffs)
     psi = coboundary_gluing(sela, gauges)
     cocycle = special_cocycle(sela, {}, psi)
-    residual = verify_cocycle(jb, cocycle)
+    residual = verify_cocycle(sela, cocycle)
     if residual:
         mono, v = residual[0]
         return False, "coboundary family is not a cycle (%d terms), first %s, coefficient %s" % (

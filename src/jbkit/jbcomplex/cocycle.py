@@ -14,10 +14,11 @@ consistent gluing datum:
             bracket series in the slot order (outer edge, left edge,
             right edge).
 
-special_cocycle checks the three conditions and packages the result
-together with exp(sum phi + sum psi) as a chain, built when first read;
-that chain is a cycle of the assembled complex, which verify_cocycle
-confirms by applying the differential literally.  coboundary_gluing
+gluing_defects forms the three left-hand sides; special_cocycle
+requires each to vanish and packages the family together with
+exp(sum phi + sum psi) as a chain, built when first read; that chain
+is a cycle of the assembled complex, which verify_cocycle confirms by
+applying the differential literally.  coboundary_gluing
 manufactures edge data from per-vertex gauges, the cocycles that deform
 nothing.
 """
@@ -36,6 +37,7 @@ from .sela import coface_sign, _acc, _simplex_name
 
 __all__ = [
     "SpecialCocycle",
+    "gluing_defects",
     "special_cocycle",
     "verify_cocycle",
     "coboundary_gluing",
@@ -248,15 +250,58 @@ def _component(sela, data, simplex, ring, degree, label):
     return elt
 
 
+def gluing_defects(sela, phi, psi, parts):
+    """Yield (simplex, defect) over vertices, edges, then triangles.
+
+    A defect is the left-hand side of its condition above; edges and
+    triangles without an algebra yield none.  Each component is checked
+    when its simplex is reached and stored in parts, zero where absent.
+    """
+    order = sela.artin_order
+    ring = ArtinLine(order)
+
+    for v in sela.all_simplices(1):
+        f = parts[v] = _component(sela, phi, v, ring, 1, "vertex")
+        yield v, f.apply_differential() + f.bracket(f).scale(Fraction(1, 2))
+        if f.coeffs and sela.algebra(v).dim == 0:
+            raise ValueError("vertex %s carries no algebra" % _simplex_name(v))
+
+    for e in sela.all_simplices(2):
+        g = parts[e] = _component(sela, psi, e, ring, 0, "edge")
+        if sela.algebra(e).dim == 0:
+            if g.coeffs:
+                raise ValueError("edge %s carries no algebra" % _simplex_name(e))
+            continue
+        lo, hi = (e[0],), (e[1],)
+        left = bernoulli_transport(g, restrict_element(sela, lo, e, parts[lo]))
+        right = bernoulli_transport(g.scale(-1), restrict_element(sela, hi, e, parts[hi]))
+        yield e, g.apply_differential() - (left - right)
+
+    for tri in sela.all_simplices(3):
+        if sela.algebra(tri).dim == 0:
+            continue
+        a, b, c = tri
+        # stored cofaces, orientation signs included
+        outer, first, second = (
+            LieElement(sela.algebra(tri), ring, sela.coface(e, tri).apply(parts[e].coeffs))
+            for e in ((a, c), (a, b), (b, c))
+        )
+        yield tri, eval_bch(_shared_table(order - 1), outer, first, second, nilpotency_order=order)
+
+
+_FAILURE = {
+    1: "flatness fails on vertex %s: d phi + [phi, phi]/2 = %r",
+    2: "transport fails on edge %s: d psi - transport gap = %r",
+    3: "composition fails on triangle %s: series value %r",
+}
+
+
 def special_cocycle(sela, phi, psi):
     """Validate a family and return it packaged with its chain.
 
     Raises ValueError naming the first simplex or triple where a
     condition fails.
     """
-    order = sela.artin_order
-    ring = ArtinLine(order)
-
     phi = {tuple(k): v for k, v in phi.items()}
     psi = {tuple(k): v for k, v in psi.items()}
     for k in phi:
@@ -266,66 +311,23 @@ def special_cocycle(sela, phi, psi):
         if len(k) != 2:
             raise ValueError("%s is not an edge" % _simplex_name(k))
 
-    vert = {}
-    for v in sela.all_simplices(1):
-        f = _component(sela, phi, v, ring, 1, "vertex")
-        vert[v] = f
-        mc = f.apply_differential() + f.bracket(f).scale(Fraction(1, 2))
-        if not mc.is_zero():
-            raise ValueError(
-                "flatness fails on vertex %s: d phi + [phi, phi]/2 = %r"
-                % (_simplex_name(v), mc)
-            )
-        if f.coeffs and sela.algebra(v).dim == 0:
-            raise ValueError("vertex %s carries no algebra" % _simplex_name(v))
-
-    edge = {}
-    for e in sela.all_simplices(2):
-        g = _component(sela, psi, e, ring, 0, "edge")
-        edge[e] = g
-        if sela.algebra(e).dim == 0:
-            if g.coeffs:
-                raise ValueError("edge %s carries no algebra" % _simplex_name(e))
-            continue
-        lo, hi = (e[0],), (e[1],)
-        left = bernoulli_transport(g, restrict_element(sela, lo, e, vert[lo]))
-        right = bernoulli_transport(g.scale(-1), restrict_element(sela, hi, e, vert[hi]))
-        gap = g.apply_differential() - (left - right)
-        if not gap.is_zero():
-            raise ValueError(
-                "transport fails on edge %s: d psi - transport gap = %r"
-                % (_simplex_name(e), gap)
-            )
-
-    for tri in sela.all_simplices(3):
-        if sela.algebra(tri).dim == 0:
-            continue
-        a, b, c = tri
-        # stored cofaces, orientation signs included
-        outer, first, second = (
-            LieElement(sela.algebra(tri), ring, sela.coface(e, tri).apply(edge[e].coeffs))
-            for e in ((a, c), (a, b), (b, c))
-        )
-        comp = eval_bch(_shared_table(order - 1), outer, first, second, nilpotency_order=order)
-        if not comp.is_zero():
-            raise ValueError(
-                "composition fails on triangle %s: series value %r"
-                % (_simplex_name(tri), comp)
-            )
-
-    return SpecialCocycle(sela, phi, psi, family_chain(sela, {**vert, **edge}))
+    parts = {}
+    for simplex, defect in gluing_defects(sela, phi, psi, parts):
+        if not defect.is_zero():
+            raise ValueError(_FAILURE[len(simplex)] % (_simplex_name(simplex), defect))
+    return SpecialCocycle(sela, phi, psi, family_chain(sela, parts))
 
 
-def verify_cocycle(jb, cocycle):
+def verify_cocycle(sela, cocycle):
     """Apply the differential to the chain; empty list means it is a cycle.
 
     Accepts a SpecialCocycle or a bare chain; nonzero terms come back as
     (formatted monomial, coefficient) pairs.
     """
     chain = getattr(cocycle, "chain", cocycle)
-    residual = chain_differential(jb.sela, chain)
+    residual = chain_differential(sela, chain)
     return [
-        (format_monomial(jb.sela, mono), c)
+        (format_monomial(sela, mono), c)
         for mono, c in sorted(residual.items(), key=lambda kv: (len(kv[0][0]), kv[0]))
     ]
 

@@ -2,12 +2,14 @@
 
 A family over Q[t]/(t^k) either extends to Q[t]/(t^(k+1)) or it does
 not, and the failure is measured by one vector: pad the family with
-zeros at t^k, apply the chain differential to its exponential, and read
-off the surviving terms.  They always sit in single-factor monomials
-tagged t^k, so they form a degree-two vector of the one-factor complex.
-Its class modulo exact vectors is independent of the padding; the class
-vanishes exactly when some correction at t^k repairs the family, and
-the repaired family is returned fully re-validated.
+zeros at t^k and read off the t^k coefficients of its gluing defects,
+the edge ones negated; below t^k they vanish by validation.  This is a
+degree-two vector of the one-factor complex, equal to the one-factor
+part of d(exp w) for the chain w of the padded family, as the tests
+check against the chain differential.  Its class modulo exact vectors
+is independent of the padding; the class vanishes exactly when some
+correction at t^k repairs the family, and the repaired family is
+returned fully re-validated.
 
 Only one step at a time makes sense: over a longer extension the new
 coefficients interact with themselves and the defect is no longer
@@ -18,8 +20,7 @@ from __future__ import annotations
 
 from ..exactnum import column_echelon, remainder, solve
 from ..liecore import ArtinLine, LieElement
-from .assemble import chain_differential, format_monomial
-from .cocycle import exp_chain, family_chain, special_cocycle
+from .cocycle import gluing_defects, special_cocycle
 from .sela import TotalComplex, _simplex_name
 
 __all__ = ["ObstructionResult", "obstruction"]
@@ -114,17 +115,14 @@ def obstruction(cocycle, to_order, pad=None):
         for e, elt in pad_psi.items():
             psi[tuple(e)] = psi[tuple(e)] + elt
 
-    w = family_chain(big, {**phi, **psi})
-    residual_chain = chain_differential(big, exp_chain(big, w))
-
     residual = {}
-    for (factors, q), c in residual_chain.items():
-        if len(factors) != 1 or q != k:
-            raise AssertionError(
-                "defect escaped the socle sector at %s"
-                % format_monomial(big, (factors, q))
-            )
-        residual[factors[0]] = c
+    for simplex, defect in gluing_defects(big, phi, psi, {}):
+        sign = -1 if len(simplex) == 2 else 1
+        for b, a in defect.coeffs.items():
+            if any(a.coeffs[:k]):
+                term = "%s:%s" % (_simplex_name(simplex), big.algebra(simplex).names[b])
+                raise AssertionError("defect on %s does not vanish below t^%d" % (term, k))
+            residual[(simplex, b)] = sign * a.coeffs[k]
 
     tot = TotalComplex(big)
     index2 = tot.index.get(2, {})

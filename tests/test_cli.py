@@ -185,6 +185,35 @@ def test_jb_cocycle(capsys, tmp_path):
     usage_error(capsys, "jb", "cocycle", "--data", str(tmp_path / "absent.json"))
 
 
+@pytest.mark.parametrize(
+    "family, error",
+    [
+        (
+            {"sela": factories.mc_pair(3).to_json(),
+             "phi": {"0": edge(("y", 1, "1"), ("x", 2, "-1/2"))}},
+            "transport fails on edge 01: d psi - transport gap = "
+            "LieElement({'x': ['0', '0', '1/2'], 'y': ['0', '-1', '0']})",
+        ),
+        (
+            {"sela": factories.mc_pair(3).to_json(),
+             "phi": {"0": edge(("y", 1, "1")), "1": edge(("y", 1, "1"))}},
+            "flatness fails on vertex 0: d phi + [phi, phi]/2 = LieElement({'w': ['0', '0', '1/2']})",
+        ),
+        (
+            {"sela": factories.obstructed_triangle(3).to_json(),
+             "psi": {e: edge(("u0", 1, "1")) for e in ("01", "02", "12")}},
+            "composition fails on triangle 012: series value LieElement({'e13': ['0', '0', '1/2']})",
+        ),
+    ],
+    ids=["transport", "flatness", "composition"],
+)
+def test_jb_cocycle_failure_messages(capsys, tmp_path, family, error):
+    # the printed defect pins the sign of each gluing condition
+    path = write(tmp_path, "family.json", family)
+    rc, out = run_json(capsys, "jb", "cocycle", "--data", path)
+    assert (rc, out) == (1, {"valid": False, "error": error})
+
+
 def test_jb_obstruct(capsys, tmp_path):
     sela = factories.nonabelian_triangle(2).to_json()
     psi = {"01": edge(("e12", 1, "1")), "12": edge(("e23", 1, "1")),
@@ -315,7 +344,7 @@ def test_selfcheck_jb_names_the_first_failure(capsys, monkeypatch):
         "coefficient -3/2"
     )
     monkeypatch.undo()
-    monkeypatch.setattr(cli, "verify_cocycle", lambda jb, cocycle: [("[012:e13] t^2", Fraction(5))])
+    monkeypatch.setattr(cli, "verify_cocycle", lambda sela, cocycle: [("[012:e13] t^2", Fraction(5))])
     rc, out = run_json(capsys, "selfcheck", "--suite", "jb", "--format", "json")
     assert rc == 1
     assert out["jb"]["detail"] == (

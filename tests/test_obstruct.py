@@ -8,12 +8,14 @@ import pytest
 from jbkit.exactnum import column_echelon
 from jbkit.liecore import ArtinLine, LieElement
 from jbkit.jbcomplex import (
+    coboundary_gluing,
     factories,
-    jb_assemble,
     obstruction,
     special_cocycle,
     verify_cocycle,
 )
+from jbkit.jbcomplex.assemble import chain_differential
+from jbkit.jbcomplex.cocycle import SpecialCocycle, exp_chain, family_chain
 
 F = Fraction
 
@@ -92,8 +94,7 @@ def test_nonabelian_cech_family_lifts():
     res = obstruction(sc, 3)
     assert res.vanishes
     assert res.lift is not None
-    jb = jb_assemble(sela.with_order(3))
-    assert verify_cocycle(jb, res.lift) == []
+    assert verify_cocycle(res.lift.sela, res.lift) == []
 
 
 def test_mc_pair_forced_correction():
@@ -183,3 +184,90 @@ def test_class_is_reduced_only_when_the_step_is_obstructed(monkeypatch):
     res = obstruction(special_cocycle(sela, {(0,): phi, (1,): phi}, {}), 3)
     assert res.vanishes and res.cls == {} and res.lift is not None
     assert calls == []
+
+
+# -- the residual is the one-factor part of d(exp w) ---------------------------
+
+def _chain_route(cocycle, to_order, pad):
+    """Residual the long way: the padded family's chain w, exponentiated,
+    under the full differential; only one-factor t^k terms may survive."""
+    from jbkit.jbcomplex.obstruct import _extended
+
+    big = cocycle.sela.with_order(to_order)
+    ring = ArtinLine(to_order)
+    family = {
+        s: _extended(elt, big.algebra(s), ring)
+        for s, elt in {**cocycle.phi, **cocycle.psi}.items()
+    }
+    for s, elt in {**pad[0], **pad[1]}.items():
+        family[s] = family[s] + elt if s in family else elt
+    d = chain_differential(big, exp_chain(big, family_chain(big, family)))
+    assert all(len(f) == 1 and q == to_order - 1 for f, q in d), "outside the one-factor t^k sector"
+    return {f[0]: c for (f, _), c in d.items()}
+
+
+def _seeded(sela, simplices, degree, ring, powers, rng):
+    """{simplex: element} of the given degree, seeded coefficients at the given t powers."""
+    out = {}
+    for s in simplices:
+        lie = sela.algebra(s)
+        elt = LieElement(lie, ring, {
+            i: ring.element([F(rng.randint(-3, 3), rng.randint(1, 2)) if q in powers else 0
+                             for q in range(ring.order)])
+            for i in lie.basis_indices(degree)
+        })
+        if elt.coeffs:
+            out[s] = elt
+    return out
+
+
+@pytest.mark.parametrize("order", [2, 3, 4])
+@pytest.mark.parametrize(
+    "factory",
+    [factories.nonabelian_triangle, factories.mc_triangle, factories.mc_pair, factories.lie_pair],
+    ids=lambda f: f.__name__,
+)
+def test_residual_equals_chain_route_on_gauge_families(factory, order):
+    rng = random.Random(order)
+    sela = factory(order)
+    gauges = _seeded(sela, sela.simplices(1), 0, ArtinLine(order), range(1, order), rng)
+    sc = special_cocycle(sela, {}, coboundary_gluing(sela, gauges))
+    top = ArtinLine(order + 1)
+    pad = (
+        _seeded(sela, sela.simplices(1), 1, top, [order], rng),
+        _seeded(sela, sela.simplices(2), 0, top, [order], rng),
+    )
+    assert pad[0] or pad[1]
+    assert obstruction(sc, order + 1, pad).residual == _chain_route(sc, order + 1, pad)
+    assert obstruction(sc, order + 1).residual == _chain_route(sc, order + 1, ({}, {}))
+
+
+def test_residual_equals_chain_route_on_obstructed_and_corrected_families():
+    _, taut = _tautological(2)
+    res = obstruction(taut, 3)
+    assert res.residual and res.residual == _chain_route(taut, 3, ({}, {}))
+
+    sela = factories.mc_pair(2)
+    phi = LieElement.from_dict(sela.algebra((0,)), ArtinLine(2), {"y": [0, 1]})
+    sc = special_cocycle(sela, {(0,): phi, (1,): phi}, {})
+    res = obstruction(sc, 3)
+    assert res.residual and res.residual == _chain_route(sc, 3, ({}, {}))
+
+
+def test_pad_of_the_wrong_degree_is_refused():
+    sela = factories.mc_pair(2)
+    phi = LieElement.from_dict(sela.algebra((0,)), ArtinLine(2), {"y": [0, 1]})
+    sc = special_cocycle(sela, {(0,): phi, (1,): phi}, {})
+    w = LieElement.from_dict(sela.algebra((0,)), ArtinLine(3), {"w": [0, 0, 1]})
+    with pytest.raises(ValueError, match="vertex component on 0 is not homogeneous of degree 1"):
+        obstruction(sc, 3, pad=({(0,): w}, {}))
+
+
+def test_unvalidated_family_with_a_low_defect_is_caught():
+    # y t fails flatness at t^2; smuggled past validation, the step must
+    # not read a t^3 residual off a family that is already inconsistent
+    sela = factories.mc_pair(3)
+    phi = LieElement.from_dict(sela.algebra((0,)), ArtinLine(3), {"y": [0, 1, 0]})
+    sc = SpecialCocycle(sela, {(0,): phi}, {}, {})
+    with pytest.raises(AssertionError, match="defect on 0:w does not vanish below t\\^3"):
+        obstruction(sc, 4)
