@@ -351,10 +351,6 @@ class LyndonBasisElement:
 
         return walk(_bracketing(self.word))
 
-    def expand(self) -> AssocPoly:
-        expansion = {w: Fraction(c) for w, c in _expand_word(self.word).items()}
-        return AssocPoly._of(self.alphabet, expansion)
-
 
 def lyndon_basis(alphabet: Alphabet, degree: int) -> list:
     """Basis elements of the given weighted degree, in lexicographic order."""

@@ -36,6 +36,10 @@ with true exponential normalization of product chains this makes
 d(exp w) close without stray factorials.  All other factor patterns
 contribute zero.
 
+chain_mul, the Koszul product of sparse chains, lives here too; the
+exponential chains of cocycle and induced_chain_map use it.  Only emit
+keeps its own merge of one new factor: it is the assembly's hot path.
+
 JBComplex is a sela.GradedComplex on these monomials, so its matrices,
 d*d check and cohomology come from there.
 
@@ -86,6 +90,7 @@ module does not model; verify_d_squared is the guard for that regime.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from itertools import combinations, combinations_with_replacement, permutations, product
 
 from ..bch import build_table
@@ -108,7 +113,7 @@ __all__ = [
     "euler_characteristic_check",
     "induced_chain_map",
     "format_monomial",
-    "sort_word",
+    "chain_mul",
     "factor_key",
     "factor_parity",
     "factor_degree",
@@ -134,25 +139,65 @@ def factor_degree(sela, f):
     return len(simplex) + sela.algebra(simplex).degrees[idx] - 2
 
 
-def sort_word(sela, word):
-    """Canonical order of a factor word with its Koszul sign.
+def chain_mul(sela, u, v):
+    """Koszul product of sparse chains; tags add, overflow truncates.
 
-    Returns (sorted tuple, sign); (None, 0) when an odd factor repeats,
-    which kills the monomial.
+    Chain words are sorted and free of repeated odd factors, so each
+    product merges the right word into the left one: a right factor
+    lands after the left factors whose key is not larger, and an odd one
+    flips the sign once for every odd left factor it passes.  An odd
+    factor that meets itself kills the product.  Each factor's key and
+    parity are read once per call.  Coefficients may be Fractions or ints.
     """
-    items = list(word)
-    sign = 1
-    for i in range(1, len(items)):
-        j = i
-        while j > 0 and factor_key(items[j - 1]) > factor_key(items[j]):
-            if factor_parity(sela, items[j - 1]) and factor_parity(sela, items[j]):
-                sign = -sign
-            items[j - 1], items[j] = items[j], items[j - 1]
-            j -= 1
-    for a, b in zip(items, items[1:]):
-        if a == b and factor_parity(sela, a):
-            return None, 0
-    return tuple(items), sign
+    order = sela.artin_order
+    read = {}  # factor -> (key, parity)
+
+    def factors_of(word):
+        out = []
+        for f in word:
+            kp = read.get(f)
+            if kp is None:
+                kp = read[f] = (factor_key(f), factor_parity(sela, f))
+            out.append(kp)
+        return out
+
+    below = {}  # room -> the terms of v with tag below room, in v's order
+    out = {}
+    for (wu, qu), cu in u.items():
+        room = order - qu
+        terms = below.get(room)
+        if terms is None:
+            terms = below[room] = [
+                (qv, cv, [(f, k, p) for f, (k, p) in zip(wv, factors_of(wv))])
+                for (wv, qv), cv in v.items()
+                if qv < room
+            ]
+        if not terms:
+            continue
+        items = factors_of(wu)
+        keys = [k for k, _ in items]
+        odd_from = [0] * (len(items) + 1)  # odd factors from each position on
+        for i in range(len(items) - 1, -1, -1):
+            odd_from[i] = odd_from[i + 1] + items[i][1]
+        for qv, cv, rights in terms:
+            word, lo, passed = (), 0, 0
+            for f, k, p in rights:
+                pos = bisect_right(keys, k, lo)
+                if p:
+                    if pos and keys[pos - 1] == k:
+                        break  # odd square
+                    passed += odd_from[pos]
+                word += wu[lo:pos] + (f,)
+                lo = pos
+            else:
+                key = (word + wu[lo:], qu + qv)
+                val = cu * cv
+                s = out.get(key, 0) + (-val if passed % 2 else val)
+                if s:
+                    out[key] = s
+                else:
+                    out.pop(key, None)
+    return out
 
 
 def format_monomial(sela, mono):
@@ -570,8 +615,8 @@ def induced_chain_map(source, target, morphism):
 
     morphism maps a simplex to the matrix of a degree-preserving Lie
     morphism into the target algebra on the same simplex (absent means
-    zero); monomials go to products of factor images, resorted with
-    Koszul signs.
+    zero); a monomial goes to the chain_mul product of its factor images,
+    tagged with the monomial's power.
     """
     if source.order != target.order:
         raise ValueError("truncation orders differ")
@@ -580,27 +625,22 @@ def induced_chain_map(source, target, morphism):
         rows = target.index.get(deg, {})
         mat = SparseRatMatrix(len(rows), source.dim(deg))
         for col, (factors, q) in enumerate(source.basis[deg]):
-            words = {(): ONE}
+            words = {((), 0): ONE}
             for simplex, b in factors:
                 mor = morphism.get(simplex)
                 img = mor.column(b) if mor is not None else {}
-                new = {}
-                for word, c in words.items():
-                    for r, w in img.items():
-                        _acc(new, word + ((simplex, r),), c * w)
-                words = new
+                words = chain_mul(
+                    target.sela, words, {(((simplex, r),), 0): w for r, w in img.items()}
+                )
                 if not words:
                     break
-            for word, c in words.items():
-                sorted_word, sign = sort_word(target.sela, word)
-                if sorted_word is None:
-                    continue
-                row = rows.get((sorted_word, q))
+            for (word, _), c in words.items():
+                row = rows.get((word, q))
                 if row is None:
                     raise ValueError(
                         "image monomial %s not enumerated in the target"
-                        % format_monomial(target.sela, (sorted_word, q))
+                        % format_monomial(target.sela, (word, q))
                     )
-                mat[row, col] = mat[row, col] + c * sign
+                mat[row, col] = c
         out[deg] = mat
     return out

@@ -21,18 +21,20 @@ is a cycle of the assembled complex, which verify_cocycle confirms by
 applying the differential literally.  coboundary_gluing
 manufactures edge data from per-vertex gauges, the cocycles that deform
 nothing.
+
+bernoulli_transport is liecore.adjoint_series with Bernoulli
+coefficients; exp_chain takes powers with assemble.chain_mul.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from fractions import Fraction
 from math import lcm
 
 from ..bch import eval_bch
 from ..exactnum import ZERO, bernoulli_normalized
-from ..liecore import ArtinLine, LieElement
-from .assemble import _shared_table, chain_differential, factor_key, factor_parity, format_monomial
+from ..liecore import ArtinLine, LieElement, adjoint_series
+from .assemble import _shared_table, chain_differential, chain_mul, format_monomial
 from .sela import coface_sign, _acc, _simplex_name
 
 __all__ = [
@@ -45,7 +47,6 @@ __all__ = [
     "restrict_element",
     "element_chain",
     "family_chain",
-    "chain_mul",
     "exp_chain",
 ]
 
@@ -59,16 +60,7 @@ def restrict_element(sela, inner, outer, elt):
 
 def bernoulli_transport(psi, x):
     """sum_t C_t (ad psi)^t x with the normalized Bernoulli numbers C_t."""
-    acc = x.scale(0)
-    term = x
-    t = 0
-    while not term.is_zero():
-        acc = acc + term.scale(bernoulli_normalized(t))
-        term = psi.bracket(term)
-        t += 1
-        if t > psi.ring.order:
-            raise ValueError("transport did not terminate; psi is not nilpotent")
-    return acc
+    return adjoint_series(psi, x, bernoulli_normalized)
 
 
 # -- chains built from elements ------------------------------------------
@@ -96,67 +88,6 @@ def family_chain(sela, elements):
             for key, val in element_chain(sela, simplex, elt).items():
                 w[key] = w.get(key, ZERO) + val
     return w
-
-
-def chain_mul(sela, u, v):
-    """Koszul product of sparse chains; tags add, overflow truncates.
-
-    Chain words are sorted and free of repeated odd factors, so each
-    product merges the right word into the left one: a right factor
-    lands after the left factors whose key is not larger, and an odd one
-    flips the sign once for every odd left factor it passes.  An odd
-    factor that meets itself kills the product.  Each factor's key and
-    parity are read once per call.  Coefficients may be Fractions or ints.
-    """
-    order = sela.artin_order
-    read = {}  # factor -> (key, parity)
-
-    def factors_of(word):
-        out = []
-        for f in word:
-            kp = read.get(f)
-            if kp is None:
-                kp = read[f] = (factor_key(f), factor_parity(sela, f))
-            out.append(kp)
-        return out
-
-    below = {}  # room -> the terms of v with tag below room, in v's order
-    out = {}
-    for (wu, qu), cu in u.items():
-        room = order - qu
-        terms = below.get(room)
-        if terms is None:
-            terms = below[room] = [
-                (qv, cv, [(f, k, p) for f, (k, p) in zip(wv, factors_of(wv))])
-                for (wv, qv), cv in v.items()
-                if qv < room
-            ]
-        if not terms:
-            continue
-        items = factors_of(wu)
-        keys = [k for k, _ in items]
-        odd_from = [0] * (len(items) + 1)  # odd factors from each position on
-        for i in range(len(items) - 1, -1, -1):
-            odd_from[i] = odd_from[i + 1] + items[i][1]
-        for qv, cv, rights in terms:
-            word, lo, passed = (), 0, 0
-            for f, k, p in rights:
-                pos = bisect_right(keys, k, lo)
-                if p:
-                    if pos and keys[pos - 1] == k:
-                        break  # odd square
-                    passed += odd_from[pos]
-                word += wu[lo:pos] + (f,)
-                lo = pos
-            else:
-                key = (word + wu[lo:], qu + qv)
-                val = cu * cv
-                s = out.get(key, 0) + (-val if passed % 2 else val)
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-    return out
 
 
 def exp_chain(sela, w):

@@ -68,8 +68,11 @@ def _extended(elt, lie, ring):
     )
 
 
-def _check_pad(pad, power, label):
+def _check_pad(pad, power, label, parts):
     for s, elt in pad.items():
+        if tuple(s) not in parts:
+            noun = "an edge" if label == "edge" else "a vertex"
+            raise ValueError("%s is not %s" % (_simplex_name(s), noun))
         for a in elt.coeffs.values():
             if any(c and q != power for q, c in enumerate(a.coeffs)):
                 raise ValueError(
@@ -108,8 +111,8 @@ def obstruction(cocycle, to_order, pad=None):
     }
     if pad is not None:
         pad_phi, pad_psi = pad
-        _check_pad(pad_phi, k, "vertex")
-        _check_pad(pad_psi, k, "edge")
+        _check_pad(pad_phi, k, "vertex", phi)
+        _check_pad(pad_psi, k, "edge", psi)
         for v, elt in pad_phi.items():
             phi[tuple(v)] = phi[tuple(v)] + elt
         for e, elt in pad_psi.items():

@@ -560,24 +560,23 @@ def evaluate(element: FreeLieElement, assignment: dict) -> LieElement:
 _CONJUGATION_STEPS = 64
 
 
-def exp_conjugate(psi, D, bracket=None):
-    """Conjugate an operator by exp of a nilpotent element.
+def adjoint_series(psi, x, coeff, bracket=None):
+    """sum_k coeff(k) ad(psi)^k(x), stopping when the iterated bracket dies.
 
-    Computes sum_k ad(psi)^k(D)/k!, stopping when the iterated bracket
-    dies; ``bracket`` defaults to the elements' own method so matrix
-    operators and structure-constant elements both work.
+    ``bracket`` defaults to the elements' own method so matrix operators
+    and structure-constant elements both work.
     """
     if bracket is None:
         bracket = lambda a, b: a.bracket(b)
-    acc = D
-    term = D
-    k = 0
-    while True:
-        k += 1
+    acc, term = x.scale(coeff(0)), x
+    for k in range(1, _CONJUGATION_STEPS + 2):
         term = bracket(psi, term)
         if term.is_zero():
-            break
-        if k > _CONJUGATION_STEPS:
-            raise ValueError("conjugator is not nilpotent within the step bound")
-        acc = acc + term.scale(Fraction(1, factorial(k)))
-    return acc
+            return acc
+        acc = acc + term.scale(coeff(k))
+    raise ValueError("psi is not nilpotent within the step bound")
+
+
+def exp_conjugate(psi, D, bracket=None):
+    """Conjugate an operator by exp of a nilpotent element: coefficients 1/k!."""
+    return adjoint_series(psi, D, lambda k: Fraction(1, factorial(k)), bracket)

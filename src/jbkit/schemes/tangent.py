@@ -11,13 +11,16 @@ general, so only rank data truncated by total degree is exposed.
 The printed sources disagree on the first map's sign; v -> (f*v, -v(f))
 composes to zero on the nose and leaves the middle cohomology unchanged,
 so that is the map built here.
+
+Every truncated count is the rank of one window matrix, built by
+_window_rank: multiples of polynomial vectors by monomials up to a cap.
 """
 
 from __future__ import annotations
 
 from itertools import product as iter_product
 
-from ..exactnum import ZERO, SparseRatMatrix, rank
+from ..exactnum import SparseRatMatrix, rank
 from .complexes import PolyComplex
 from .groebner import buchberger, quotient_dimension
 from .poly import Poly
@@ -51,11 +54,11 @@ class TangentComplex:
 
     def truncated_ranks(self, cap):
         """Rank of each differential restricted to coefficient degree <= cap."""
-        out = {}
-        degs = list(self.complex.degrees())
-        for d in degs[:-1]:
-            out[d] = _truncated_rank(self.complex.matrix(d), self.complex.vars, cap)
-        return out
+        vars = self.complex.vars
+        return {
+            d: _window_rank(vars, [(col, cap) for col in zip(*self.complex.matrix(d))])
+            for d in list(self.complex.degrees())[:-1]
+        }
 
     def truncated_h1(self, cap):
         """Windowed count of the middle cohomology.
@@ -134,34 +137,30 @@ def _monomials(vars, cap):
     return out
 
 
-def _truncated_rank(mat, vars, cap):
-    """Rank of a Poly matrix as a map on vectors with entries of degree <= cap.
+def _degree(vec):
+    return max((p.total_degree() for p in vec if not p.is_zero()), default=0)
 
-    Products above the cap fall outside the window and are kept as rows,
-    so the count is the honest rank of the restricted linear map.
+
+def _window_rank(vars, columns):
+    """Rank of the multiples m*v with deg m <= cap, over the (v, cap) columns.
+
+    v is a tuple of polynomials, one per slot of a free module.  Columns
+    run over the (v, cap) pairs in order, then over m in sorted exponent
+    order; rows are the (slot, exponent) pairs up to the largest degree
+    reached, sorted.
     """
-    monos_in = _monomials(vars, cap)
-    deg_max = cap + max(
-        (p.total_degree() for row in mat for p in row if not p.is_zero()),
-        default=0,
-    )
-    monos_out = _monomials(vars, deg_max)
-    out_index = {e: i for i, e in enumerate(monos_out)}
-    rows_per = len(monos_out)
-    nrows = len(mat) * rows_per
-    ncols = (len(mat[0]) if mat else 0) * len(monos_in)
-    m = SparseRatMatrix(nrows, ncols)
-    for r, row in enumerate(mat):
-        for c, p in enumerate(row):
-            if p.is_zero():
-                continue
-            for k, e in enumerate(monos_in):
-                col = c * len(monos_in) + k
+    monos = _monomials(vars, max((cap + _degree(v) for v, cap in columns), default=0))
+    index = {e: i for i, e in enumerate(monos)}
+    shifts = [_monomials(vars, cap) for _, cap in columns]
+    slots = max((len(v) for v, _ in columns), default=0)
+    m = SparseRatMatrix(slots * len(monos), sum(map(len, shifts)))
+    c = 0
+    for (vec, _), caps in zip(columns, shifts):
+        for shift in caps:
+            for slot, p in enumerate(vec):
                 for pe, pc in p.terms.items():
-                    tot = tuple(a + b for a, b in zip(pe, e))
-                    m[r * rows_per + out_index[tot], col] = (
-                        m[r * rows_per + out_index[tot], col] + pc
-                    )
+                    m[slot * len(monos) + index[tuple(a + b for a, b in zip(pe, shift))], c] = pc
+            c += 1
     return rank(m)
 
 
@@ -173,26 +172,8 @@ def truncated_module_quotient_dim(vars, rank_count, vectors, cap):
     value decreases toward the true quotient dimension as the cap grows
     and is exact once it stabilizes past the staircase.
     """
-    monos = _monomials(vars, cap)
-    index = {e: i for i, e in enumerate(monos)}
-    space = len(monos)
-    cols = []
-    for vec in vectors:
-        top = max((p.total_degree() for p in vec if not p.is_zero()), default=0)
-        for shift in _monomials(vars, cap - top):
-            col = {}
-            for slot, p in enumerate(vec):
-                for pe, pc in p.terms.items():
-                    tot = tuple(a + b for a, b in zip(pe, shift))
-                    r = slot * space + index[tot]
-                    col[r] = col.get(r, ZERO) + pc
-            if col:
-                cols.append(col)
-    m = SparseRatMatrix(rank_count * space, len(cols))
-    for c, col in enumerate(cols):
-        for r, v in col.items():
-            m[r, c] = v
-    return rank_count * space - rank(m)
+    columns = [(vec, cap - _degree(vec)) for vec in vectors]
+    return rank_count * len(_monomials(vars, cap)) - _window_rank(vars, columns)
 
 
 def ci_t1_dimension(fs, cap=8):

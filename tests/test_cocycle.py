@@ -6,13 +6,15 @@ from fractions import Fraction
 
 import pytest
 
-from jbkit.liecore import ArtinLine, LieElement
-from jbkit.jbcomplex.assemble import factor_key, factor_parity, format_monomial, sort_word
-from jbkit.jbcomplex.cocycle import chain_mul, element_chain, exp_chain
+from jbkit.exactnum import SparseRatMatrix
+from jbkit.liecore import ArtinLine, LieElement, StructLie
+from jbkit.jbcomplex.assemble import chain_mul, factor_key, factor_parity, format_monomial
+from jbkit.jbcomplex.cocycle import element_chain, exp_chain
 from jbkit.jbcomplex import (
     bernoulli_transport,
     coboundary_gluing,
     factories,
+    induced_chain_map,
     jb_assemble,
     special_cocycle,
     verify_cocycle,
@@ -119,52 +121,8 @@ def test_coboundary_gluing_is_cocycle(seed):
     assert verify_cocycle(sela, sc) == []
 
 
-def _unpruned_chain_mul(sela, u, v):
-    """Reference: every pair of terms formed, the tag tested afterwards."""
-    out = {}
-    for (wu, qu), cu in u.items():
-        for (wv, qv), cv in v.items():
-            if qu + qv >= sela.artin_order:
-                continue
-            word, sign = sort_word(sela, wu + wv)
-            if word is None:
-                continue
-            key = (word, qu + qv)
-            s = out.get(key, 0) + cu * cv * sign
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-    return out
-
-
-@pytest.mark.parametrize("seed", range(3))
-def test_pruned_chain_mul_matches_unpruned_in_value_and_order(seed):
-    rng = random.Random(seed)
-    sela = factories.nonabelian_triangle(4)
-    ring = ArtinLine(4)
-    g = sela.algebra((0,))
-    gauges = {v: _random_gauge(g, ring, rng) for v in sela.simplices(1)}
-    w = {}
-    for e, val in coboundary_gluing(sela, gauges).items():
-        w.update(element_chain(sela, e, val))
-    assert w
-    power, want_exp, fact = dict(w), {}, 1
-    for k in range(1, 5):
-        for key, c in power.items():
-            want_exp[key] = want_exp.get(key, 0) + c / fact
-        fact *= k + 1
-        want = _unpruned_chain_mul(sela, power, w)
-        got = chain_mul(sela, power, w)
-        assert list(got.items()) == list(want.items()), k
-        power = want
-    assert power == {}
-    want_exp = [(key, c) for key, c in want_exp.items() if c]
-    assert list(exp_chain(sela, w).items()) == want_exp
-
-
 def _insertion_sort_word(sela, word):
-    """Reference: the insertion sort with Koszul sign that chain_mul used to apply."""
+    """Reference: insertion sort of a word with its Koszul sign; (None, 0) on an odd square."""
     items = list(word)
     sign = 1
     for i in range(1, len(items)):
@@ -198,6 +156,31 @@ def _sorting_chain_mul(sela, u, v):
             else:
                 out.pop(key, None)
     return out
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_pruned_chain_mul_matches_unpruned_in_value_and_order(seed):
+    rng = random.Random(seed)
+    sela = factories.nonabelian_triangle(4)
+    ring = ArtinLine(4)
+    g = sela.algebra((0,))
+    gauges = {v: _random_gauge(g, ring, rng) for v in sela.simplices(1)}
+    w = {}
+    for e, val in coboundary_gluing(sela, gauges).items():
+        w.update(element_chain(sela, e, val))
+    assert w
+    power, want_exp, fact = dict(w), {}, 1
+    for k in range(1, 5):
+        for key, c in power.items():
+            want_exp[key] = want_exp.get(key, 0) + c / fact
+        fact *= k + 1
+        want = _sorting_chain_mul(sela, power, w)
+        got = chain_mul(sela, power, w)
+        assert list(got.items()) == list(want.items()), k
+        power = want
+    assert power == {}
+    want_exp = [(key, c) for key, c in want_exp.items() if c]
+    assert list(exp_chain(sela, w).items()) == want_exp
 
 
 def _random_chain(sela, rng, pool, size):
@@ -247,6 +230,63 @@ def test_merged_chain_mul_matches_sorting_reference(name, order, seed):
             if odd_u and len(odd_u) < len(wu):
                 seen["mixed"] += 1
     assert all(seen.values()), seen
+
+
+def _degree_preserving_map(lie, rng):
+    """Random matrix with entries only between basis vectors of one degree."""
+    mat = SparseRatMatrix(lie.dim, lie.dim)
+    for i in range(lie.dim):
+        for j in range(lie.dim):
+            if lie.degrees[i] == lie.degrees[j]:
+                mat[i, j] = rng.choice([0, 1, -1, 2, F(1, 2), F(-3, 2)])
+    return mat
+
+
+def _sorted_images(source, target, morphism, seen):
+    """Reference: induced matrix entries from concatenated image words re-sorted."""
+    out = {}
+    for deg in source.degrees():
+        rows = target.index.get(deg, {})
+        entries = {}
+        for col, (factors, q) in enumerate(source.basis[deg]):
+            words = {(): 1}
+            for simplex, b in factors:
+                new = {}
+                for word, c in words.items():
+                    for r, w in morphism[simplex].column(b).items():
+                        key = word + ((simplex, r),)
+                        new[key] = new.get(key, 0) + c * w
+                words = new
+            for word, c in words.items():
+                sorted_word, sign = _insertion_sort_word(target.sela, word)
+                if sorted_word is None:
+                    seen["odd_square"] += 1
+                    continue
+                seen["odd_swap"] += sign < 0
+                seen["reordered"] += sorted_word != word
+                key = (rows[(sorted_word, q)], col)
+                entries[key] = entries.get(key, 0) + c * sign
+        out[deg] = {key: v for key, v in entries.items() if v}
+    return out
+
+
+@pytest.mark.parametrize("name, order", [
+    ("dg_triangle", 4), ("mc_triangle", 3), ("nonabelian_triangle", 3),
+])
+@pytest.mark.parametrize("seed", range(2))
+def test_induced_chain_map_matches_sorted_images_entry_for_entry(name, order, seed):
+    # the datum mapped to itself by random degree-preserving matrices;
+    # dg_triangle has one basis vector per degree, so its maps are
+    # diagonal, while the other two mix basis vectors of equal degree
+    rng = random.Random(seed)
+    jb = jb_assemble(getattr(factories, name)(order))
+    morphism = {s: _degree_preserving_map(jb.sela.algebra(s), rng) for s in jb.sela.simplices()}
+    seen = {"odd_square": 0, "odd_swap": 0, "reordered": 0}
+    want = _sorted_images(jb, jb, morphism, seen)
+    got = induced_chain_map(jb, jb, morphism)
+    assert {deg: mat.entries for deg, mat in got.items()} == want
+    if name != "dg_triangle":
+        assert all(seen.values()), seen
 
 
 def test_exp_chain_refuses_tags_outside_the_maximal_ideal():
@@ -380,3 +420,13 @@ def test_transport_first_terms():
         + psi.bracket(psi.bracket(x)).scale(F(1, 12))
     )
     assert (got - expect).is_zero()
+
+
+def test_transport_rejects_non_nilpotent():
+    # [a, b] = b: ad(a)^t b = b for every t, so the series never ends
+    lie = StructLie(["a", "b"], [0, 0], {(0, 1): {1: F(1)}, (1, 0): {1: F(-1)}})
+    ring = ArtinLine(2)
+    psi = LieElement.from_dict(lie, ring, {"a": [1, 0]})
+    x = LieElement.from_dict(lie, ring, {"b": [1, 0]})
+    with pytest.raises(ValueError, match="not nilpotent"):
+        bernoulli_transport(psi, x)

@@ -271,3 +271,21 @@ def test_unvalidated_family_with_a_low_defect_is_caught():
     sc = SpecialCocycle(sela, {(0,): phi}, {}, {})
     with pytest.raises(AssertionError, match="defect on 0:w does not vanish below t\\^3"):
         obstruction(sc, 4)
+
+
+@pytest.mark.parametrize("side, key, message", [
+    (0, (0, 1), "01 is not a vertex"),
+    (0, (5,), "5 is not a vertex"),
+    (1, (0,), "0 is not an edge"),
+    (1, (0, 5), "05 is not an edge"),
+])
+def test_pad_off_the_family_simplices_is_refused(side, key, message):
+    # keyed by a simplex of the wrong size or by none of the cover, a pad
+    # is refused by name, as special_cocycle refuses such a family
+    sela = factories.mc_pair(2)
+    sc = special_cocycle(sela, {}, {})
+    x = LieElement.from_dict(sela.algebra((0,)), ArtinLine(3), {"x": [0, 0, 1]})
+    pad = ({}, {})
+    pad[side][key] = x
+    with pytest.raises(ValueError, match="^%s$" % message):
+        obstruction(sc, 3, pad=pad)

@@ -315,6 +315,54 @@ def test_truncated_quotient_converges():
     assert all(a >= b for a, b in zip(caps, caps[1:]))
 
 
+def _sympy_window_rank(sympy, mat, xs, cap):
+    """Rank of a sympy polynomial matrix on vectors with entries of degree <= cap.
+
+    One column per source slot and monomial multiplier, one row per
+    target slot and monomial the products reach.
+    """
+    from itertools import product
+
+    shifts = [e for e in product(range(cap + 1), repeat=len(xs)) if sum(e) <= cap]
+    cols = []
+    for c in range(mat.cols):
+        for e in shifts:
+            m = sympy.Mul(*(x ** a for x, a in zip(xs, e)))
+            col = {}
+            for r in range(mat.rows):
+                for mono, coeff in sympy.Poly(mat[r, c] * m, *xs).terms():
+                    if coeff:
+                        col[(r, mono)] = coeff
+            cols.append(col)
+    index = {key: i for i, key in enumerate(sorted({key for col in cols for key in col}))}
+    entries = {(index[key], j): v for j, col in enumerate(cols) for key, v in col.items()}
+    return sympy.SparseMatrix(len(index), len(cols), entries).rank()
+
+
+@pytest.mark.parametrize("text, vars", [
+    ("x^2+y^3", "x,y"),
+    ("x^3-2*x*y^2+y^5", "x,y"),
+    ("x^2+y^3+z^3", "x,y,z"),
+    ("x*y-z^3+2*x^2*z", "x,y,z"),
+])
+def test_truncated_ranks_against_sympy(text, vars):
+    sympy = pytest.importorskip("sympy")
+    xs = sympy.symbols(vars.replace(",", " "))
+    f = sympy.sympify(text.replace("^", "**"))
+    n = len(xs)
+    partials = [sympy.diff(f, x) for x in xs]
+    # fields -> fields + coefficient: v -> (f v, -v(f)); then (w, c) -> w(f) + c f
+    low = sympy.Matrix([[f if r == c else 0 for c in range(n)] for r in range(n)] + [
+        [-p for p in partials]
+    ])
+    high = sympy.Matrix([partials + [f]])
+    tc = hypersurface_tangent_dgla(parse_poly(text, tuple(vars.split(","))))
+    for cap in range(1, 5):
+        want = {-1: _sympy_window_rank(sympy, low, xs, cap),
+                0: _sympy_window_rank(sympy, high, xs, cap)}
+        assert tc.truncated_ranks(cap) == want, cap
+
+
 def test_truncated_module_quotient_smoke():
     # one generator x on a rank-one module: window counts 1, y, y^2, ...
     vec = [(parse_poly("x", V),)]

@@ -3,7 +3,9 @@
 perfbench/tracer.py wraps jbkit functions through ``owner.__dict__``,
 including bindings that jbkit itself no longer calls, so a refactor
 that drops one breaks only the traced benchmark.  Installing the tracer
-in a fresh process catches that here.
+in a fresh process catches that here.  Reading the final counts there
+too catches a moved cache: they read the assembly caches of
+jbkit.jbcomplex.assemble and three lru_caches of jbkit.freelie.
 """
 
 import subprocess
@@ -16,7 +18,9 @@ _INSTALL = """
 import sys
 sys.path[:0] = [sys.argv[1], sys.argv[2]]
 import tracer
-tracer.install(tracer.Tracer())
+tr = tracer.Tracer()
+tracer.install(tr)
+tracer.final_counts(tr)
 """
 
 
