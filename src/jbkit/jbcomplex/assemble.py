@@ -37,8 +37,9 @@ d(exp w) close without stray factorials.  All other factor patterns
 contribute zero.
 
 chain_mul, the Koszul product of sparse chains, lives here too; the
-exponential chains of cocycle and induced_chain_map use it.  Only emit
-keeps its own merge of one new factor: it is the assembly's hot path.
+exponential chains of cocycle and induced_chain_map use it.  Only
+monomial_differential keeps its own merge of one new factor into the
+leftover word: it is the assembly's hot path.
 
 JBComplex is a sela.GradedComplex on these monomials, so its matrices,
 d*d check and cohomology come from there.
@@ -50,6 +51,11 @@ once:
   per factor        its factor_key, its parity and its one-factor
                     differential (Sela.differential_of), all read off the
                     factor's simplex and basis index alone;
+  per simplex       the selection plan: the selections of every family
+  shape             that can be nonzero on factors sitting on that tuple
+                    of simplices, in the order monomial_differential
+                    walks them, each with its sorted and leftover
+                    positions;
   per selection     the value of each family on the selected factors:
                     the vertex bracket, the symmetrized adjoint action of
                     edge factors on a vertex factor (with its Bernoulli
@@ -57,17 +63,24 @@ once:
                     top vertex with a triangle factor, and the trivariate
                     series on the factors fed to the slots of a triangle.
 
-A family value is a function of the selected factors (simplex and
-basis index, in slot order): the coface matrices, brackets and series
-it reads are fixed by them and by the gluing datum, whose truncation
-order N picks the shared series table of degree N - 1.  It is computed on
-plain sparse maps {basis index: Fraction}, with StructLie.bracket_maps
-for every bracket and SparseRatMatrix.apply for every coface.  The
-rest of the monomial and its power of t only enter through the Koszul
-sign and the merge that emit applies per monomial.  Values are stored
-with the key and parity of every factor they produce, ready for emit,
+A plan is a function of the shape and of the gluing datum: its
+triangles and their nilpotency classes.  So is a family value of the
+selected factors (simplex and basis index, in slot order): the coface
+matrices, brackets and series it reads are fixed by them and by the
+gluing datum, whose truncation order N picks the shared series table
+of degree N - 1.  Neither is kept beyond one memo.  A value is computed
+on plain sparse maps {basis index: Fraction}, with StructLie.bracket_maps
+for every bracket and SparseRatMatrix.apply for every coface.  The rest
+of the monomial only enters through the Koszul sign and the merge that
+monomial_differential applies per selection.  Values are stored with
+the key and parity of every factor they produce, ready for that merge,
 which signs a coefficient by negation and merges the new factor into
 the sorted remainder in one walk.
+
+The power q of t only tags the targets: d(word, q) is d(word, q') with
+every tag q turned into q'.  Each degree's basis keeps the tags of one
+word next to each other, so JBComplex calls monomial_differential once
+per word and re-tags that result for the word's other tags.
 
 Slot selections too long to be nonzero are never formed.  Every term of
 the trivariate series on n selected factors is a bracketing of n
@@ -76,7 +89,7 @@ in F_n, where F_1 is the algebra and F_n is spanned by [F_i, F_j] over
 i + j = n; that follows by induction on the bracketing alone, with no
 Jacobi identity.  StructLie.nilpotency_class certifies the largest n
 with F_n != 0, so a selection of more factors is exactly zero and is
-skipped before its memo key is built.  An algebra without a certificate
+left out of the plan.  An algebra without a certificate
 (None, as for a triangle algebra with a non-nilpotent bracket) keeps
 every selection.
 
@@ -293,7 +306,7 @@ def _vertex_into_triangle(sela, vert, tri, a):
 
 
 def _targets(sela, pairs):
-    """Family values as emit input: (factor, key, parity, coeff), zeros dropped."""
+    """Family values ready to merge: (factor, key, parity, coeff), zeros dropped."""
     return [(g, factor_key(g), factor_parity(sela, g), c) for g, c in pairs if c]
 
 
@@ -310,71 +323,163 @@ def _factor_data(sela, memo, f):
 def _family_value(sela, key):
     """Value of one family on a selection, read off its memo key alone.
 
-    The key names the family and the selected factors: ("bracket", x, y)
-    for two factors on one vertex, ("transport", x, edge, indices) for a
-    vertex factor and edge factors, ("top", x, y) for a top vertex and a
-    triangle factor, and ("slot", triangle, factors in slot order).
+    The key is (kind, simplex, selected factors in key order): ("bracket",
+    vertex, x, y) for two factors on one vertex, ("transport", edge, x,
+    y1, ..) for a vertex factor x and edge factors, ("top", triangle, x,
+    y) for a top vertex and a triangle factor, and ("slot", triangle,
+    factors in slot order).
     """
-    kind = key[0]
+    kind, simplex, selected = key[0], key[1], key[2:]
     if kind == "bracket":
-        (s, a), (_, b) = key[1:]
-        lie = sela.algebra(s)
+        (_, a), (_, b) = selected
+        lie = sela.algebra(simplex)
         odd = (lie.degrees[a] * (lie.degrees[b] + 1)) % 2
-        return [((s, c), -w if odd else w) for c, w in lie.bracket_basis(a, b).items()]
+        return [((simplex, c), -w if odd else w) for c, w in lie.bracket_basis(a, b).items()]
     if kind == "transport":
-        (vert, a), e, idxs = key[1:]
-        rx = sela.coface(vert, e).column(a)
-        acc = _transport(sela.algebra(e), rx, idxs) if rx else {}
-        ct = bernoulli_normalized(len(idxs))
-        scalar = ct if coface_sign(vert, e) > 0 or len(idxs) % 2 == 0 else -ct
-        return [((e, c), scalar * w) for c, w in acc.items()]
+        (vert, a), ys = selected[0], selected[1:]
+        rx = sela.coface(vert, simplex).column(a)
+        acc = _transport(sela.algebra(simplex), rx, [b for _, b in ys]) if rx else {}
+        ct = bernoulli_normalized(len(ys))
+        scalar = ct if coface_sign(vert, simplex) > 0 or len(ys) % 2 == 0 else -ct
+        return [((simplex, c), scalar * w) for c, w in acc.items()]
     if kind == "top":
-        (vert, a), (tri, b) = key[1:]
-        acc = sela.algebra(tri).bracket_maps(_vertex_into_triangle(sela, vert, tri, a), {b: ONE})
+        (vert, a), (_, b) = selected
+        rx = _vertex_into_triangle(sela, vert, simplex, a)
+        acc = sela.algebra(simplex).bracket_maps(rx, {b: ONE})
         odd = sela.algebra(vert).degrees[a] % 2
-        return [((tri, c), -w if odd else w) for c, w in acc.items()]
-    tri, selected = key[1], key[2:]
-    a0, a1, a2 = tri
+        return [((simplex, c), -w if odd else w) for c, w in acc.items()]
+    a0, a1, a2 = simplex
     polar = _polarized(_shared_table(sela.artin_order - 1), *(
         sum(1 for s, _ in selected if s == e) for e in ((a0, a2), (a0, a1), (a1, a2))
     ))
-    args = [sela.coface(s, tri).column(b) for s, b in selected]
+    args = [sela.coface(s, simplex).column(b) for s, b in selected]
     if polar.is_zero() or not all(args):
         return []
-    return [((tri, c), w) for c, w in _eval_polar(polar, args, sela.algebra(tri)).items()]
+    return [((simplex, c), w) for c, w in _eval_polar(polar, args, sela.algebra(simplex)).items()]
 
 
 # -- the differential of one monomial -------------------------------------
 
+def _selection_plan(sela, shape):
+    """The selections of every family on factors sitting on the simplices of shape.
+
+    One entry per selection, in the order monomial_differential emits
+    them: (kind, simplex, key positions, sorted positions, leftover
+    positions), where kind is None for one factor and otherwise names the
+    family of the memo key (kind, simplex, factors at the key positions).
+    Transport selections with a zero Bernoulli coefficient and slot
+    selections longer than the triangle algebra's nilpotency class are
+    left out: their value is zero.
+    """
+    k = len(shape)
+    plan = []
+
+    def add(kind, simplex, order):
+        chosen = tuple(sorted(order))
+        plan.append((kind, simplex, order, chosen, tuple(t for t in range(k) if t not in chosen)))
+
+    # one factor: cofaces and the internal differential
+    for i in range(k):
+        add(None, shape[i], (i,))
+
+    # two factors on one vertex: graded bracket
+    for i, j in combinations(range(k), 2):
+        if len(shape[i]) == 1 and shape[i] == shape[j]:
+            add("bracket", shape[i], (i, j))
+
+    # vertex factor transported along edge factors
+    for i in range(k):
+        si = shape[i]
+        if len(si) != 1:
+            continue
+        by_edge = {}
+        for t in range(k):
+            st = shape[t]
+            if t != i and len(st) == 2 and si[0] in st:
+                by_edge.setdefault(st, []).append(t)
+        for e, positions in by_edge.items():
+            for t_count in range(1, len(positions) + 1):
+                if not bernoulli_normalized(t_count):
+                    continue
+                for subset in combinations(positions, t_count):
+                    add("transport", e, (i,) + subset)
+
+    # top vertex of a triangle acting on a triangle factor: bracket with
+    # the restricted vertex element, signed by its internal degree.  The
+    # slot word of the trivariate series wraps at the largest vertex,
+    # whose two insertion points do not cancel.
+    for i, j in combinations(range(k), 2):
+        si, sj = shape[i], shape[j]
+        if len(si) == 1 and len(sj) == 3 and si[0] == sj[2]:
+            add("top", sj, (i, j))
+
+    # edge factors feeding the slots of a triangle; a selection of more
+    # factors than the nilpotency class of the triangle algebra is zero
+    for tri in sela.simplices(3):
+        a0, a1, a2 = tri
+        slot_positions = [
+            [t for t in range(k) if shape[t] == e] for e in ((a0, a2), (a0, a1), (a1, a2))
+        ]
+        most = sela.algebra(tri).nilpotency_class()
+        if most is None:
+            most = k
+        # each slot's subsets ascend in size, so a slot stops at the room
+        # the earlier slots leave it
+        sx, sy, sz = (_subsets(p, most) for p in slot_positions)
+        for qx in sx:
+            for qy in sy:
+                if len(qx) + len(qy) > most:
+                    break
+                for qz in sz:
+                    selected = qx + qy + qz
+                    if len(selected) > most:
+                        break
+                    if len(selected) >= 2:
+                        add("slot", tri, selected)
+    return plan
+
+
 def monomial_differential(sela, mono, memo=None):
     """d of one basis monomial as a sparse chain {monomial: Fraction}.
 
-    memo holds the per-factor data and the family values by factor
-    selection; pass one dict to every call of an assembly to compute
-    each of them once.
+    memo holds the per-factor data, the selection plans by simplex shape
+    and the family values by factor selection; pass one dict to every
+    call of an assembly to compute each of them once.  The tag q only
+    tags the targets, so the monomials of one word have the same d up to
+    their tags.
     """
     if memo is None:
         memo = {}
     factors, q = mono
-    k = len(factors)
+    shape = tuple([s for s, _ in factors])
+    plan = memo.get(("plan", shape))
+    if plan is None:
+        plan = memo["plan", shape] = _selection_plan(sela, shape)
     data = [_factor_data(sela, memo, f) for f in factors]
     keys = [d[0] for d in data]
     parities = [d[1] for d in data]
+    odd_before = [0]
+    for p in parities:
+        odd_before.append(odd_before[-1] + p)
     out = {}
-
-    def emit(selected, targets):
-        # selected positions move to the front of the word: each one
+    for kind, simplex, order, chosen, rest in plan:
+        if kind is None:
+            targets = data[order[0]][2]
+        else:
+            key = (kind, simplex) + tuple([factors[p] for p in order])
+            targets = memo.get(key)
+            if targets is None:
+                targets = memo[key] = _targets(sela, _family_value(sela, key))
+        if not targets:
+            continue
+        # the selected factors move to the front of the word: each odd one
         # passes the unselected odd factors on its left
-        ext = odd_left = 0
-        rest = []
-        for t in range(k):
-            if t in selected:
-                if parities[t]:
-                    ext += odd_left
-            else:
-                odd_left += parities[t]
-                rest.append(t)
-        rest_f = tuple(factors[t] for t in rest)
+        ext = odd_chosen = 0
+        for t in chosen:
+            if parities[t]:
+                ext += odd_before[t] - odd_chosen
+                odd_chosen += 1
+        rest_f = tuple([factors[t] for t in rest])
         n = len(rest)
         for g, gk, gp, coeff in targets:
             # the new factor merges into the sorted remainder, passing the
@@ -394,74 +499,6 @@ def monomial_differential(sela, mono, memo=None):
                 out[target] = val
             else:
                 del out[target]
-
-    def family(selected, key):
-        targets = memo.get(key)
-        if targets is None:
-            targets = memo[key] = _targets(sela, _family_value(sela, key))
-        if targets:
-            emit(tuple(sorted(selected)), targets)
-
-    # one factor: cofaces and the internal differential
-    for i in range(k):
-        emit((i,), data[i][2])
-
-    # two factors on one vertex: graded bracket
-    for i, j in combinations(range(k), 2):
-        if len(factors[i][0]) == 1 and factors[i][0] == factors[j][0]:
-            family((i, j), ("bracket", factors[i], factors[j]))
-
-    # vertex factor transported along edge factors
-    for i in range(k):
-        si = factors[i][0]
-        if len(si) != 1:
-            continue
-        by_edge = {}
-        for t in range(k):
-            st = factors[t][0]
-            if t != i and len(st) == 2 and si[0] in st:
-                by_edge.setdefault(st, []).append(t)
-        for e, positions in by_edge.items():
-            for t_count in range(1, len(positions) + 1):
-                if not bernoulli_normalized(t_count):
-                    continue
-                for subset in combinations(positions, t_count):
-                    idxs = tuple(factors[p][1] for p in subset)
-                    family((i,) + subset, ("transport", factors[i], e, idxs))
-
-    # top vertex of a triangle acting on a triangle factor: bracket with
-    # the restricted vertex element, signed by its internal degree.  The
-    # slot word of the trivariate series wraps at the largest vertex,
-    # whose two insertion points do not cancel.
-    for i, j in combinations(range(k), 2):
-        si, sj = factors[i][0], factors[j][0]
-        if len(si) == 1 and len(sj) == 3 and si[0] == sj[2]:
-            family((i, j), ("top", factors[i], factors[j]))
-
-    # edge factors feeding the slots of a triangle; a selection of more
-    # factors than the nilpotency class of the triangle algebra is zero
-    for tri in sela.simplices(3):
-        a0, a1, a2 = tri
-        slot_positions = [
-            [t for t in range(k) if factors[t][0] == e] for e in ((a0, a2), (a0, a1), (a1, a2))
-        ]
-        most = sela.algebra(tri).nilpotency_class()
-        if most is None:
-            most = k
-        # each slot's subsets ascend in size, so a slot stops at the room
-        # the earlier slots leave it
-        sx, sy, sz = (_subsets(p, most) for p in slot_positions)
-        for qx in sx:
-            for qy in sy:
-                if len(qx) + len(qy) > most:
-                    break
-                for qz in sz:
-                    selected = qx + qy + qz
-                    if len(selected) > most:
-                        break
-                    if len(selected) >= 2:
-                        family(selected, ("slot", tri) + tuple(factors[p] for p in selected))
-
     return out
 
 
@@ -519,10 +556,21 @@ class JBComplex(GradedComplex):
                 raise ValueError("empty degree window")
             window = (lo, hi)
         memo = {}
+        last = [None, ()]  # the last word and its d, tags dropped
+
+        # d reads the tag q only to tag its targets, and the basis keeps
+        # the tags of one word together: one call per word
+        def differential(mono):
+            word, q = mono
+            if word != last[0]:
+                last[0] = word
+                last[1] = [(w, v) for (w, _), v in monomial_differential(sela, mono, memo).items()]
+            return [((w, q), v) for w, v in last[1]]
+
         super().__init__(
             sela,
             self._enumerate(sela, window),
-            lambda mono: monomial_differential(sela, mono, memo).items(),
+            differential,
             lambda mono: format_monomial(sela, mono),
             window,
         )
@@ -535,15 +583,14 @@ class JBComplex(GradedComplex):
             for b in range(sela.algebras[simplex].dim):
                 factors.append((simplex, b))
         factors.sort(key=factor_key)
+        parity = {f: factor_parity(sela, f) for f in factors}
+        degree = {f: factor_degree(sela, f) for f in factors}
         basis = {}
         for count in range(1, self.order):
             for combo in combinations_with_replacement(factors, count):
-                if any(
-                    a == b and factor_parity(sela, a)
-                    for a, b in zip(combo, combo[1:])
-                ):
+                if any(a == b and parity[a] for a, b in zip(combo, combo[1:])):
                     continue
-                deg = sum(factor_degree(sela, f) for f in combo)
+                deg = sum(degree[f] for f in combo)
                 if window is not None and not window[0] <= deg <= window[1]:
                     continue
                 for q in range(count, self.order):

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from ..exactnum import (
     SparseRatMatrix, ZERO, column_echelon, format_rational, insert, kernel_vectors,
-    parse_rational, row_echelon,
+    parse_rational, rank, row_echelon,
 )
 from ..liecore import StructLie, check_lie_axioms
 
@@ -366,7 +366,9 @@ class GradedComplex:
         Needs the degrees n-1 .. n+1 inside the window.  The dimension
         comes from two ranks, as the number of chains minus rank(d) minus
         rank(previous d), which is refused unless their composite
-        vanishes.  Kernel vectors of d are then built one at a time, and
+        vanishes; both ranks are read off row echelons.  Only a positive
+        dimension needs the image of the previous d as a span, its column
+        echelon.  Kernel vectors of d are then built one at a time, and
         only until there are that many representatives: each one that
         stays independent modulo the image of the previous d and the
         representatives before it is kept.
@@ -383,11 +385,11 @@ class GradedComplex:
                 "d*d does not vanish from degree %d; no cohomology in degree %d" % (n - 1, n)
             )
         echelon = row_echelon(d)
-        span = column_echelon(prev)
-        dim = d.ncols - len(echelon) - len(span)
+        dim = d.ncols - len(echelon) - rank(prev)
         items = self.basis.get(n, [])
         reps = []
         if dim:
+            span = column_echelon(prev)
             for vec in kernel_vectors(echelon, d.ncols):
                 if insert(span, vec):
                     reps.append({items[i]: v for i, v in sorted(vec.items())})

@@ -64,8 +64,11 @@ class TangentComplex:
         """Windowed count of the middle cohomology.
 
         Dimension of the coefficient-degree <= cap slice of the ring
-        modulo in-window multiples of the ideal generators; decreases to
-        h1_dimension once the cap passes the staircase of the ideal.
+        modulo in-window multiples of the ideal generators.  It is not
+        monotone in the cap and can stay level before it falls: for
+        x*y*z + x^4 + y^4 + z^4 the counts at caps 0..8 read 1, 4, 10,
+        17, 22, 22, 17, 10, 10, and h1_dimension is 10.  h1_dimension is
+        the exact count.
         """
         return truncated_module_quotient_dim(
             self.complex.vars, 1, [(g,) for g in self.ideal_gens], cap
@@ -168,23 +171,28 @@ def truncated_module_quotient_dim(vars, rank_count, vectors, cap):
     """Dimension of (free module of that rank) / (span of vector multiples),
     windowed at coefficient degree <= cap.
 
-    Only multiples that stay inside the window enter the span, so the
-    value decreases toward the true quotient dimension as the cap grows
-    and is exact once it stabilizes past the staircase.
+    Only multiples that stay inside the window enter the span.  The
+    count is neither monotone in the cap nor a bound on the true quotient
+    dimension: TangentComplex.truncated_h1 gives an example.
     """
     columns = [(vec, cap - _degree(vec)) for vec in vectors]
     return rank_count * len(_monomials(vars, cap)) - _window_rank(vars, columns)
 
 
 def ci_t1_dimension(fs, cap=8):
-    """First cohomology of the tangent data of a complete intersection,
-    by stabilized truncated linear algebra.
+    """First cohomology of the tangent data of a complete intersection.
 
     The module is rank len(fs) over the ring, cut down by the Jacobian
-    columns and by the equations acting on each slot.  Raises when the
-    window cap does not reach stabilization.
+    columns and by the equations acting on each slot.  One equation gives
+    the exact count hypersurface_tangent_dgla(f).h1_dimension(), and cap
+    is unused.  Several equations are counted in windows: equal counts at
+    caps cap-1 and cap are taken as the dimension, which is no proof,
+    since a window count can stay level before it falls (see
+    TangentComplex.truncated_h1).  Raises when the two counts differ.
     """
     fs = list(fs)
+    if len(fs) == 1:
+        return hypersurface_tangent_dgla(fs[0]).h1_dimension()
     vars = fs[0].vars
     zero = Poly.zero(vars, fs[0].order)
     c = len(fs)

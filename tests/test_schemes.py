@@ -375,3 +375,14 @@ def test_ci_t1_matches_hypersurface():
     W = ("x", "y", "z")
     fs = [parse_poly("x^2+y^3", W), parse_poly("z-x-y", W)]
     assert ci_t1_dimension(fs) == 2
+
+
+def test_ci_t1_of_one_equation_is_exact_past_a_plateau():
+    # the window counts stay level at caps 4 and 5 (22, 22) and fall to
+    # the true 10 only from cap 7
+    W = ("x", "y", "z")
+    f = parse_poly("x*y*z+x^4+y^4+z^4", W)
+    tc = hypersurface_tangent_dgla(f)
+    assert [tc.truncated_h1(c) for c in (4, 5)] == [22, 22]
+    assert tc.h1_dimension() == 10
+    assert ci_t1_dimension([f], cap=5) == 10
