@@ -248,7 +248,7 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
 def _integer_row(row: dict[int, Fraction]) -> dict[int, int]:
     """Clear the denominators of one row and divide out its content."""
     scale = lcm(*(v.denominator for v in row.values()))
-    return _primitive({j: int(v * scale) for j, v in row.items()})
+    return _primitive({j: v.numerator * (scale // v.denominator) for j, v in row.items()})
 
 
 def _integer_rows(matrix: SparseRatMatrix) -> list[dict[int, int]]:

@@ -42,7 +42,18 @@ monomial_differential keeps its own merge of one new factor into the
 leftover word: it is the assembly's hot path.
 
 JBComplex is a sela.GradedComplex on these monomials, so its matrices,
-d*d check and cohomology come from there.
+d*d check and exact cohomology come from there.  Its cohomology first
+reads the E1 page of the factor-count filtration.  d keeps the tag q and
+never raises the count k; the part of d that keeps k is the derivation
+extension of C_1, TotalComplex shifted down one degree (a factor's
+parity is its degree mod 2).  Over Q, H(Sym^k C_1) = Sym^k H(C_1), so
+dim H^n is at most the E1 count: the sum over k < N of N - k times the
+number of super-symmetric monomials of k classes of H(C_1) in degree n
+(McCleary, A User's Guide to Spectral Sequences, ch. 2).  The count is
+used only if TotalComplex squares to zero and one scan of d out of
+degrees n - 1 and n finds no entry that changes the tag or raises the
+count (filtration_break).  A count of 0 answers (0, []) with no
+elimination; elsewhere the eliminated dimension must not exceed it.
 
 One JBComplex assembly, or one chain_differential call, keeps a dict
 (the memo) that lives as long as that call and holds, each computed
@@ -107,12 +118,12 @@ from bisect import bisect_right
 from itertools import combinations, combinations_with_replacement, permutations, product
 
 from ..bch import build_table
-from ..exactnum import ONE, SparseRatMatrix, bernoulli_normalized
+from ..exactnum import ONE, SparseRatMatrix, bernoulli_normalized, rank
 # Unused here, but kept bound: perfbench/tracer.py patches this module's rank_kernel.
 from ..exactnum import rank_kernel  # noqa: F401
 from ..freelie import Alphabet, AssocPoly, _extract_lie, evaluate_lie, expand_associative
 from ..liecore import _add_maps
-from .sela import GradedComplex, coface_sign, _acc, _simplex_name
+from .sela import GradedComplex, TotalComplex, coface_sign, _acc, _simplex_name
 
 __all__ = [
     "JBComplex",
@@ -601,6 +612,51 @@ class JBComplex(GradedComplex):
 
     def monomials(self, degree):
         return list(self.basis.get(degree, ()))
+
+    def cohomology(self, n):
+        """GradedComplex.cohomology, answered (0, []) where e1_bound(n) is 0."""
+        d, prev = self._checked(n)
+        bound = self.e1_bound(n)
+        if bound == 0:
+            return 0, []
+        dim, reps = self._exact(n, d, prev)
+        if bound is not None and dim > bound:
+            raise ValueError(
+                "cohomology in degree %d: eliminations give dimension %d, above its E1 bound %d"
+                % (n, dim, bound)
+            )
+        return dim, reps
+
+    def e1_bound(self, n):
+        """The E1 count of degree n (module docstring); None where it is not certified."""
+        total = TotalComplex(self.sela)
+        if total.square_defects() or self.filtration_break(n) is not None:
+            return None
+        ranks = {m: rank(total.matrix(m)) for m in total.degrees()}
+        counts = {(0, 0): 1}  # (class count, degree) -> super-symmetric monomials
+        for m in total.degrees():
+            odd = m % 2 == 0  # a class of TotalComplex degree m has degree m - 1 in C_1
+            for _ in range(total.dim(m) - ranks[m] - ranks.get(m - 1, 0)):
+                grown = dict(counts)
+                for (k, deg), c in counts.items():
+                    for j in range(1, min(2 if odd else self.order, self.order - k)):
+                        key = (k + j, deg + j * (m - 1))
+                        grown[key] = grown.get(key, 0) + c
+                counts = grown
+        return sum((self.order - k) * c for (k, deg), c in counts.items() if k and deg == n)
+
+    def filtration_break(self, n):
+        """The first entry of d out of degree n - 1 or n that changes the tag or
+        raises the factor count, named "source -> target"; None if none does."""
+        for m in (n - 1, n):
+            sources, targets = self.basis.get(m, ()), self.basis.get(m + 1, ())
+            for r, c in self.matrix(m).entries:
+                (word, q), (image, p) = sources[c], targets[r]
+                if p != q or len(image) > len(word):
+                    return "%s -> %s" % (
+                        format_monomial(self.sela, sources[c]), format_monomial(self.sela, targets[r])
+                    )
+        return None
 
 
 def jb_assemble(sela, degree_window=None):

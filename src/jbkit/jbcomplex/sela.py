@@ -372,7 +372,15 @@ class GradedComplex:
         only until there are that many representatives: each one that
         stays independent modulo the image of the previous d and the
         representatives before it is kept.
+
+        assemble.JBComplex makes the same checks, then answers (0, [])
+        with no elimination where its run-time certified E1 count is 0;
+        elsewhere this route's dimension must not exceed that count.
         """
+        return self._exact(n, *self._checked(n))
+
+    def _checked(self, n):
+        """The matrices of d out of degrees n and n-1, refused unless d*d vanishes there."""
         if self.window is not None:
             lo, hi = self.window
             if lo > n - 1 or hi < n + 1:
@@ -384,6 +392,10 @@ class GradedComplex:
             raise ValueError(
                 "d*d does not vanish from degree %d; no cohomology in degree %d" % (n - 1, n)
             )
+        return d, prev
+
+    def _exact(self, n, d, prev):
+        """The exact route of cohomology on the checked matrices d and prev."""
         echelon = row_echelon(d)
         dim = d.ncols - len(echelon) - rank(prev)
         items = self.basis.get(n, [])

@@ -2,7 +2,7 @@
 import copy
 import random
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +10,8 @@ from hypothesis import given, settings, strategies as st
 from jbkit.exactnum import (
     SparseRatMatrix,
     _eliminate,
+    _integer_row,
+    _primitive,
     bernoulli,
     bernoulli_normalized,
     column_echelon,
@@ -226,6 +228,24 @@ def test_integer_product_matches_dense_fraction_product(pair):
     assert prod.to_dense() == _dense_product(a, b)
     assert all(v != 0 for v in prod.entries.values())
     assert all(type(v) is Fraction for v in prod.entries.values())
+
+
+_FRACTIONS = st.builds(
+    Fraction, st.integers(-10**6, 10**6).filter(bool), st.integers(1, 10**4)
+)
+
+
+@settings(max_examples=100, deadline=None, database=None)
+@given(st.dictionaries(st.integers(0, 40), _FRACTIONS, min_size=1, max_size=12))
+def test_integer_row_matches_fraction_route(row):
+    # clearing denominators in integers builds the row that scaling
+    # each Fraction by the lcm of the denominators builds
+    scale = lcm(*(v.denominator for v in row.values()))
+    old = _primitive({j: int(v * scale) for j, v in row.items()})
+    new = _integer_row(dict(row))
+    assert new == old
+    assert list(new) == list(old)
+    assert all(type(v) is int for v in new.values())
 
 
 def test_product_of_empty_and_zero_shaped_matrices():

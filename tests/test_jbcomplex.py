@@ -8,12 +8,13 @@ from importlib import resources
 from itertools import combinations, combinations_with_replacement
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from jbkit.bch import build_table
 from jbkit.freelie import (
     Alphabet, AssocPoly, FreeLieElement, _extract_lie, evaluate_lie, expand_associative,
 )
-from jbkit.liecore import ArtinLine, LieElement
+from jbkit.liecore import ArtinLine, LieElement, StructLie
 from jbkit.jbcomplex import (
     Sela,
     assemble,
@@ -26,14 +27,18 @@ from jbkit.jbcomplex import (
     jb_assemble,
     jb_cohomology,
     special_cocycle,
+    TotalComplex,
     verify_d_squared,
 )
 from jbkit.jbcomplex.assemble import (
-    chain_differential, factor_degree, factor_parity, monomial_differential,
+    chain_differential, factor_degree, factor_key, factor_parity, format_monomial,
+    monomial_differential,
 )
-from jbkit.exactnum import bernoulli_normalized, column_echelon, insert, rank_kernel
+from jbkit.exactnum import (
+    SparseRatMatrix, bernoulli_normalized, column_echelon, insert, rank_kernel,
+)
 from jbkit.jbcomplex import sela as sela_module
-from jbkit.jbcomplex.sela import coface_sign
+from jbkit.jbcomplex.sela import GradedComplex, coface_sign
 
 
 # -- d*d = 0 on the verified domain -------------------------------------
@@ -701,3 +706,195 @@ def test_shared_tables_are_truncations_of_the_largest(monkeypatch, degrees):
         assert table.bidegree == want.bidegree
         assert table.tridegree == want.tridegree
     assert builds == ([6] if degrees[0] == 6 else list(range(1, 7)))
+
+
+# -- the E1 certificate ---------------------------------------------------
+
+_E1_FACTORIES = [
+    factories.nonabelian_triangle, factories.dg_triangle, factories.mc_triangle,
+    factories.abelian_triangle, factories.obstructed_triangle,
+    factories.lie_pair, factories.dg_pair, factories.mc_pair,
+]
+
+
+def _exact_routes(jb):
+    """GradedComplex.cohomology in every degree where d*d vanishes; None where it is refused."""
+    out = {}
+    for degree in jb.degrees():
+        refused = not jb.matrix(degree).mul(jb.matrix(degree - 1)).is_zero()
+        out[degree] = None if refused else GradedComplex.cohomology(jb, degree)
+    return out
+
+
+@pytest.mark.parametrize("order", [3, 4, 5])
+@pytest.mark.parametrize("factory", _E1_FACTORIES, ids=lambda f: f.__name__)
+def test_e1_bound_holds_and_answers_where_zero(monkeypatch, factory, order):
+    jb = jb_assemble(factory(order))
+    exact = _exact_routes(jb)
+    bounds = {degree: jb.e1_bound(degree) for degree in jb.degrees()}
+    assert None not in bounds.values()
+    for degree, route in exact.items():
+        if route is not None:
+            assert bounds[degree] >= route[0], degree
+    # where E1 vanishes the answer comes without the exact route
+    monkeypatch.setattr(jb, "_exact", lambda *args: pytest.fail("eliminated where E1 is 0"))
+    for degree, route in exact.items():
+        if route is None:
+            with pytest.raises(ValueError, match=r"^d\*d does not vanish from degree %d; "
+                               r"no cohomology in degree %d$" % (degree - 1, degree)):
+                jb.cohomology(degree)
+        elif bounds[degree] == 0:
+            assert repr(jb.cohomology(degree)) == repr(route)
+    monkeypatch.undo()
+    for degree, route in exact.items():
+        if route is not None and bounds[degree]:
+            assert repr(jb.cohomology(degree)) == repr(route)
+
+
+def test_e1_certificate_comes_after_the_d_squared_refusal():
+    # E1 vanishes in these degrees, so checking it first would answer (0, [])
+    jb = jb_assemble(factories.mc_triangle(4))
+    for degree in (2, 3, 4):
+        assert jb.e1_bound(degree) == 0
+        with pytest.raises(ValueError, match=r"^d\*d does not vanish from degree %d; "
+                           r"no cohomology in degree %d$" % (degree - 1, degree)):
+            jb_cohomology(jb, degree)
+
+
+def test_e1_bound_values():
+    # dg_triangle has H(C_1) = 0, so E1 vanishes in every degree
+    total = TotalComplex(factories.dg_triangle(4))
+    assert all(total.cohomology(m)[0] == 0 for m in total.degrees())
+    jb = jb_assemble(factories.dg_triangle(4))
+    assert all(jb.e1_bound(n) == 0 for n in jb.degrees())
+    # each C_q with q >= 2 loses the rank-one bracket Lambda^2 H -> H of
+    # the nonabelian triangle: the true dimensions are 1, 4, 7
+    jb = jb_assemble(factories.nonabelian_triangle(4))
+    assert {n: jb.e1_bound(n) for n in jb.degrees()} == {
+        -3: 1, -2: 6, -1: 9, 0: 0, 1: 0, 2: 0, 3: 0,
+    }
+
+
+def test_bound_gate_names_degree_and_both_numbers(monkeypatch):
+    jb = jb_assemble(factories.nonabelian_triangle(4))
+    assert jb_cohomology(jb, -2)[0] == 4
+    monkeypatch.setattr(jb, "e1_bound", lambda n: 3)
+    with pytest.raises(ValueError, match=r"^cohomology in degree -2: eliminations give "
+                       r"dimension 4, above its E1 bound 3$"):
+        jb_cohomology(jb, -2)
+
+
+def _rescaled(sela, rng):
+    """The same gluing datum under a seeded diagonal basis change."""
+    scale = {
+        s: [Fraction(rng.choice((1, 2, 3, 5)), rng.choice((1, 2, 7))) * rng.choice((1, -1))
+            for _ in range(lie.dim)]
+        for s, lie in sela.algebras.items()
+    }
+    algebras = {}
+    for s, lie in sela.algebras.items():
+        k = scale[s]
+        brackets = {(a, b): {c: v * k[a] * k[b] / k[c] for c, v in out.items()}
+                    for (a, b), out in lie.brackets.items()}
+        differential = None
+        if lie.differential is not None:
+            differential = SparseRatMatrix(lie.dim, lie.dim)
+            for (c, a), v in lie.differential.entries.items():
+                differential[c, a] = v * k[a] / k[c]
+        algebras[s] = StructLie(lie.names, lie.degrees, brackets, differential)
+    cofaces = {}
+    for (inner, outer), mat in sela.cofaces.items():
+        cofaces[inner, outer] = SparseRatMatrix(mat.nrows, mat.ncols, {
+            (r, c): v * scale[inner][c] / scale[outer][r] for (r, c), v in mat.entries.items()
+        })
+    return Sela(sela.indices, algebras, cofaces, sela.artin_order)
+
+
+@lru_cache(maxsize=None)
+def _unscaled_dimensions(factory, order):
+    jb = jb_assemble(factory(order))
+    return {n: (jb.e1_bound(n), r and r[0]) for n, r in _exact_routes(jb).items()}
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(st.sampled_from([(f, 3) for f in _E1_FACTORIES] + [(factories.obstructed_triangle, 4)]),
+       st.integers(0, 2**32 - 1))
+def test_e1_bound_under_diagonal_basis_changes(made, seed):
+    factory, order = made
+    sela = _rescaled(factory(order), random.Random(seed))
+    assert sela.validate() == []
+    jb = jb_assemble(sela)
+    exact = _exact_routes(jb)
+    assert {n: (jb.e1_bound(n), r and r[0]) for n, r in exact.items()} == \
+        _unscaled_dimensions(factory, order)
+    for degree, route in exact.items():
+        if route is not None and jb.e1_bound(degree) == 0:
+            assert repr(jb.cohomology(degree)) == repr(route)
+
+
+@pytest.mark.parametrize("crossing", ["count", "tag"])
+def test_filtration_scan_names_the_entry_that_breaks_it(crossing):
+    jb = jb_assemble(factories.nonabelian_triangle(4))
+    assert all(jb.filtration_break(n) is None for n in jb.degrees())
+    degree = 0
+    assert jb.e1_bound(degree) == 0
+    sources, targets = jb.basis[degree], jb.basis[degree + 1]
+    col, row = next(
+        (c, r)
+        for c, (word, q) in enumerate(sources)
+        for r, (image, p) in enumerate(targets)
+        if (p == q and len(image) > len(word) if crossing == "count"
+            else p != q and len(image) <= len(word))
+    )
+    jb.matrices[degree].entries[row, col] = Fraction(1)
+    named = "%s -> %s" % (format_monomial(jb.sela, sources[col]),
+                          format_monomial(jb.sela, targets[row]))
+    assert jb.filtration_break(degree) == named  # the entry in d
+    assert jb.filtration_break(degree + 1) == named  # the entry in the previous d
+    assert jb.e1_bound(degree) is None
+    assert jb.e1_bound(degree + 1) is None
+
+
+def _koszul_sorted(sela, word):
+    """(sign, sorted word) of a word of factors; None when an odd factor repeats."""
+    word, sign = list(word), 1
+    for i in range(len(word)):
+        for j in range(len(word) - 1 - i):
+            a, b = word[j], word[j + 1]
+            if factor_key(a) > factor_key(b):
+                word[j], word[j + 1] = b, a
+                if factor_parity(sela, a) and factor_parity(sela, b):
+                    sign = -sign
+    if any(a == b and factor_parity(sela, a) for a, b in zip(word, word[1:])):
+        return None
+    return sign, tuple(word)
+
+
+@pytest.mark.parametrize("factory", _E1_FACTORIES, ids=lambda f: f.__name__)
+def test_count_preserving_part_of_d_is_the_derivation_extension(factory):
+    # the associated graded of the factor-count filtration is Sym(C_1):
+    # TotalComplex's d on one factor, with a sign for each odd factor on
+    # its left, and the word resorted with Koszul signs
+    sela = factory(4)
+    jb, total = jb_assemble(sela), TotalComplex(sela)
+    one = {}
+    for m in total.degrees():
+        for (r, c), v in total.matrix(m).entries.items():
+            one.setdefault(total.basis[m][c], []).append((total.basis[m + 1][r], v))
+    for deg in jb.degrees():
+        sources, targets = jb.basis[deg], jb.basis.get(deg + 1, [])
+        rows = jb.index.get(deg + 1, {})
+        want = {}
+        for col, (word, q) in enumerate(sources):
+            for t, f in enumerate(word):
+                sign = (-1) ** sum(factor_parity(sela, g) for g in word[:t])
+                for g, v in one.get(f, ()):
+                    moved = _koszul_sorted(sela, word[:t] + (g,) + word[t + 1:])
+                    if moved is not None:
+                        key = rows[moved[1], q], col
+                        want[key] = want.get(key, 0) + sign * moved[0] * v
+        got = {
+            (r, c): v for (r, c), v in jb.matrix(deg).entries.items()
+            if len(targets[r][0]) == len(sources[c][0])
+        }
+        assert got == {k: v for k, v in want.items() if v}, deg
