@@ -9,7 +9,7 @@ peeling off Lyndon leading words, which is exact because the expansion of
 a Lyndon bracketing is its own word plus lexicographically larger words.
 
 ``_WordSum`` is the one home of word-sum arithmetic (zero, generators,
-sums, scaling, truncation, degree and multidegree parts).  ``AssocPoly``
+sums, scaling, truncation, multidegree parts).  ``AssocPoly``
 adds only the unit and the capped product; ``FreeLieElement`` adds only
 the Lyndon check, the bracket and serialization.  Products, expansions
 and the peeling into the Lyndon basis run on integer numerators over one
@@ -208,17 +208,6 @@ class _WordSum:
     def truncate(self, degree_cap: int):
         deg = self.alphabet.degree
         kept = {w: c for w, c in self.terms.items() if deg(w) <= degree_cap}
-        return self._of(self.alphabet, kept)
-
-    def degree_part(self, n: int):
-        deg = self.alphabet.degree
-        kept = {w: c for w, c in self.terms.items() if deg(w) == n}
-        return self._of(self.alphabet, kept)
-
-    def multidegree_part(self, multidegree):
-        multidegree = tuple(multidegree)
-        md = self.alphabet.multidegree
-        kept = {w: c for w, c in self.terms.items() if md(w) == multidegree}
         return self._of(self.alphabet, kept)
 
     def multidegree_parts(self) -> dict:

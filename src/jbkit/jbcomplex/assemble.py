@@ -42,8 +42,9 @@ monomial_differential keeps its own merge of one new factor into the
 leftover word: it is the assembly's hot path.
 
 JBComplex is a sela.GradedComplex on these monomials, so its matrices,
-d*d check and exact cohomology come from there.  Its cohomology first
-reads the E1 page of the factor-count filtration.  d keeps the tag q and
+assembled per degree on first read, its d*d check and its exact
+cohomology come from there.  Its cohomology and dimension first read
+the E1 page of the factor-count filtration.  d keeps the tag q and
 never raises the count k; the part of d that keeps k is the derivation
 extension of C_1, TotalComplex shifted down one degree (a factor's
 parity is its degree mod 2).  Over Q, H(Sym^k C_1) = Sym^k H(C_1), so
@@ -55,8 +56,8 @@ degrees n - 1 and n finds no entry that changes the tag or raises the
 count (filtration_break).  A count of 0 answers (0, []) with no
 elimination; elsewhere the eliminated dimension must not exceed it.
 
-One JBComplex assembly, or one chain_differential call, keeps a dict
-(the memo) that lives as long as that call and holds, each computed
+One JBComplex, or one chain_differential call, keeps a dict (the memo)
+that lives as long as that complex or call and holds, each computed
 once:
 
   per factor        its factor_key, its parity and its one-factor
@@ -118,7 +119,7 @@ from bisect import bisect_right
 from itertools import combinations, combinations_with_replacement, permutations, product
 
 from ..bch import build_table
-from ..exactnum import ONE, SparseRatMatrix, bernoulli_normalized, rank
+from ..exactnum import ONE, SparseRatMatrix, bernoulli_normalized
 # Unused here, but kept bound: perfbench/tracer.py patches this module's rank_kernel.
 from ..exactnum import rank_kernel  # noqa: F401
 from ..freelie import Alphabet, AssocPoly, _extract_lie, evaluate_lie, expand_associative
@@ -553,19 +554,12 @@ def chain_differential(sela, chain):
 class JBComplex(GradedComplex):
     """Enumerated monomial bases with sparse differential matrices.
 
-    degree_window restricts enumeration to chain degrees lo..hi
-    (inclusive); None enumerates everything the truncation order
-    admits.
+    Every monomial the truncation order admits is enumerated; the matrix
+    of each degree is assembled on its first read.
     """
 
-    def __init__(self, sela, degree_window=None):
+    def __init__(self, sela):
         self.order = sela.artin_order
-        window = None
-        if degree_window is not None:
-            lo, hi = degree_window
-            if lo > hi:
-                raise ValueError("empty degree window")
-            window = (lo, hi)
         memo = {}
         last = [None, ()]  # the last word and its d, tags dropped
 
@@ -579,16 +573,12 @@ class JBComplex(GradedComplex):
             return [((w, q), v) for w, v in last[1]]
 
         super().__init__(
-            sela,
-            self._enumerate(sela, window),
-            differential,
-            lambda mono: format_monomial(sela, mono),
-            window,
+            sela, self._enumerate(sela), differential, lambda mono: format_monomial(sela, mono)
         )
 
     # enumeration is deterministic: factors ordered by (simplex size,
     # simplex, basis index), monomials by (factor count, factors, q)
-    def _enumerate(self, sela, window):
+    def _enumerate(self, sela):
         factors = []
         for simplex in sela.simplices():
             for b in range(sela.algebras[simplex].dim):
@@ -602,8 +592,6 @@ class JBComplex(GradedComplex):
                 if any(a == b and parity[a] for a, b in zip(combo, combo[1:])):
                     continue
                 deg = sum(degree[f] for f in combo)
-                if window is not None and not window[0] <= deg <= window[1]:
-                    continue
                 for q in range(count, self.order):
                     basis.setdefault(deg, []).append((combo, q))
         for monos in basis.values():
@@ -613,13 +601,13 @@ class JBComplex(GradedComplex):
     def monomials(self, degree):
         return list(self.basis.get(degree, ()))
 
-    def cohomology(self, n):
-        """GradedComplex.cohomology, answered (0, []) where e1_bound(n) is 0."""
+    def _cohomology(self, n, representatives):
+        """GradedComplex._cohomology, answered (0, []) where e1_bound(n) is 0."""
         d, prev = self._checked(n)
         bound = self.e1_bound(n)
         if bound == 0:
             return 0, []
-        dim, reps = self._exact(n, d, prev)
+        dim, reps = self._exact(n, d, prev, representatives)
         if bound is not None and dim > bound:
             raise ValueError(
                 "cohomology in degree %d: eliminations give dimension %d, above its E1 bound %d"
@@ -632,11 +620,10 @@ class JBComplex(GradedComplex):
         total = TotalComplex(self.sela)
         if total.square_defects() or self.filtration_break(n) is not None:
             return None
-        ranks = {m: rank(total.matrix(m)) for m in total.degrees()}
         counts = {(0, 0): 1}  # (class count, degree) -> super-symmetric monomials
         for m in total.degrees():
             odd = m % 2 == 0  # a class of TotalComplex degree m has degree m - 1 in C_1
-            for _ in range(total.dim(m) - ranks[m] - ranks.get(m - 1, 0)):
+            for _ in range(total.dim(m) - total.rank(m) - total.rank(m - 1)):
                 grown = dict(counts)
                 for (k, deg), c in counts.items():
                     for j in range(1, min(2 if odd else self.order, self.order - k)):
@@ -659,9 +646,9 @@ class JBComplex(GradedComplex):
         return None
 
 
-def jb_assemble(sela, degree_window=None):
-    """Enumerate the chain groups of a gluing datum and assemble d."""
-    return JBComplex(sela, degree_window)
+def jb_assemble(sela):
+    """Enumerate the chain groups of a gluing datum; d is assembled per degree on first read."""
+    return JBComplex(sela)
 
 
 # -- verification and invariants -------------------------------------------
@@ -697,19 +684,17 @@ def jb_cohomology(jb, degree):
 
 def deformation_ring_dimension(jb):
     """1 + dim of degree-zero cohomology: the unit plus dual generators."""
-    return 1 + jb.cohomology(0)[0]
+    return 1 + jb.dimension(0)
 
 
 def euler_characteristic_check(jb):
     """Alternating sums of chain and cohomology dimensions must agree."""
-    if jb.window is not None:
-        raise ValueError("needs the full complex (no degree window)")
     chain = 0
     coh = 0
     for deg in jb.degrees():
         s = -1 if deg % 2 else 1
         chain += s * jb.dim(deg)
-        coh += s * jb.cohomology(deg)[0]
+        coh += s * jb.dimension(deg)
     return {"chain": chain, "cohomology": coh, "equal": chain == coh}
 
 

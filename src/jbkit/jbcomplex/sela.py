@@ -15,12 +15,14 @@ applications; higher simplices are rejected.
 
 GradedComplex holds what every complex over a gluing datum shares: an
 ordered basis per degree, one loop that assembles the sparse matrix of d
-in each degree from the differential of single basis items (an item
-mapped outside the enumerated basis raises AssertionError naming both),
-the d*d check over consecutive degrees, and cohomology refused unless
-d*d vanishes there.  TotalComplex (basis vectors of the per-simplex
-algebras) and assemble.JBComplex (chain monomials) supply only the basis
-and the differential.
+out of a degree from the differential of single basis items the first
+time that matrix is read (an item mapped outside the enumerated basis
+raises AssertionError naming both), the d*d check over consecutive
+degrees, and cohomology refused unless d*d vanishes there.  A command
+that reads cohomology in degree n assembles only d out of degrees n - 1
+and n.  TotalComplex (basis vectors of the per-simplex algebras) and
+assemble.JBComplex (chain monomials) supply only the basis and the
+differential.
 """
 
 from __future__ import annotations
@@ -303,37 +305,24 @@ def _acc(d, k, v):
 
 
 class GradedComplex:
-    """Chain groups with a sparse differential, assembled degree by degree.
+    """Chain groups with a sparse differential, assembled degree by degree on first read.
 
     basis maps a degree to its ordered list of basis items and index each
     item to its position.  differential(item) gives the (target item,
     coefficient) pairs of d(item), with distinct targets; label(item)
-    names an item in messages.  window = (lo, hi) marks enumeration
-    restricted to degrees lo..hi, so the matrix of degree n is assembled
-    only when n + 1 <= hi; None means the complex is complete.
+    names an item in messages.  matrix(n) assembles d out of degree n the
+    first time it is read and keeps it, and the rank of d out of degree n
+    once one is computed.
     """
 
-    def __init__(self, sela, basis, differential, label, window=None):
+    def __init__(self, sela, basis, differential, label):
         self.sela = sela
         self.basis = basis
-        self.window = window
         self.index = {n: {item: i for i, item in enumerate(items)} for n, items in basis.items()}
-        self.matrices = {}
-        for n in sorted(basis):
-            if window is not None and n + 1 > window[1]:
-                continue
-            rows = self.index.get(n + 1, {})
-            mat = SparseRatMatrix(len(rows), len(basis[n]))
-            for col, item in enumerate(basis[n]):
-                for target, v in differential(item):
-                    row = rows.get(target)
-                    if row is None:
-                        raise AssertionError(
-                            "differential left the enumerated basis: %s -> %s"
-                            % (label(item), label(target))
-                        )
-                    mat.entries[row, col] = v
-            self.matrices[n] = mat
+        self._differential = differential
+        self._label = label
+        self._matrices = {}
+        self._ranks = {}
 
     def degrees(self):
         return sorted(self.basis)
@@ -342,20 +331,40 @@ class GradedComplex:
         return len(self.basis.get(n, ()))
 
     def matrix(self, n):
-        if n in self.matrices:
-            return self.matrices[n]
-        return SparseRatMatrix(self.dim(n + 1), self.dim(n))
+        """The matrix of d out of degree n, assembled on the first read."""
+        mat = self._matrices.get(n)
+        if mat is None:
+            rows = self.index.get(n + 1, {})
+            mat = SparseRatMatrix(len(rows), self.dim(n))
+            for col, item in enumerate(self.basis.get(n, ())):
+                for target, v in self._differential(item):
+                    row = rows.get(target)
+                    if row is None:
+                        raise AssertionError(
+                            "differential left the enumerated basis: %s -> %s"
+                            % (self._label(item), self._label(target))
+                        )
+                    mat.entries[row, col] = v
+            self._matrices[n] = mat
+        return mat
+
+    def rank(self, n):
+        """The rank of d out of degree n, computed once."""
+        r = self._ranks.get(n)
+        if r is None:
+            r = self._ranks[n] = rank(self.matrix(n))
+        return r
 
     def square_defects(self):
         """Nonzero entries of d*d as (degree, source item, target item, value).
 
-        Every pair of consecutive assembled degrees is composed; the list
-        is empty exactly when d squares to zero there.
+        d is composed over every pair of consecutive degrees; the list is
+        empty exactly when d squares to zero.
         """
         bad = []
         for n in self.degrees():
-            if n + 1 in self.matrices:  # then so is n: windows are intervals
-                prod = self.matrices[n + 1].mul(self.matrices[n])
+            if n + 1 in self.basis:
+                prod = self.matrix(n + 1).mul(self.matrix(n))
                 for (r, c), v in sorted(prod.entries.items()):
                     bad.append((n, self.basis[n][c], self.basis[n + 2][r], v))
         return bad
@@ -363,30 +372,30 @@ class GradedComplex:
     def cohomology(self, n):
         """Dimension and representative chains in degree n.
 
-        Needs the degrees n-1 .. n+1 inside the window.  The dimension
-        comes from two ranks, as the number of chains minus rank(d) minus
-        rank(previous d), which is refused unless their composite
-        vanishes; both ranks are read off row echelons.  Only a positive
-        dimension needs the image of the previous d as a span, its column
-        echelon.  Kernel vectors of d are then built one at a time, and
-        only until there are that many representatives: each one that
-        stays independent modulo the image of the previous d and the
-        representatives before it is kept.
+        The dimension comes from two ranks, as the number of chains minus
+        rank(d) minus rank(previous d), which is refused unless their
+        composite vanishes; both ranks are read off row echelons and kept.
+        Only a positive dimension needs the image of the previous d as a
+        span, its column echelon.  Kernel vectors of d are then built one
+        at a time, and only until there are that many representatives:
+        each one that stays independent modulo the image of the previous
+        d and the representatives before it is kept.
 
         assemble.JBComplex makes the same checks, then answers (0, [])
         with no elimination where its run-time certified E1 count is 0;
         elsewhere this route's dimension must not exceed that count.
         """
-        return self._exact(n, *self._checked(n))
+        return self._cohomology(n, representatives=True)
+
+    def dimension(self, n):
+        """cohomology(n)[0], from the same checks and ranks, with no representatives built."""
+        return self._cohomology(n, representatives=False)[0]
+
+    def _cohomology(self, n, representatives):
+        return self._exact(n, *self._checked(n), representatives)
 
     def _checked(self, n):
         """The matrices of d out of degrees n and n-1, refused unless d*d vanishes there."""
-        if self.window is not None:
-            lo, hi = self.window
-            if lo > n - 1 or hi < n + 1:
-                raise ValueError(
-                    "degree window %s too small for cohomology in degree %d" % (self.window, n)
-                )
         d, prev = self.matrix(n), self.matrix(n - 1)
         if not d.mul(prev).is_zero():
             raise ValueError(
@@ -394,13 +403,14 @@ class GradedComplex:
             )
         return d, prev
 
-    def _exact(self, n, d, prev):
+    def _exact(self, n, d, prev, representatives):
         """The exact route of cohomology on the checked matrices d and prev."""
         echelon = row_echelon(d)
-        dim = d.ncols - len(echelon) - rank(prev)
+        self._ranks[n] = len(echelon)
+        dim = d.ncols - len(echelon) - self.rank(n - 1)
         items = self.basis.get(n, [])
         reps = []
-        if dim:
+        if dim and representatives:
             span = column_echelon(prev)
             for vec in kernel_vectors(echelon, d.ncols):
                 if insert(span, vec):

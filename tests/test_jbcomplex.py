@@ -10,6 +10,7 @@ from itertools import combinations, combinations_with_replacement
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from jbkit import cli, exactnum
 from jbkit.bch import build_table
 from jbkit.freelie import (
     Alphabet, AssocPoly, FreeLieElement, _extract_lie, evaluate_lie, expand_associative,
@@ -202,24 +203,72 @@ def test_zero_sela_is_unit_complex():
     assert deformation_ring_dimension(jb) == 1
 
 
-# -- degree windows ------------------------------------------------------
+# -- assembly on first read ----------------------------------------------
 
-def test_window_matches_full_complex_inside():
-    full = jb_assemble(factories.nonabelian_triangle(3))
-    part = jb_assemble(factories.nonabelian_triangle(3), degree_window=(-1, 1))
-    for deg in (-1, 0, 1):
-        assert part.basis[deg] == full.basis[deg]
-    assert part.matrix(0).entries == full.matrix(0).entries
+_ORDERED_FACTORIES = [
+    factories.nonabelian_triangle, factories.abelian_triangle, factories.dg_triangle,
+    factories.mc_triangle, factories.dg_pair, factories.mc_pair, factories.lie_pair,
+    factories.zero_sela, factories.obstructed_triangle,
+]
 
 
-def test_window_validation():
-    with pytest.raises(ValueError, match="empty degree window"):
-        jb_assemble(factories.abelian_triangle(2), degree_window=(1, 0))
-    jb = jb_assemble(factories.abelian_triangle(2), degree_window=(0, 1))
-    with pytest.raises(ValueError, match="window"):
-        jb_cohomology(jb, 0)
-    with pytest.raises(ValueError, match="full complex"):
-        euler_characteristic_check(jb)
+@pytest.mark.parametrize("order", [3, 4, 5])
+@pytest.mark.parametrize("factory", _ORDERED_FACTORIES, ids=lambda f: f.__name__)
+def test_matrices_do_not_depend_on_the_order_degrees_are_read(factory, order):
+    up, down = jb_assemble(factory(order)), jb_assemble(factory(order))
+    for deg in down.degrees()[::-1]:
+        down.matrix(deg)
+    for deg in up.degrees():
+        assert list(up.matrix(deg).entries.items()) == list(down.matrix(deg).entries.items()), deg
+
+
+@pytest.mark.parametrize("degree", [-2, 0, 1])
+def test_cli_cohomology_assembles_only_the_two_matrices_it_reads(degree, tmp_path, monkeypatch,
+                                                               capsys):
+    sela = factories.dg_triangle(4)
+    path = tmp_path / "sela.json"
+    path.write_text(json.dumps(sela.to_json()))
+    sources = []
+    differential = assemble.monomial_differential
+
+    def spy(sela, mono, memo=None):
+        sources.append(mono)
+        return differential(sela, mono, memo)
+
+    monkeypatch.setattr(assemble, "monomial_differential", spy)
+    assert cli.run(["jb", "cohomology", "--data", str(path), "--degree", str(degree)]) == 0
+    assert json.loads(capsys.readouterr().out)["degree"] == degree
+    basis = jb_assemble(sela).basis
+    read = {word for n in (degree - 1, degree) for word, _ in basis.get(n, ())}
+    assert read and {word for word, _ in sources} == read
+
+
+def test_euler_check_reads_one_rank_per_matrix(monkeypatch):
+    make = factories.nonabelian_triangle
+    ref = jb_assemble(make(4))
+    coh = {deg: ref.cohomology(deg)[0] for deg in ref.degrees()}
+    assert any(coh.values())
+    jb = jb_assemble(make(4))
+    eliminated = []
+    for owner in (sela_module, exactnum):
+        row_echelon = owner.row_echelon
+        monkeypatch.setattr(owner, "row_echelon",
+                            lambda mat, f=row_echelon: eliminated.append(mat) or f(mat))
+
+    def refuse(*args):
+        raise AssertionError("a dimension built a representative")
+
+    monkeypatch.setattr(sela_module, "kernel_vectors", refuse)
+    monkeypatch.setattr(sela_module, "column_echelon", refuse)
+    chain = sum((-1) ** deg * jb.dim(deg) for deg in jb.degrees())
+    cohomology = sum((-1) ** deg * c for deg, c in coh.items())
+    assert euler_characteristic_check(jb) == {
+        "chain": chain, "cohomology": cohomology, "equal": chain == cohomology,
+    }
+    assert deformation_ring_dimension(jb) == 1 + coh[0]
+    for deg in jb.degrees():
+        assert sum(mat is jb.matrix(deg) for mat in eliminated) <= 1, deg
+    assert [jb.dimension(deg) for deg in jb.degrees()] == list(coh.values())
 
 
 # -- functoriality ---------------------------------------------------------
@@ -408,7 +457,7 @@ def _polarized_by_brackets(table, j, k, l):
         scale=lambda c, a: a.scale(c),
         zero=zero,
     )
-    return subst.multidegree_part((1,) * n)
+    return subst.multidegree_parts().get((1,) * n, zero)
 
 
 def test_polarization_matches_bracket_route(monkeypatch):
@@ -424,7 +473,7 @@ def test_polarization_matches_bracket_route(monkeypatch):
 
 def _memo_free_matrices(jb):
     out = {}
-    for deg in jb.matrices:
+    for deg in jb.degrees():
         rows = jb.index.get(deg + 1, {})
         entries = {}
         for col, mono in enumerate(jb.basis[deg]):
@@ -438,10 +487,8 @@ def _memo_free_matrices(jb):
 @pytest.mark.parametrize("factory", [factories.nonabelian_triangle, factories.dg_triangle])
 def test_assembly_equals_memo_free_monomial_differentials(factory):
     jb = jb_assemble(factory(4))
-    reference = _memo_free_matrices(jb)
-    assert set(reference) == set(jb.matrices)
-    for deg, entries in reference.items():
-        mat = jb.matrices[deg]
+    for deg, entries in _memo_free_matrices(jb).items():
+        mat = jb.matrix(deg)
         assert {key: v for key, v in mat.entries.items() if v} == entries, deg
 
 
@@ -592,7 +639,7 @@ def _reference_matrices(factory, order):
     """{degree: {(row, col): value}} of d, one _reference_monomial_differential per column."""
     jb = jb_assemble(factory(order))
     out = {}
-    for deg in jb.matrices:
+    for deg in jb.degrees():
         rows = jb.index.get(deg + 1, {})
         want = {}
         for col, mono in enumerate(jb.basis[deg]):
@@ -613,9 +660,10 @@ def _reference_matrices(factory, order):
 ])
 def test_assembly_equals_reference_monomial_differentials(factory, order):
     jb = jb_assemble(factory(order))
-    assert set(jb.matrices) == set(jb.basis)
     want = _reference_matrices(factory, order)
-    for deg, mat in jb.matrices.items():
+    assert set(want) == set(jb.basis)
+    for deg in jb.degrees():
+        mat = jb.matrix(deg)
         assert mat.entries == want[deg], deg
         assert all(type(v) is Fraction and v for v in mat.entries.values())
 
@@ -637,7 +685,7 @@ def test_selection_plans_are_per_assembly(makes):
         _reference_matrices(make, 4)
     for make in makes:
         jb = jb_assemble(make(4))
-        got = {deg: mat.entries for deg, mat in jb.matrices.items()}
+        got = {deg: jb.matrix(deg).entries for deg in jb.degrees()}
         assert got == _reference_matrices(make, 4)
 
 
@@ -846,7 +894,7 @@ def test_filtration_scan_names_the_entry_that_breaks_it(crossing):
         if (p == q and len(image) > len(word) if crossing == "count"
             else p != q and len(image) <= len(word))
     )
-    jb.matrices[degree].entries[row, col] = Fraction(1)
+    jb.matrix(degree).entries[row, col] = Fraction(1)
     named = "%s -> %s" % (format_monomial(jb.sela, sources[col]),
                           format_monomial(jb.sela, targets[row]))
     assert jb.filtration_break(degree) == named  # the entry in d

@@ -121,9 +121,9 @@ def test_assembly_with_and_without_certificate(factory, order, monkeypatch):
     monkeypatch.setattr(StructLie, "nilpotency_class", lambda self: None)
     full = jb_assemble(factory(order))
     assert jb.basis == full.basis
-    assert list(jb.matrices) == list(full.matrices)
-    for deg, mat in jb.matrices.items():
-        assert list(mat.entries.items()) == list(full.matrices[deg].entries.items()), deg
+    for deg in jb.degrees():
+        got, want = jb.matrix(deg), full.matrix(deg)
+        assert list(got.entries.items()) == list(want.entries.items()), deg
 
 
 def test_chain_differential_with_and_without_certificate(monkeypatch):

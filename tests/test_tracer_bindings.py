@@ -6,11 +6,18 @@ that drops one breaks only the traced benchmark.  Installing the tracer
 in a fresh process catches that here.  Reading the final counts there
 too catches a moved cache: they read the assembly caches of
 jbkit.jbcomplex.assemble and three lru_caches of jbkit.freelie.
+
+The tracer's assembly hook reads the matrix of every degree, so a traced
+``jb cohomology``, which by itself assembles only two degrees, still
+records the shape of the whole complex for the shape gate.
 """
 
+import json
 import subprocess
 import sys
 from pathlib import Path
+
+from jbkit.jbcomplex import factories, jb_assemble
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -32,3 +39,36 @@ def test_tracer_installs():
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
+
+
+_COHOMOLOGY = """
+import json
+import sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+import tracer
+from jbkit import cli
+tr = tracer.Tracer()
+tracer.install(tr)
+assert cli.run(["jb", "cohomology", "--data", sys.argv[3], "--degree", "0"]) == 0
+print(json.dumps(tr.shapes))
+"""
+
+
+def test_traced_cohomology_records_every_degree(tmp_path):
+    sela = factories.dg_triangle(4)
+    path = tmp_path / "sela.json"
+    path.write_text(json.dumps(sela.to_json()))
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", _COHOMOLOGY, str(ROOT / "perfbench"), str(ROOT / "src"),
+         str(path)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    (record,) = json.loads(proc.stdout.splitlines()[-1])
+    jb = jb_assemble(sela)
+    assert record["shapes"] == {
+        str(n): [jb.matrix(n).nrows, jb.matrix(n).ncols, len(jb.matrix(n).entries)]
+        for n in jb.degrees()
+    }
