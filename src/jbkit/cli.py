@@ -22,7 +22,7 @@ from functools import lru_cache
 from importlib import resources
 
 from .bch import build_table
-from .exactnum import bernoulli, format_rational, parse_rational
+from .exactnum import bernoulli, binomial, format_rational, parse_rational
 from .liecore import ArtinLine, LieElement
 from .jbcomplex import (
     Sela,
@@ -34,7 +34,7 @@ from .jbcomplex import (
     verify_cocycle,
     verify_d_squared,
 )
-from .jbcomplex.assemble import _shared_table
+from .jbcomplex.assemble import _shared_table, format_monomial
 from .jbcomplex.sela import _parse_simplex, _simplex_name
 from .schemes import (
     PolyComplex,
@@ -42,6 +42,7 @@ from .schemes import (
     lift_deformation,
     milnor_dim,
     parse_poly,
+    quotient_dimension,
 )
 
 __all__ = ["main", "run"]
@@ -229,8 +230,6 @@ def cmd_jb(args):
         sela = _load_sela(data)
         jb = jb_assemble(sela)
         dim, reps = jb_cohomology(jb, args.degree)
-        from .jbcomplex.assemble import format_monomial
-
         _emit(
             {
                 "degree": args.degree,
@@ -314,19 +313,22 @@ def cmd_tangent_dgla(args):
     f = _poly_arg("--poly", args.poly, _vars_arg(args.vars))
     tc = hypersurface_tangent_dgla(f)
     pc = tc.complex
+    ideal = tc.h1_ideal()
     report = {
         "vars": list(pc.vars),
         "degrees": list(pc.degrees()),
         "ranks": [pc.rank(d) for d in pc.degrees()],
-        "h1_ideal": [str(g) for g in tc.h1_ideal()],
+        "h1_ideal": [str(g) for g in ideal],
     }
     try:
-        report["h1_dimension"] = tc.h1_dimension()
+        report["h1_dimension"] = quotient_dimension(ideal)
     except ValueError as e:
         report["h1_dimension"] = None
         report["note"] = str(e)
     if args.truncate is not None:
         cap = _cap(args.truncate, "--truncate")
+        if cap < 0:
+            raise _Usage("--truncate must be nonnegative")
         report["truncated_h1"] = tc.truncated_h1(cap)
         report["truncated_ranks"] = tc.truncated_ranks(cap)
     _emit(report)
@@ -398,8 +400,6 @@ def _suite_bernoulli(seed):
     n = max(int(k) for k in want)
     for m in range(1, n + 1):
         acc = Fraction(0)
-        from .exactnum import binomial
-
         for k in range(m):
             acc += binomial(m + 1, k) * bernoulli(k)
         if bernoulli(m) != -acc / (m + 1):

@@ -42,18 +42,21 @@ monomial_differential keeps its own merge of one new factor into the
 leftover word: it is the assembly's hot path.
 
 JBComplex is a sela.GradedComplex on these monomials, so its matrices,
-assembled per degree on first read, its d*d check and its exact
-cohomology come from there.  Its cohomology and dimension first read
-the E1 page of the factor-count filtration.  d keeps the tag q and
-never raises the count k; the part of d that keeps k is the derivation
-extension of C_1, TotalComplex shifted down one degree (a factor's
-parity is its degree mod 2).  Over Q, H(Sym^k C_1) = Sym^k H(C_1), so
-dim H^n is at most the E1 count: the sum over k < N of N - k times the
-number of super-symmetric monomials of k classes of H(C_1) in degree n
-(McCleary, A User's Guide to Spectral Sequences, ch. 2).  The count is
-used only if TotalComplex squares to zero and one scan of d out of
-degrees n - 1 and n finds no entry that changes the tag or raises the
-count (filtration_break).  A count of 0 answers (0, []) with no
+assembled per degree on first read, its d*d check and its cohomology
+routine come from there.  It fills that routine's one hook, bound(n),
+with the E1 page of the factor-count filtration.  d keeps the tag q and
+never raises the count k: the assembly writes the tag of every target
+itself, and raises AssertionError, naming source and target, where a
+word's d has a target with more factors than the word, in every degree
+it assembles.  The part of d that keeps k is the derivation extension
+of C_1, TotalComplex shifted down one degree (a factor's parity is its
+degree mod 2).  Over Q, H(Sym^k C_1) = Sym^k H(C_1), so dim H^n is at
+most the E1 count: the sum over k < N of N - k times the number of
+super-symmetric monomials of k classes of H(C_1) in degree n (McCleary,
+A User's Guide to Spectral Sequences, ch. 2).  The counts of all
+degrees are built once per complex, on the first read, from the
+dimensions of TotalComplex; where TotalComplex does not square to zero
+bound(n) is None in every degree.  A count of 0 answers (0, []) with no
 elimination; elsewhere the eliminated dimension must not exceed it.
 
 One JBComplex, or one chain_differential call, keeps a dict (the memo)
@@ -116,6 +119,7 @@ module does not model; verify_d_squared is the guard for that regime.
 from __future__ import annotations
 
 from bisect import bisect_right
+from functools import cached_property
 from itertools import combinations, combinations_with_replacement, permutations, product
 
 from ..bch import build_table
@@ -564,12 +568,20 @@ class JBComplex(GradedComplex):
         last = [None, ()]  # the last word and its d, tags dropped
 
         # d reads the tag q only to tag its targets, and the basis keeps
-        # the tags of one word together: one call per word
+        # the tags of one word together: one call per word, whose targets
+        # are checked once against its factor count
         def differential(mono):
             word, q = mono
             if word != last[0]:
-                last[0] = word
-                last[1] = [(w, v) for (w, _), v in monomial_differential(sela, mono, memo).items()]
+                image = [(w, v) for (w, _), v in monomial_differential(sela, mono, memo).items()]
+                k = len(word)
+                for w, _ in image:
+                    if len(w) > k:
+                        raise AssertionError(
+                            "differential raises the factor count: %s -> %s"
+                            % (format_monomial(sela, mono), format_monomial(sela, (w, q)))
+                        )
+                last[0], last[1] = word, image
             return [((w, q), v) for w, v in last[1]]
 
         super().__init__(
@@ -601,49 +613,33 @@ class JBComplex(GradedComplex):
     def monomials(self, degree):
         return list(self.basis.get(degree, ()))
 
-    def _cohomology(self, n, representatives):
-        """GradedComplex._cohomology, answered (0, []) where e1_bound(n) is 0."""
-        d, prev = self._checked(n)
-        bound = self.e1_bound(n)
-        if bound == 0:
-            return 0, []
-        dim, reps = self._exact(n, d, prev, representatives)
-        if bound is not None and dim > bound:
-            raise ValueError(
-                "cohomology in degree %d: eliminations give dimension %d, above its E1 bound %d"
-                % (n, dim, bound)
-            )
-        return dim, reps
+    def bound(self, n):
+        """The E1 count of degree n (module docstring); None in every degree
+        where TotalComplex does not square to zero."""
+        counts = self._e1_counts
+        return None if counts is None else counts.get(n, 0)
 
-    def e1_bound(self, n):
-        """The E1 count of degree n (module docstring); None where it is not certified."""
+    @cached_property
+    def _e1_counts(self):
+        """E1 counts by degree, from the cohomology of TotalComplex; built on the first read."""
         total = TotalComplex(self.sela)
-        if total.square_defects() or self.filtration_break(n) is not None:
+        if total.square_defects():
             return None
         counts = {(0, 0): 1}  # (class count, degree) -> super-symmetric monomials
         for m in total.degrees():
             odd = m % 2 == 0  # a class of TotalComplex degree m has degree m - 1 in C_1
-            for _ in range(total.dim(m) - total.rank(m) - total.rank(m - 1)):
+            for _ in range(total.dimension(m)):
                 grown = dict(counts)
                 for (k, deg), c in counts.items():
                     for j in range(1, min(2 if odd else self.order, self.order - k)):
                         key = (k + j, deg + j * (m - 1))
                         grown[key] = grown.get(key, 0) + c
                 counts = grown
-        return sum((self.order - k) * c for (k, deg), c in counts.items() if k and deg == n)
-
-    def filtration_break(self, n):
-        """The first entry of d out of degree n - 1 or n that changes the tag or
-        raises the factor count, named "source -> target"; None if none does."""
-        for m in (n - 1, n):
-            sources, targets = self.basis.get(m, ()), self.basis.get(m + 1, ())
-            for r, c in self.matrix(m).entries:
-                (word, q), (image, p) = sources[c], targets[r]
-                if p != q or len(image) > len(word):
-                    return "%s -> %s" % (
-                        format_monomial(self.sela, sources[c]), format_monomial(self.sela, targets[r])
-                    )
-        return None
+        table = {}
+        for (k, deg), c in counts.items():
+            if k:
+                table[deg] = table.get(deg, 0) + (self.order - k) * c
+        return table
 
 
 def jb_assemble(sela):

@@ -18,14 +18,18 @@ ordered basis per degree, one loop that assembles the sparse matrix of d
 out of a degree from the differential of single basis items the first
 time that matrix is read (an item mapped outside the enumerated basis
 raises AssertionError naming both), the d*d check over consecutive
-degrees, and cohomology refused unless d*d vanishes there.  A command
-that reads cohomology in degree n assembles only d out of degrees n - 1
-and n.  TotalComplex (basis vectors of the per-simplex algebras) and
-assemble.JBComplex (chain monomials) supply only the basis and the
-differential.
+degrees, and one cohomology routine: refused unless d*d vanishes there,
+answered without elimination where the hook bound(n) is 0, and
+otherwise eliminated and gated by that bound.  A command that reads
+cohomology in degree n assembles only d out of degrees n - 1 and n.
+TotalComplex (basis vectors of the per-simplex algebras) supplies only
+the basis and the differential; assemble.JBComplex (chain monomials)
+also fills bound(n) with its E1 count.
 """
 
 from __future__ import annotations
+
+from itertools import combinations
 
 from ..exactnum import (
     SparseRatMatrix, ZERO, column_echelon, format_rational, insert, kernel_vectors,
@@ -109,8 +113,6 @@ class Sela:
 
     def all_simplices(self, size=None):
         """Every subset of the index set of the given size, present or not."""
-        from itertools import combinations
-
         sizes = (size,) if size is not None else (1, 2, 3)
         out = []
         for k in sizes:
@@ -312,7 +314,8 @@ class GradedComplex:
     coefficient) pairs of d(item), with distinct targets; label(item)
     names an item in messages.  matrix(n) assembles d out of degree n the
     first time it is read and keeps it, and the rank of d out of degree n
-    once one is computed.
+    once one is computed.  bound(n) is the one hook of cohomology(n) and
+    dimension(n): a certified upper bound on the dimension, or None.
     """
 
     def __init__(self, sela, basis, differential, label):
@@ -369,21 +372,26 @@ class GradedComplex:
                     bad.append((n, self.basis[n][c], self.basis[n + 2][r], v))
         return bad
 
+    def bound(self, n):
+        """A certified upper bound on the dimension of cohomology in degree n, or None.
+
+        The hook a subclass fills; None here and on TotalComplex.
+        """
+        return None
+
     def cohomology(self, n):
         """Dimension and representative chains in degree n.
 
-        The dimension comes from two ranks, as the number of chains minus
-        rank(d) minus rank(previous d), which is refused unless their
-        composite vanishes; both ranks are read off row echelons and kept.
-        Only a positive dimension needs the image of the previous d as a
-        span, its column echelon.  Kernel vectors of d are then built one
-        at a time, and only until there are that many representatives:
-        each one that stays independent modulo the image of the previous
-        d and the representatives before it is kept.
-
-        assemble.JBComplex makes the same checks, then answers (0, [])
-        with no elimination where its run-time certified E1 count is 0;
-        elsewhere this route's dimension must not exceed that count.
+        Refused unless d*d vanishes from degree n - 1.  Where bound(n) is
+        0 the answer is (0, []) with no elimination.  Otherwise the
+        dimension comes from two ranks, as the number of chains minus
+        rank(d) minus rank(previous d); both are read off row echelons and
+        kept, and the dimension must not exceed bound(n).  Only a positive
+        dimension needs the image of the previous d as a span, its column
+        echelon.  Kernel vectors of d are then built one at a time, and
+        only until there are that many representatives: each one that
+        stays independent modulo the image of the previous d and the
+        representatives before it is kept.
         """
         return self._cohomology(n, representatives=True)
 
@@ -392,22 +400,22 @@ class GradedComplex:
         return self._cohomology(n, representatives=False)[0]
 
     def _cohomology(self, n, representatives):
-        return self._exact(n, *self._checked(n), representatives)
-
-    def _checked(self, n):
-        """The matrices of d out of degrees n and n-1, refused unless d*d vanishes there."""
         d, prev = self.matrix(n), self.matrix(n - 1)
         if not d.mul(prev).is_zero():
             raise ValueError(
                 "d*d does not vanish from degree %d; no cohomology in degree %d" % (n - 1, n)
             )
-        return d, prev
-
-    def _exact(self, n, d, prev, representatives):
-        """The exact route of cohomology on the checked matrices d and prev."""
+        bound = self.bound(n)
+        if bound == 0:
+            return 0, []
         echelon = row_echelon(d)
         self._ranks[n] = len(echelon)
         dim = d.ncols - len(echelon) - self.rank(n - 1)
+        if bound is not None and dim > bound:
+            raise ValueError(
+                "cohomology in degree %d: eliminations give dimension %d, above its E1 bound %d"
+                % (n, dim, bound)
+            )
         items = self.basis.get(n, [])
         reps = []
         if dim and representatives:

@@ -16,12 +16,12 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..bch import eval_bch
-from ..liecore import LieElement, StructLie, exp_conjugate
+from ..liecore import ArtinLine, LieElement, StructLie, exp_conjugate
 from ..jbcomplex.assemble import _shared_table
 from ..jbcomplex.cocycle import special_cocycle
 from ..jbcomplex.obstruct import obstruction
 from ..jbcomplex.sela import Sela
-from .complexes import _square_defects, koszul_resolution
+from .complexes import _square_defects
 from .groebner import buchberger, normal_form, standard_monomials
 from .poly import Poly, parse_poly
 
@@ -286,11 +286,11 @@ class GlueGauge:
 class KSCochain:
     """A deformed equation on one chart over a truncated line.
 
-    Holds the undeformed equation f, the resolution it cuts out, and the
-    perturbation phi with phi(0) = 0; the deformed operator is f + phi.
+    Holds the undeformed equation f and the perturbation phi with
+    phi(0) = 0; the deformed operator is f + phi.
     """
 
-    __slots__ = ("f", "complex", "order", "phi")
+    __slots__ = ("f", "order", "phi")
 
     def __init__(self, f, order, phi):
         if phi.vars != f.vars or phi.order != order:
@@ -298,16 +298,8 @@ class KSCochain:
         if phi.valuation() < 1:
             raise ValueError("perturbation must vanish at t = 0")
         self.f = f
-        self.complex = koszul_resolution([f])
         self.order = order
         self.phi = phi
-        defects = deformed_square_defects(self.complex, {0: ((self.phi,),)}, order)
-        if defects:
-            d, i, j, val = defects[0]
-            raise ValueError(
-                "deformed differential does not square to zero: degrees %d,%d "
-                "entry (%d, %d) is %s" % (d, d + 1, i, j, val)
-            )
 
     def operator(self):
         """The deformed equation f + phi as a truncated polynomial."""
@@ -322,7 +314,7 @@ class KSCochain:
 
 
 def ks_cochain(f, g, order):
-    """First-order family f + t*g; checks the deformed square vanishes."""
+    """First-order family f + t*g over Q[t]/(t^order)."""
     if f.vars != g.vars:
         raise ValueError("equation and direction use different variables")
     return KSCochain(f, order, TruncPoly.from_poly(g, order, power=1))
@@ -460,8 +452,6 @@ def package_one_chart(ks):
 
 
 def _reduce_to_element(lie, monos, gb, phi, order):
-    from ..liecore import ArtinLine
-
     ring = ArtinLine(order)
     n = len(monos)
     index = {next(iter(m.terms)): i for i, m in enumerate(monos)}

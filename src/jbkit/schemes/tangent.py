@@ -54,6 +54,8 @@ class TangentComplex:
 
     def truncated_ranks(self, cap):
         """Rank of each differential restricted to coefficient degree <= cap."""
+        if cap < 0:
+            raise ValueError("window cap %d is negative" % cap)
         vars = self.complex.vars
         return {
             d: _window_rank(vars, [(col, cap) for col in zip(*self.complex.matrix(d))])
@@ -175,6 +177,8 @@ def truncated_module_quotient_dim(vars, rank_count, vectors, cap):
     count is neither monotone in the cap nor a bound on the true quotient
     dimension: TangentComplex.truncated_h1 gives an example.
     """
+    if cap < 0:
+        raise ValueError("window cap %d is negative" % cap)
     columns = [(vec, cap - _degree(vec)) for vec in vectors]
     return rank_count * len(_monomials(vars, cap)) - _window_rank(vars, columns)
 

@@ -9,7 +9,9 @@ import pytest
 
 from jbkit import cli
 from jbkit.jbcomplex import Sela, factories
-from jbkit.schemes import koszul_resolution, lift_deformation, parse_poly
+from jbkit.schemes import (
+    buchberger, hypersurface_tangent_dgla, koszul_resolution, lift_deformation, parse_poly, tangent,
+)
 
 
 def run(capsys, *argv):
@@ -281,6 +283,34 @@ def test_tangent_dgla(capsys):
     rc, out = run_json(capsys, "tangent-dgla", "--vars", "x,y", "--poly", "1")
     assert rc == 1 and "nonconstant" in out["error"]
     usage_error(capsys, "tangent-dgla", "--vars", "x,y", "--poly", "x", "--truncate", "x")
+    err = usage_error(capsys, "tangent-dgla", "--vars", "x,y", "--poly", "x^2+y^3",
+                      "--truncate", "-2")
+    assert "--truncate must be nonnegative" in err
+
+
+@pytest.mark.parametrize("poly", ["x^3+y^2", "x^2"])
+def test_tangent_dgla_runs_buchberger_once(capsys, monkeypatch, poly):
+    # the printed ideal and dimension (or note) are those of h1_ideal and
+    # h1_dimension, from one reduced basis
+    tc = hypersurface_tangent_dgla(parse_poly(poly, ("x", "y")))
+    want = {
+        "vars": ["x", "y"],
+        "degrees": list(tc.complex.degrees()),
+        "ranks": [tc.complex.rank(d) for d in tc.complex.degrees()],
+        "h1_ideal": [str(g) for g in tc.h1_ideal()],
+        "truncated_h1": tc.truncated_h1(2),
+        "truncated_ranks": {str(d): r for d, r in tc.truncated_ranks(2).items()},
+    }
+    try:
+        want["h1_dimension"] = tc.h1_dimension()
+    except ValueError as e:
+        want["h1_dimension"] = None
+        want["note"] = str(e)
+    calls = []
+    monkeypatch.setattr(tangent, "buchberger", lambda gens: calls.append(gens) or buchberger(gens))
+    rc, out, _ = run(capsys, "tangent-dgla", "--vars", "x,y", "--poly", poly, "--truncate", "2")
+    assert rc == 0 and len(calls) == 1
+    assert out == json.dumps(want, indent=2, sort_keys=True) + "\n"
 
 
 def test_deform_lift(capsys):

@@ -2,6 +2,7 @@
 
 import json
 import random
+import re
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
@@ -39,7 +40,7 @@ from jbkit.exactnum import (
     SparseRatMatrix, bernoulli_normalized, column_echelon, insert, rank_kernel,
 )
 from jbkit.jbcomplex import sela as sela_module
-from jbkit.jbcomplex.sela import GradedComplex, coface_sign
+from jbkit.jbcomplex.sela import coface_sign
 
 
 # -- d*d = 0 on the verified domain -------------------------------------
@@ -766,12 +767,17 @@ _E1_FACTORIES = [
 
 
 def _exact_routes(jb):
-    """GradedComplex.cohomology in every degree where d*d vanishes; None where it is refused."""
-    out = {}
-    for degree in jb.degrees():
-        refused = not jb.matrix(degree).mul(jb.matrix(degree - 1)).is_zero()
-        out[degree] = None if refused else GradedComplex.cohomology(jb, degree)
-    return out
+    """cohomology with the bound switched off, in every degree where d*d vanishes;
+    None where it is refused."""
+    jb.bound = lambda n: None
+    try:
+        return {
+            degree: jb.cohomology(degree)
+            if jb.matrix(degree).mul(jb.matrix(degree - 1)).is_zero() else None
+            for degree in jb.degrees()
+        }
+    finally:
+        del jb.bound
 
 
 @pytest.mark.parametrize("order", [3, 4, 5])
@@ -779,13 +785,13 @@ def _exact_routes(jb):
 def test_e1_bound_holds_and_answers_where_zero(monkeypatch, factory, order):
     jb = jb_assemble(factory(order))
     exact = _exact_routes(jb)
-    bounds = {degree: jb.e1_bound(degree) for degree in jb.degrees()}
+    bounds = {degree: jb.bound(degree) for degree in jb.degrees()}
     assert None not in bounds.values()
     for degree, route in exact.items():
         if route is not None:
             assert bounds[degree] >= route[0], degree
-    # where E1 vanishes the answer comes without the exact route
-    monkeypatch.setattr(jb, "_exact", lambda *args: pytest.fail("eliminated where E1 is 0"))
+    # where E1 vanishes the answer comes with no elimination
+    monkeypatch.setattr(exactnum, "_eliminate", lambda rows: pytest.fail("eliminated where E1 is 0"))
     for degree, route in exact.items():
         if route is None:
             with pytest.raises(ValueError, match=r"^d\*d does not vanish from degree %d; "
@@ -803,7 +809,7 @@ def test_e1_certificate_comes_after_the_d_squared_refusal():
     # E1 vanishes in these degrees, so checking it first would answer (0, [])
     jb = jb_assemble(factories.mc_triangle(4))
     for degree in (2, 3, 4):
-        assert jb.e1_bound(degree) == 0
+        assert jb.bound(degree) == 0
         with pytest.raises(ValueError, match=r"^d\*d does not vanish from degree %d; "
                            r"no cohomology in degree %d$" % (degree - 1, degree)):
             jb_cohomology(jb, degree)
@@ -814,11 +820,11 @@ def test_e1_bound_values():
     total = TotalComplex(factories.dg_triangle(4))
     assert all(total.cohomology(m)[0] == 0 for m in total.degrees())
     jb = jb_assemble(factories.dg_triangle(4))
-    assert all(jb.e1_bound(n) == 0 for n in jb.degrees())
+    assert all(jb.bound(n) == 0 for n in jb.degrees())
     # each C_q with q >= 2 loses the rank-one bracket Lambda^2 H -> H of
     # the nonabelian triangle: the true dimensions are 1, 4, 7
     jb = jb_assemble(factories.nonabelian_triangle(4))
-    assert {n: jb.e1_bound(n) for n in jb.degrees()} == {
+    assert {n: jb.bound(n) for n in jb.degrees()} == {
         -3: 1, -2: 6, -1: 9, 0: 0, 1: 0, 2: 0, 3: 0,
     }
 
@@ -826,7 +832,7 @@ def test_e1_bound_values():
 def test_bound_gate_names_degree_and_both_numbers(monkeypatch):
     jb = jb_assemble(factories.nonabelian_triangle(4))
     assert jb_cohomology(jb, -2)[0] == 4
-    monkeypatch.setattr(jb, "e1_bound", lambda n: 3)
+    monkeypatch.setattr(jb, "bound", lambda n: 3)
     with pytest.raises(ValueError, match=r"^cohomology in degree -2: eliminations give "
                        r"dimension 4, above its E1 bound 3$"):
         jb_cohomology(jb, -2)
@@ -861,7 +867,7 @@ def _rescaled(sela, rng):
 @lru_cache(maxsize=None)
 def _unscaled_dimensions(factory, order):
     jb = jb_assemble(factory(order))
-    return {n: (jb.e1_bound(n), r and r[0]) for n, r in _exact_routes(jb).items()}
+    return {n: (jb.bound(n), r and r[0]) for n, r in _exact_routes(jb).items()}
 
 
 @settings(max_examples=25, deadline=None, database=None)
@@ -873,34 +879,48 @@ def test_e1_bound_under_diagonal_basis_changes(made, seed):
     assert sela.validate() == []
     jb = jb_assemble(sela)
     exact = _exact_routes(jb)
-    assert {n: (jb.e1_bound(n), r and r[0]) for n, r in exact.items()} == \
+    assert {n: (jb.bound(n), r and r[0]) for n, r in exact.items()} == \
         _unscaled_dimensions(factory, order)
     for degree, route in exact.items():
-        if route is not None and jb.e1_bound(degree) == 0:
+        if route is not None and jb.bound(degree) == 0:
             assert repr(jb.cohomology(degree)) == repr(route)
 
 
-@pytest.mark.parametrize("crossing", ["count", "tag"])
-def test_filtration_scan_names_the_entry_that_breaks_it(crossing):
-    jb = jb_assemble(factories.nonabelian_triangle(4))
-    assert all(jb.filtration_break(n) is None for n in jb.degrees())
+def test_assembly_names_a_target_that_raises_the_factor_count(monkeypatch):
+    sela = factories.nonabelian_triangle(4)
     degree = 0
-    assert jb.e1_bound(degree) == 0
-    sources, targets = jb.basis[degree], jb.basis[degree + 1]
-    col, row = next(
-        (c, r)
-        for c, (word, q) in enumerate(sources)
-        for r, (image, p) in enumerate(targets)
-        if (p == q and len(image) > len(word) if crossing == "count"
-            else p != q and len(image) <= len(word))
+    jb = jb_assemble(sela)  # no degree is assembled before the patch below
+    source, (image, _) = next(
+        (s, t) for s in jb.basis[degree] for t in jb.basis[degree + 1]
+        if len(t[0]) == len(s[0]) + 1
     )
-    jb.matrix(degree).entries[row, col] = Fraction(1)
-    named = "%s -> %s" % (format_monomial(jb.sela, sources[col]),
-                          format_monomial(jb.sela, targets[row]))
-    assert jb.filtration_break(degree) == named  # the entry in d
-    assert jb.filtration_break(degree + 1) == named  # the entry in the previous d
-    assert jb.e1_bound(degree) is None
-    assert jb.e1_bound(degree + 1) is None
+
+    def raising(sela, mono, memo=None):
+        out = monomial_differential(sela, mono, memo)
+        if mono[0] == source[0]:
+            out[image, mono[1]] = Fraction(1)
+        return out
+
+    monkeypatch.setattr(assemble, "monomial_differential", raising)
+    named = "differential raises the factor count: %s -> %s" % (
+        format_monomial(sela, source), format_monomial(sela, (image, source[1])))
+    jb.matrix(degree - 1)  # a degree without the word assembles
+    for read in (lambda: jb.matrix(degree), lambda: jb.cohomology(degree),
+                 lambda: jb.cohomology(degree + 1)):
+        with pytest.raises(AssertionError, match="^%s$" % re.escape(named)):
+            read()
+
+
+def test_euler_check_on_nonabelian_triangle_5_makes_eight_eliminations(monkeypatch):
+    # four on TotalComplex for the E1 table, built once, and one per JB
+    # matrix out of degrees -4..-1: E1 vanishes in every other degree
+    calls = []
+    eliminate = exactnum._eliminate
+    monkeypatch.setattr(exactnum, "_eliminate", lambda rows: calls.append(1) or eliminate(rows))
+    jb = jb_assemble(factories.nonabelian_triangle(5))
+    assert euler_characteristic_check(jb)["equal"]
+    assert len(calls) == 8
+    assert [n for n in jb.degrees() if jb.bound(n)] == [-3, -2, -1]
 
 
 def _koszul_sorted(sela, word):

@@ -369,6 +369,16 @@ def test_truncated_module_quotient_smoke():
     assert truncated_module_quotient_dim(V, 1, vec, 3) == 4
 
 
+def test_negative_window_caps_raise():
+    vec = [(parse_poly("x", V),)]
+    assert truncated_module_quotient_dim(V, 1, vec, 0) == 1  # the window holds 1 alone
+    tc = hypersurface_tangent_dgla(parse_poly("x^2+y^3", V))
+    for count in (lambda cap: truncated_module_quotient_dim(V, 1, vec, cap),
+                  tc.truncated_ranks, tc.truncated_h1):
+        with pytest.raises(ValueError, match="window cap -2 is negative"):
+            count(-2)
+
+
 def test_ci_t1_matches_hypersurface():
     # re-embedding the cusp with z = x + y is again codimension two;
     # the module count must reproduce the plane-curve answer
