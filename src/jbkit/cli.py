@@ -311,6 +311,10 @@ def cmd_milnor(args):
 
 def cmd_tangent_dgla(args):
     f = _poly_arg("--poly", args.poly, _vars_arg(args.vars))
+    if args.truncate is not None:
+        _cap(args.truncate, "--truncate")
+        if args.truncate < 0:
+            raise _Usage("--truncate must be nonnegative")
     tc = hypersurface_tangent_dgla(f)
     pc = tc.complex
     ideal = tc.h1_ideal()
@@ -326,11 +330,8 @@ def cmd_tangent_dgla(args):
         report["h1_dimension"] = None
         report["note"] = str(e)
     if args.truncate is not None:
-        cap = _cap(args.truncate, "--truncate")
-        if cap < 0:
-            raise _Usage("--truncate must be nonnegative")
-        report["truncated_h1"] = tc.truncated_h1(cap)
-        report["truncated_ranks"] = tc.truncated_ranks(cap)
+        report["truncated_h1"] = tc.truncated_h1(args.truncate)
+        report["truncated_ranks"] = tc.truncated_ranks(args.truncate)
     _emit(report)
     return 0
 

@@ -157,36 +157,52 @@ class SparseRatMatrix:
         return m
 
     def mul(self, other: "SparseRatMatrix") -> "SparseRatMatrix":
-        """Sparse matrix product self @ other, accumulated in integers.
+        """Sparse matrix product self @ other, accumulated in integers, row by row.
 
         With a the lcm of the denominators of self and b that of other,
         aA and bB have integer entries, so every sum of the product
         (aA)(bB) = ab(AB) is a sum of Python ints: exact, and free of the
-        gcd that each Fraction addition pays.  Each entry is divided by
-        ab once at the end.  A key is dropped as soon as its running sum
-        is zero, so sums that cancel are never stored, no zero reaches
-        the result and the accumulator holds only live sums.
+        gcd that each Fraction addition pays.  Each output row i is
+        accumulated on its own (Gustavson's row-wise product), in a dict
+        keyed by column: the entries of row i of self, in their order,
+        each add a multiple of one row of other.  Only row i of self
+        reaches row i of the product, so a row is complete when its
+        entries are spent.  A column is dropped from the row as soon as
+        its running sum is zero, so sums that cancel are never stored and
+        no zero reaches the result.  Each entry is divided by ab once at
+        the end.  The result lists its rows in the order they first occur
+        in self.
         """
         if self.ncols != other.nrows:
             raise ValueError("shape mismatch in product")
-        a = lcm(*(v.denominator for v in self.entries.values()))
-        b = lcm(*(v.denominator for v in other.entries.values()))
+        b = lcm(*{v.denominator for v in other.entries.values()})
         rows_of_other: dict[int, list[tuple[int, int]]] = {}
-        for (i, j), v in other.entries.items():
-            rows_of_other.setdefault(i, []).append((j, v.numerator * (b // v.denominator)))
-        acc: dict[tuple[int, int], int] = {}
+        for (k, j), v in other.entries.items():
+            n, d = v.as_integer_ratio()
+            rows_of_other.setdefault(k, []).append((j, n * (b // d)))
+        a = lcm(*{v.denominator for v in self.entries.values()})
+        rows_of_self: dict[int, list[tuple[int, list[tuple[int, int]]]]] = {}
         for (i, k), v in self.entries.items():
-            x = v.numerator * (a // v.denominator)
-            for j, y in rows_of_other.get(k, ()):
-                key = (i, j)
-                s = acc.get(key, 0) + x * y
-                if s:
-                    acc[key] = s
-                else:
-                    del acc[key]
+            row = rows_of_other.get(k)
+            if row is not None:
+                n, d = v.as_integer_ratio()
+                rows_of_self.setdefault(i, []).append((n * (a // d), row))
         ab = a * b
+        entries = {}
+        for i, terms in rows_of_self.items():
+            acc: dict[int, int] = {}
+            get = acc.get
+            for x, row in terms:
+                for j, y in row:
+                    s = get(j, 0) + x * y
+                    if s:
+                        acc[j] = s
+                    else:
+                        del acc[j]
+            for j, s in acc.items():
+                entries[i, j] = Fraction(s, ab)
         m = SparseRatMatrix(self.nrows, other.ncols)
-        m.entries = {key: Fraction(s, ab) for key, s in acc.items()}
+        m.entries = entries
         return m
 
     def apply(self, vec: dict) -> dict:

@@ -63,15 +63,19 @@ One JBComplex, or one chain_differential call, keeps a dict (the memo)
 that lives as long as that complex or call and holds, each computed
 once:
 
-  per factor        its factor_key, its parity and its one-factor
-                    differential (Sela.differential_of), all read off the
-                    factor's simplex and basis index alone;
+  once              the rank of every factor of the gluing datum: its
+                    place in factor_key order, the order the enumeration
+                    sorts factors by, so ranks compare as keys do;
+  per factor        its rank, its parity and its one-factor differential
+                    (Sela.differential_of), all read off the factor's
+                    simplex and basis index alone;
   per simplex       the selection plan: the selections of every family
   shape             that can be nonzero on factors sitting on that tuple
                     of simplices, in the order monomial_differential
                     walks them, each with its sorted and leftover
                     positions;
-  per selection     the value of each family on the selected factors:
+  per selection     the value of each family on the selected factors,
+                    keyed by (kind, simplex, ranks of those factors):
                     the vertex bracket, the symmetrized adjoint action of
                     edge factors on a vertex factor (with its Bernoulli
                     scalar and coface sign), the bracket of the restricted
@@ -88,9 +92,13 @@ on plain sparse maps {basis index: Fraction}, with StructLie.bracket_maps
 for every bracket and SparseRatMatrix.apply for every coface.  The rest
 of the monomial only enters through the Koszul sign and the merge that
 monomial_differential applies per selection.  Values are stored with
-the key and parity of every factor they produce, ready for that merge,
-which signs a coefficient by negation and merges the new factor into
-the sorted remainder in one walk.
+the rank and parity of every factor they produce and with each
+coefficient next to its negative, ready for that merge: the Koszul sign
+picks one of the two, and the new factor goes where bisect_left puts
+its rank among the ranks of the word, less the selected factors before
+that place.  The odd factors it passes are the word's count of odd
+factors before that place, less the odd selected ones.  The factor
+tuples of a selection are built only when its value is computed.
 
 The power q of t only tags the targets: d(word, q) is d(word, q') with
 every tag q turned into q'.  Each degree's basis keeps the tags of one
@@ -118,9 +126,11 @@ module does not model; verify_d_squared is the guard for that regime.
 
 from __future__ import annotations
 
-from bisect import bisect_right
+import sys
+from bisect import bisect_left, bisect_right
 from functools import cached_property
 from itertools import combinations, combinations_with_replacement, permutations, product
+from operator import itemgetter
 
 from ..bch import build_table
 from ..exactnum import ONE, SparseRatMatrix, bernoulli_normalized
@@ -150,6 +160,9 @@ __all__ = [
 
 
 # -- factors and monomials ----------------------------------------------
+
+_PAST_EVERY_RANK = sys.maxsize
+
 
 def factor_key(f):
     simplex, idx = f
@@ -321,31 +334,40 @@ def _vertex_into_triangle(sela, vert, tri, a):
     return {}
 
 
-def _targets(sela, pairs):
-    """Family values ready to merge: (factor, key, parity, coeff), zeros dropped."""
-    return [(g, factor_key(g), factor_parity(sela, g), c) for g, c in pairs if c]
+def _ranks(sela, memo):
+    """Every factor of the gluing datum numbered in factor_key order, once per memo."""
+    rank = memo.get("rank")
+    if rank is None:
+        factors = [(s, b) for s in sela.simplices() for b in range(sela.algebra(s).dim)]
+        factors.sort(key=factor_key)
+        rank = memo["rank"] = {f: r for r, f in enumerate(factors)}
+    return rank
+
+
+def _targets(sela, memo, pairs):
+    """Family values ready to merge: (factor, rank, parity, coeff, -coeff), zeros dropped."""
+    rank = _ranks(sela, memo)
+    return [(g, rank[g], factor_parity(sela, g), c, -c) for g, c in pairs if c]
 
 
 def _factor_data(sela, memo, f):
-    """Key, parity and one-factor differential of factor f, kept in memo."""
-    data = memo.get(f)
-    if data is None:
-        data = memo[f] = (
-            factor_key(f), factor_parity(sela, f), _targets(sela, sela.differential_of(*f))
-        )
+    """Rank, parity and one-factor differential of factor f, kept in memo."""
+    targets = _targets(sela, memo, sela.differential_of(*f))
+    data = memo[f] = (_ranks(sela, memo)[f], factor_parity(sela, f), targets)
     return data
 
 
-def _family_value(sela, key):
-    """Value of one family on a selection, read off its memo key alone.
+def _family_value(sela, selection):
+    """Value of one family on a selection, read off the selection alone.
 
-    The key is (kind, simplex, selected factors in key order): ("bracket",
-    vertex, x, y) for two factors on one vertex, ("transport", edge, x,
-    y1, ..) for a vertex factor x and edge factors, ("top", triangle, x,
-    y) for a top vertex and a triangle factor, and ("slot", triangle,
-    factors in slot order).
+    The selection is (kind, simplex, selected factors in key order):
+    ("bracket", vertex, x, y) for two factors on one vertex, ("transport",
+    edge, x, y1, ..) for a vertex factor x and edge factors, ("top",
+    triangle, x, y) for a top vertex and a triangle factor, and ("slot",
+    triangle, factors in slot order).  Its memo key has the ranks of
+    those factors in their place.
     """
-    kind, simplex, selected = key[0], key[1], key[2:]
+    kind, simplex, selected = selection[0], selection[1], selection[2:]
     if kind == "bracket":
         (_, a), (_, b) = selected
         lie = sela.algebra(simplex)
@@ -380,9 +402,11 @@ def _selection_plan(sela, shape):
     """The selections of every family on factors sitting on the simplices of shape.
 
     One entry per selection, in the order monomial_differential emits
-    them: (kind, simplex, key positions, sorted positions, leftover
-    positions), where kind is None for one factor and otherwise names the
-    family of the memo key (kind, simplex, factors at the key positions).
+    them: (head, pick, sorted positions, leftover positions).  For one
+    factor head is None and pick its position; otherwise head is (kind,
+    simplex), kind naming the family, and pick reads the key positions
+    off a word, so head + pick(ranks of the word) keys the family value
+    in the memo and head + pick(factors of the word) selects its factors.
     Transport selections with a zero Bernoulli coefficient and slot
     selections longer than the triangle algebra's nilpotency class are
     left out: their value is zero.
@@ -392,7 +416,11 @@ def _selection_plan(sela, shape):
 
     def add(kind, simplex, order):
         chosen = tuple(sorted(order))
-        plan.append((kind, simplex, order, chosen, tuple(t for t in range(k) if t not in chosen)))
+        rest = tuple(t for t in range(k) if t not in chosen)
+        if kind is None:
+            plan.append((None, order[0], chosen, rest))
+        else:
+            plan.append(((kind, simplex), itemgetter(*order), chosen, rest))
 
     # one factor: cofaces and the internal differential
     for i in range(k):
@@ -458,11 +486,11 @@ def _selection_plan(sela, shape):
 def monomial_differential(sela, mono, memo=None):
     """d of one basis monomial as a sparse chain {monomial: Fraction}.
 
-    memo holds the per-factor data, the selection plans by simplex shape
-    and the family values by factor selection; pass one dict to every
-    call of an assembly to compute each of them once.  The tag q only
-    tags the targets, so the monomials of one word have the same d up to
-    their tags.
+    memo holds the factor ranks, the per-factor data, the selection plans
+    by simplex shape and the family values by selection; pass one dict to
+    every call of an assembly to compute each of them once.  The tag q
+    only tags the targets, so the monomials of one word have the same d
+    up to their tags.
     """
     if memo is None:
         memo = {}
@@ -471,23 +499,29 @@ def monomial_differential(sela, mono, memo=None):
     plan = memo.get(("plan", shape))
     if plan is None:
         plan = memo["plan", shape] = _selection_plan(sela, shape)
-    data = [_factor_data(sela, memo, f) for f in factors]
-    keys = [d[0] for d in data]
+    data = [memo.get(f) or _factor_data(sela, memo, f) for f in factors]
+    ranks = [d[0] for d in data]
     parities = [d[1] for d in data]
     odd_before = [0]
     for p in parities:
         odd_before.append(odd_before[-1] + p)
+    ranks.append(_PAST_EVERY_RANK)  # so ranks[at] is defined for at = len(factors)
     out = {}
-    for kind, simplex, order, chosen, rest in plan:
-        if kind is None:
-            targets = data[order[0]][2]
+    for head, pick, chosen, rest in plan:
+        if head is None:
+            targets = data[pick][2]
+            if not targets:
+                continue
+            rest_f = factors[:pick] + factors[pick + 1:]
         else:
-            key = (kind, simplex) + tuple([factors[p] for p in order])
+            key = head + pick(ranks)
             targets = memo.get(key)
             if targets is None:
-                targets = memo[key] = _targets(sela, _family_value(sela, key))
-        if not targets:
-            continue
+                value = _family_value(sela, head + pick(factors))
+                targets = memo[key] = _targets(sela, memo, value)
+            if not targets:
+                continue
+            rest_f = tuple([factors[t] for t in rest])
         # the selected factors move to the front of the word: each odd one
         # passes the unselected odd factors on its left
         ext = odd_chosen = 0
@@ -495,26 +529,30 @@ def monomial_differential(sela, mono, memo=None):
             if parities[t]:
                 ext += odd_before[t] - odd_chosen
                 odd_chosen += 1
-        rest_f = tuple([factors[t] for t in rest])
-        n = len(rest)
-        for g, gk, gp, coeff in targets:
-            # the new factor merges into the sorted remainder, passing the
-            # odd factors with smaller keys
-            pos = passed = 0
-            while pos < n and keys[rest[pos]] < gk:
-                passed += parities[rest[pos]]
-                pos += 1
-            if gp and pos < n and keys[rest[pos]] == gk:
-                continue  # odd square
+        for g, gr, gp, coeff, neg in targets:
+            # the new factor merges into the remainder before the first
+            # factor of rank not below its own: at is that position in the
+            # word, pos in the remainder, and passed counts the odd factors
+            # of the remainder it passes
+            at = bisect_left(ranks, gr)
+            pos, passed = at, odd_before[at]
+            for t in chosen:
+                if t < at:
+                    pos -= 1
+                    passed -= parities[t]
+            if gp and ranks[at] == gr and at not in chosen:
+                continue  # odd square; odd factors never repeat, so only at can hold g
             target = (rest_f[:pos] + (g,) + rest_f[pos:], q)
-            val = -coeff if (ext + gp * passed) % 2 else coeff
+            val = neg if (ext + gp * passed) % 2 else coeff
             s = out.get(target)
-            if s is not None:
-                val += s
-            if val:
-                out[target] = val
+            if s is None:
+                out[target] = val  # stored coefficients are nonzero
             else:
-                del out[target]
+                val += s
+                if val:
+                    out[target] = val
+                else:
+                    del out[target]
     return out
 
 
@@ -565,6 +603,7 @@ class JBComplex(GradedComplex):
     def __init__(self, sela):
         self.order = sela.artin_order
         memo = {}
+        factors = list(_ranks(sela, memo))  # in rank order
         last = [None, ()]  # the last word and its d, tags dropped
 
         # d reads the tag q only to tag its targets, and the basis keeps
@@ -585,17 +624,14 @@ class JBComplex(GradedComplex):
             return [((w, q), v) for w, v in last[1]]
 
         super().__init__(
-            sela, self._enumerate(sela), differential, lambda mono: format_monomial(sela, mono)
+            sela, self._enumerate(sela, factors), differential,
+            lambda mono: format_monomial(sela, mono),
         )
 
-    # enumeration is deterministic: factors ordered by (simplex size,
-    # simplex, basis index), monomials by (factor count, factors, q)
-    def _enumerate(self, sela):
-        factors = []
-        for simplex in sela.simplices():
-            for b in range(sela.algebras[simplex].dim):
-                factors.append((simplex, b))
-        factors.sort(key=factor_key)
+    # enumeration is deterministic: factors come in factor_key order,
+    # (simplex size, simplex, basis index), monomials by (factor count,
+    # factors, q)
+    def _enumerate(self, sela, factors):
         parity = {f: factor_parity(sela, f) for f in factors}
         degree = {f: factor_degree(sela, f) for f in factors}
         basis = {}

@@ -535,6 +535,8 @@ def lift_deformation(f, g, from_order, to_order):
         raise ValueError("a family needs at least one power of t: order >= 2")
     if to_order <= from_order:
         raise ValueError("target order must exceed the starting order")
+    if f.is_zero():
+        raise ValueError("the equation must be nonzero, got f = 0")
     # the largest table first: every smaller one is a truncation of it
     _shared_table(to_order - 1)
     ks = ks_cochain(f, g, from_order)

@@ -286,6 +286,27 @@ def test_tangent_dgla(capsys):
     err = usage_error(capsys, "tangent-dgla", "--vars", "x,y", "--poly", "x^2+y^3",
                       "--truncate", "-2")
     assert "--truncate must be nonnegative" in err
+    # a malformed invocation is refused before the equation is looked at
+    err = usage_error(capsys, "tangent-dgla", "--vars", "x,y", "--poly", "1", "--truncate", "-2")
+    assert "--truncate must be nonnegative" in err
+
+
+@pytest.mark.parametrize("truncate, max_degree, message", [
+    ("-2", None, "--truncate must be nonnegative"),
+    ("4", "3", "--truncate 4 exceeds JBKIT_MAX_DEGREE=3"),
+])
+def test_tangent_dgla_checks_truncate_before_any_work(capsys, monkeypatch, truncate, max_degree,
+                                                      message):
+    calls = []
+    monkeypatch.setattr(cli, "hypersurface_tangent_dgla", lambda f: calls.append(f))
+    if max_degree is None:
+        monkeypatch.delenv("JBKIT_MAX_DEGREE", raising=False)
+    else:
+        monkeypatch.setenv("JBKIT_MAX_DEGREE", max_degree)
+    err = usage_error(capsys, "tangent-dgla", "--vars", "x,y", "--poly", "x^2+y^3",
+                      "--truncate", truncate)
+    assert message in err
+    assert calls == []
 
 
 @pytest.mark.parametrize("poly", ["x^3+y^2", "x^2"])
@@ -321,6 +342,9 @@ def test_deform_lift(capsys):
     assert "--to-order must exceed --from-order" in err
     usage_error(capsys, *base, "--direction", "x*", "--to-order", "3")
     usage_error(capsys, *base, "--direction", "w", "--to-order", "3")
+    rc, out = run_json(capsys, "deform", "lift", "--vars", "x,y", "--poly=0", "--direction=x",
+                       "--to-order", "3")
+    assert (rc, out) == (1, {"error": "the equation must be nonzero, got f = 0"})
 
 
 def test_deform_lift_refuses_unordered_orders_before_parsing(capsys):

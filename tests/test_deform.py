@@ -246,3 +246,5 @@ def test_lift_argument_validation():
         lift_deformation(f, g, 1, 3)
     with pytest.raises(ValueError, match="must exceed"):
         lift_deformation(f, g, 3, 3)
+    with pytest.raises(ValueError, match="^the equation must be nonzero, got f = 0$"):
+        lift_deformation(parse_poly("0", W), g, 2, 3)
