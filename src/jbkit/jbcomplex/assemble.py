@@ -59,6 +59,32 @@ dimensions of TotalComplex; where TotalComplex does not square to zero
 bound(n) is None in every degree.  A count of 0 answers (0, []) with no
 elimination; elsewhere the eliminated dimension must not exceed it.
 
+JBComplex certifies d*d = 0 from the one-factor rows.  The chain groups
+are the symmetric coalgebra on C_1, truncated by the tags, and d is a
+coderivation of it: d of a word is the sum, over every nonempty set S of
+positions of its factors, of the one-factor part of d on the factors at
+S, merged into the word without them with the Koszul sign of moving them
+to the front.  That is the L-infinity structure of D. Fiorenza, M.
+Manetti & E. Martinengo, Cosimplicial DGLAs in deformation theory
+(Comm. Algebra 40, 2012), and the plan walk and its merge in
+monomial_differential are written to produce it.  d*d, the square of an
+odd coderivation, is a coderivation too, and a coderivation vanishes
+exactly when its one-factor rows do (Loday-Vallette, Algebraic Operads,
+10.3).  Each degree's basis lists its one-factor monomials first, so
+square_defects multiplies only that prefix of the rows of d out of n + 1
+by the rows of d out of n that its columns reach.  The statement is
+global, not per degree: on mc_triangle(5) the one-factor rows fail in
+degree 1 only, the full product in degrees 1 to 5.  So a zero result
+certifies every degree at once, and any other result falls back to the
+full product in every degree, whose list jb check prints.  The trade:
+the full product also checks the rows with several factors on their own
+terms, while the certificate relies on d being a coderivation.  A wrong
+Koszul sign in the merge can break that and slip past the certificate
+(dropping the sign of moving the selected factors to the front does on
+mc_pair(3-5) and dg_pair(3)), so a test rebuilds every column of every
+assembled matrix as the coderivation extension of the one-factor rows.
+TotalComplex and the d*d refusal of cohomology(n) keep the full product.
+
 One JBComplex, or one chain_differential call, keeps a dict (the memo)
 that lives as long as that complex or call and holds, each computed
 once:
@@ -239,6 +265,17 @@ def chain_mul(sela, u, v):
                     out[key] = s
                 else:
                     out.pop(key, None)
+    return out
+
+
+def _factor_count(mono):
+    return len(mono[0])
+
+
+def _rows(mat, keep):
+    """mat with its entries outside the rows in keep dropped."""
+    out = SparseRatMatrix(mat.nrows, mat.ncols)
+    out.entries = {rc: v for rc, v in mat.entries.items() if rc[0] in keep}
     return out
 
 
@@ -649,6 +686,26 @@ class JBComplex(GradedComplex):
     def monomials(self, degree):
         return list(self.basis.get(degree, ()))
 
+    def square_defects(self):
+        """GradedComplex.square_defects, certified empty from the one-factor rows.
+
+        For every pair of consecutive degrees only the one-factor rows of
+        d out of n + 1, a prefix of its rows, are multiplied by d out of
+        n, and of that only by the rows their columns reach: the other
+        rows meet zero columns.  d*d is a coderivation, so where all
+        those products vanish it is zero (module docstring) and the list
+        is empty.  Otherwise the full product of every degree gives the
+        list.
+        """
+        for n in self.degrees():
+            if n + 1 in self.basis:
+                ones = bisect_right(self.basis.get(n + 2, ()), 1, key=_factor_count)
+                head = _rows(self.matrix(n + 1), range(ones))
+                reached = _rows(self.matrix(n), {c for _, c in head.entries})
+                if not head.mul(reached).is_zero():
+                    return super().square_defects()
+        return []
+
     def bound(self, n):
         """The E1 count of degree n (module docstring); None in every degree
         where TotalComplex does not square to zero."""
@@ -688,8 +745,11 @@ def jb_assemble(sela):
 def verify_d_squared(jb):
     """All compositions d(d(monomial)); empty list means they vanish.
 
-    Failures come back as (degree, source monomial, target monomial,
-    coefficient) with the monomials formatted for reading.
+    Read off JBComplex.square_defects: the one-factor rows of d*d
+    certify the empty list; where they do not vanish, every nonzero
+    entry of the full product comes back as (degree, source monomial,
+    target monomial, coefficient) with the monomials formatted for
+    reading.
     """
     return [
         (deg, format_monomial(jb.sela, src), format_monomial(jb.sela, dst), v)

@@ -246,7 +246,11 @@ class Sela:
         """Parse the to_json schema; malformed data raises ValueError."""
         try:
             indices = tuple(data["indices"])
-            order = int(data.get("artin_order", 2))
+            order = data.get("artin_order", 2)
+            if not isinstance(order, int) or isinstance(order, bool):
+                raise ValueError(
+                    "malformed gluing datum (artin_order must be an integer, got %r)" % (order,)
+                )
             algebras = {}
             for key, alg in data.get("algebras", {}).items():
                 algebras[_parse_simplex(key, indices)] = StructLie.from_json(alg)

@@ -148,6 +148,20 @@ def test_malformed_datum_exits_one_without_traceback(capsys, tmp_path, data, mes
     assert err == ""
 
 
+@pytest.mark.parametrize("order", [3.9, 3.0, True, "x", "3", None, [3]])
+def test_artin_order_that_is_not_an_integer_exits_one(capsys, tmp_path, order):
+    # a float, a bool or a string was once truncated or converted to an
+    # order, or failed with a message that did not name the field
+    data = factories.lie_pair(2).to_json()
+    data["artin_order"] = order
+    path = write(tmp_path, "bad.json", data)
+    rc, out, err = run(capsys, "jb", "check", "--data", path)
+    assert rc == 1 and err == ""
+    assert json.loads(out) == {
+        "error": "malformed gluing datum (artin_order must be an integer, got %r)" % (order,)
+    }
+
+
 def test_unparsable_json_exits_one(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{")

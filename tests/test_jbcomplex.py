@@ -4,6 +4,7 @@ import hashlib
 import json
 import random
 import re
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
@@ -303,14 +304,21 @@ def _reference_mul(left, right):
     return m
 
 
+@lru_cache(maxsize=None)
+def _assembled(factory, order):
+    """One complex per factory and order, shared by the tests that only read it."""
+    return jb_assemble(factory(order))
+
+
 @pytest.mark.parametrize("order", [3, 4, 5])
 @pytest.mark.parametrize("factory", _ORDERED_FACTORIES, ids=lambda f: f.__name__)
 def test_matrices_and_their_products_match_pinned_and_reference_values(factory, order):
-    jb = jb_assemble(factory(order))
+    jb = _assembled(factory, order)
     data = [(n, list(jb.matrix(n).entries.items())) for n in jb.degrees()]
     assert hashlib.sha256(repr(data).encode()).hexdigest() == \
         _MATRIX_DIGESTS[factory.__name__][order]
     nonzero = False
+    defects = []  # the full product of every pair of consecutive degrees
     for n in jb.degrees():
         if n + 1 in jb.basis:
             left, right = jb.matrix(n + 1), jb.matrix(n)
@@ -319,9 +327,110 @@ def test_matrices_and_their_products_match_pinned_and_reference_values(factory, 
             assert got.entries == want.entries, n
             assert all(got.entries.values())
             nonzero = nonzero or bool(got.entries)
+            for (r, c), v in sorted(want.entries.items()):
+                defects.append((n, jb.basis[n][c], jb.basis[n + 2][r], v))
     # d does not square to zero on mc_triangle, so products that keep
-    # entries are compared too
+    # entries are compared too, and the certificate must fall back to
+    # the full list there
     assert nonzero == (factory is factories.mc_triangle)
+    assert jb.square_defects() == defects
+
+
+# -- d*d certified from the one-factor rows --------------------------------
+
+def _columns(jb):
+    """d as {source monomial: {target monomial: value}} over every degree."""
+    cols = {}
+    for deg in jb.degrees():
+        sources, targets = jb.basis[deg], jb.basis.get(deg + 1, [])
+        for (r, c), v in jb.matrix(deg).entries.items():
+            cols.setdefault(sources[c], {})[targets[r]] = v
+    return cols
+
+
+def _coderivation_extension(info, one, most, word, q):
+    """d(w, q) rebuilt from the one-factor columns of every (w_S, q).
+
+    S runs over the nonempty sets of positions of w, up to the longest
+    word with a nonzero one-factor column (most).  Moving S to the front
+    passes each odd factor of S over the odd factors of w without S on
+    its left.  Each new factor g then merges into w without S where
+    bisect_left puts its factor_key, passing the odd factors before that
+    place; an odd g that w without S already holds gives zero.
+    """
+    out = {}
+    for size in range(1, min(len(word), most) + 1):
+        for chosen in combinations(range(len(word)), size):
+            column = one.get((tuple(word[i] for i in chosen), q))
+            if column is None:
+                continue
+            left = [i for i in range(len(word)) if i not in chosen]
+            rest = tuple(word[i] for i in left)
+            keys = [info[f][0] for f in rest]
+            moved = sum(info[word[j]][1] for i in chosen if info[word[i]][1] for j in left if j < i)
+            for ((g,), tag), v in column.items():
+                key, odd = info[g]
+                if odd and g in rest:
+                    continue
+                pos = bisect_left(keys, key)
+                passed = sum(info[f][1] for f in rest[:pos]) if odd else 0
+                target = (rest[:pos] + (g,) + rest[pos:], tag)
+                v = -v if (moved + passed) % 2 else v
+                s = out.get(target)
+                out[target] = v if s is None else s + v
+    return {t: v for t, v in out.items() if v}
+
+
+@pytest.mark.parametrize("order", [3, 4, 5])
+@pytest.mark.parametrize("factory", _ORDERED_FACTORIES, ids=lambda f: f.__name__)
+def test_every_column_is_the_coderivation_extension_of_one_factor_rows(factory, order):
+    # the certificate in JBComplex.square_defects rests on d being a
+    # coderivation: d of (w, q) is the sum over nonempty sets S of
+    # positions of the one-factor part of d(w_S, q), times w without S
+    jb = _assembled(factory, order)
+    sela = jb.sela
+    info = {
+        f: (factor_key(f), factor_parity(sela, f))
+        for f in ((s, b) for s in sela.simplices() for b in range(sela.algebra(s).dim))
+    }
+    full = _columns(jb)
+    one = {}
+    for source, column in full.items():
+        column = {t: v for t, v in column.items() if len(t[0]) == 1}
+        if column:
+            one[source] = column
+    most = max((len(word) for word, _ in one), default=0)
+    for deg in jb.degrees():
+        for mono in jb.basis[deg]:
+            assert _coderivation_extension(info, one, most, *mono) == full.get(mono, {}), \
+                (deg, format_monomial(sela, mono))
+
+
+def test_certificate_multiplies_only_one_factor_rows(monkeypatch):
+    jb = _assembled(factories.nonabelian_triangle, 5)
+    calls = []
+    mul = SparseRatMatrix.mul
+    monkeypatch.setattr(SparseRatMatrix, "mul",
+                        lambda left, right: calls.append((left, right)) or mul(left, right))
+    assert jb.square_defects() == []
+    pairs = [n for n in jb.degrees() if n + 1 in jb.basis]
+    assert len(calls) == len(pairs)
+    left_out = 0
+    for n, (left, right) in zip(pairs, calls):
+        # the left factor holds every one-factor row of d out of n + 1
+        # and no other row, the right one the rows of d out of n that
+        # its columns reach
+        targets = jb.basis.get(n + 2, [])
+        entries = jb.matrix(n + 1).entries
+        assert left.entries == {
+            (r, c): v for (r, c), v in entries.items() if len(targets[r][0]) == 1
+        }, n
+        reached = {c for _, c in left.entries}
+        assert right.entries == {
+            (r, c): v for (r, c), v in jb.matrix(n).entries.items() if r in reached
+        }, n
+        left_out += len(entries) - len(left.entries)
+    assert left_out  # d has rows with several factors, so the spy can tell the two apart
 
 
 @pytest.mark.parametrize("degree", [-2, 0, 1])

@@ -1,6 +1,7 @@
 """Gluing data: sign table, validation, total complex, serialization."""
 
 import json
+import re
 from fractions import Fraction
 from importlib import resources
 
@@ -324,6 +325,19 @@ def test_from_json_rejects_unknown_simplex_name():
     data["algebras"]["7"] = data["algebras"]["0"]
     with pytest.raises(ValueError):
         Sela.from_json(data)
+
+
+@pytest.mark.parametrize("order", [3.9, True, False, "x", None])
+def test_from_json_accepts_only_an_integer_artin_order(order):
+    data = factories.lie_pair(2).to_json()
+    data["artin_order"] = order
+    with pytest.raises(ValueError, match=r"^malformed gluing datum \(artin_order must be an "
+                       r"integer, got %s\)$" % re.escape(repr(order))):
+        Sela.from_json(data)
+    data["artin_order"] = 4
+    assert Sela.from_json(data).artin_order == 4
+    del data["artin_order"]
+    assert Sela.from_json(data).artin_order == 2
 
 
 def test_with_order():
