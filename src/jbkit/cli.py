@@ -2,9 +2,9 @@
 
 One binary, subcommand per pipeline, JSON in and out.  Rationals are
 printed as strings so no consumer ever rounds them; for fixed inputs the
-bytes emitted are identical run to run.  Exit status 0 means the
-computation succeeded, 1 means the input was readable but failed a
-mathematical validation, 2 means the invocation itself was malformed.
+bytes emitted are identical run to run.  Exit status 0 means success, 1
+a readable input that failed a mathematical validation or a stdout its
+reader closed early (no traceback then either), 2 a malformed invocation.
 The environment variable JBKIT_MAX_DEGREE caps every degree- or
 order-like argument globally.
 """
@@ -590,4 +590,10 @@ def run(argv=None):
 
 
 def main(argv=None):
-    return run(argv)
+    try:
+        status = run(argv)
+        sys.stdout.flush()
+        return status
+    except BrokenPipeError:  # stdout then points at devnull, so the final flush stays silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1

@@ -267,11 +267,6 @@ def _integer_row(row: dict[int, Fraction]) -> dict[int, int]:
     return _primitive({j: v.numerator * (scale // v.denominator) for j, v in row.items()})
 
 
-def _integer_rows(matrix: SparseRatMatrix) -> list[dict[int, int]]:
-    """Clear denominators row by row; elimination then stays in Z."""
-    return [_integer_row(row) for _, row in sorted(matrix.rows().items())]
-
-
 def _combine(p: int, r: dict[int, int], a: int, q: dict[int, int]) -> dict[int, int]:
     """The fraction-free row update p*r - a*q, divided by its content.
 
@@ -334,8 +329,8 @@ def _eliminate(rows: list[dict[int, int]]) -> dict[int, dict[int, int]]:
 
 
 def row_echelon(matrix: SparseRatMatrix) -> dict[int, dict[int, int]]:
-    """Echelon rows spanning the row space of matrix, keyed by pivot."""
-    return _eliminate(_integer_rows(matrix))
+    """Echelon rows spanning the row space of matrix, keyed by pivot; eliminated in Z."""
+    return _eliminate([_integer_row(row) for _, row in sorted(matrix.rows().items())])
 
 
 def column_echelon(matrix: SparseRatMatrix) -> dict[int, dict[int, int]]:
@@ -401,14 +396,19 @@ def _back_substitute(echelon: dict[int, dict[int, int]], starts):
         yield x
 
 
-def kernel_vectors(echelon: dict[int, dict[int, int]], ncols: int):
-    """The right kernel of echelon's rows in ncols columns, one vector at a time.
+def kernel_complement(echelon: dict[int, dict[int, int]], image: SparseRatMatrix):
+    """rank(image), and lazily the kernel vectors of echelon's rows that complement it.
 
-    One vector per free column, in ascending order, with that coordinate
-    1 and the other free ones 0.  This basis depends only on the row
-    space and its pivot columns, not on the echelon form chosen for it.
+    image must lie in that kernel, whose vectors are fixed by their free
+    coordinates.  k_f (free coordinates 1 at f, 0 elsewhere) is yielded in
+    ascending f unless f is the largest free coordinate of an image
+    vector: a pivot of image's free rows eliminated largest-first.
     """
-    return _back_substitute(echelon, ({f: ONE} for f in range(ncols) if f not in echelon))
+    free = [f for f in range(image.nrows) if f not in echelon]
+    slot = {f: len(free) - k for k, f in enumerate(free)}
+    cols = image.transpose().rows().values()
+    pivots = _eliminate([_integer_row({slot[i]: v for i, v in c.items() if i in slot}) for c in cols])
+    return len(pivots), _back_substitute(echelon, ({f: ONE} for f in free if slot[f] not in pivots))
 
 
 def rank_kernel(matrix: SparseRatMatrix) -> tuple[int, list[dict[int, Fraction]]]:
@@ -418,7 +418,8 @@ def rank_kernel(matrix: SparseRatMatrix) -> tuple[int, list[dict[int, Fraction]]
     produced per free column, with that free coordinate set to 1.
     """
     echelon = row_echelon(matrix)
-    return len(echelon), list(kernel_vectors(echelon, matrix.ncols))
+    starts = ({f: ONE} for f in range(matrix.ncols) if f not in echelon)
+    return len(echelon), list(_back_substitute(echelon, starts))
 
 
 def rank(matrix: SparseRatMatrix) -> int:

@@ -19,9 +19,9 @@ out of a degree from the differential of single basis items the first
 time that matrix is read (an item mapped outside the enumerated basis
 raises AssertionError naming both), the d*d check over consecutive
 degrees, and one cohomology routine: refused unless d*d vanishes there,
-answered without elimination where the hook bound(n) is 0, and
-otherwise eliminated and gated by that bound.  A command that reads
-cohomology in degree n assembles only d out of degrees n - 1 and n.
+answered without elimination where the hook bound(n) is 0, otherwise
+eliminated once for d and once for the previous d on d's free rows,
+and gated by bound(n); degree n assembles only d out of n - 1 and n.
 TotalComplex (basis vectors of the per-simplex algebras) supplies only
 the basis and the differential; assemble.JBComplex (chain monomials)
 also fills bound(n) with its E1 count.
@@ -32,8 +32,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from ..exactnum import (
-    SparseRatMatrix, ZERO, column_echelon, format_rational, insert, kernel_vectors,
-    parse_rational, rank, row_echelon,
+    SparseRatMatrix, ZERO, format_rational, kernel_complement, parse_rational, rank, row_echelon,
 )
 from ..liecore import StructLie, check_lie_axioms
 
@@ -357,10 +356,9 @@ class GradedComplex:
 
     def rank(self, n):
         """The rank of d out of degree n, computed once."""
-        r = self._ranks.get(n)
-        if r is None:
-            r = self._ranks[n] = rank(self.matrix(n))
-        return r
+        if n not in self._ranks:
+            self._ranks[n] = rank(self.matrix(n))
+        return self._ranks[n]
 
     def square_defects(self):
         """Nonzero entries of d*d as (degree, source item, target item, value).
@@ -386,16 +384,16 @@ class GradedComplex:
     def cohomology(self, n):
         """Dimension and representative chains in degree n.
 
-        Refused unless d*d vanishes from degree n - 1.  Where bound(n) is
-        0 the answer is (0, []) with no elimination.  Otherwise the
-        dimension comes from two ranks, as the number of chains minus
-        rank(d) minus rank(previous d); both are read off row echelons and
-        kept, and the dimension must not exceed bound(n).  Only a positive
-        dimension needs the image of the previous d as a span, its column
-        echelon.  Kernel vectors of d are then built one at a time, and
-        only until there are that many representatives: each one that
-        stays independent modulo the image of the previous d and the
-        representatives before it is kept.
+        Refused unless d*d vanishes from degree n - 1, so that the image of
+        the previous d lies in ker d, where a vector is fixed by its free
+        (non-pivot) coordinates.  Where bound(n) is 0 the answer is (0, [])
+        with no elimination.  Otherwise the dimension, gated by bound(n), is
+        the number of free columns minus the rank of the previous d on the
+        free rows.  Kernel vector k_f (free coordinates 1 at f, 0 elsewhere)
+        represents a class unless f is the largest free coordinate of an
+        image vector, a pivot of those rows eliminated largest-first: in
+        ascending f, the k_f independent of the image and of those before.
+        Only these are back-substituted, after the gate.
         """
         return self._cohomology(n, representatives=True)
 
@@ -414,22 +412,17 @@ class GradedComplex:
             return 0, []
         echelon = row_echelon(d)
         self._ranks[n] = len(echelon)
-        dim = d.ncols - len(echelon) - self.rank(n - 1)
+        rank_prev, vectors = (
+            kernel_complement(echelon, prev) if representatives else (self.rank(n - 1), ())
+        )
+        dim = d.ncols - len(echelon) - rank_prev
         if bound is not None and dim > bound:
             raise ValueError(
                 "cohomology in degree %d: eliminations give dimension %d, above its E1 bound %d"
                 % (n, dim, bound)
             )
         items = self.basis.get(n, [])
-        reps = []
-        if dim and representatives:
-            span = column_echelon(prev)
-            for vec in kernel_vectors(echelon, d.ncols):
-                if insert(span, vec):
-                    reps.append({items[i]: v for i, v in sorted(vec.items())})
-                    if len(reps) == dim:
-                        break
-        return dim, reps
+        return dim, [{items[i]: v for i, v in sorted(vec.items())} for vec in vectors]
 
 
 class TotalComplex(GradedComplex):

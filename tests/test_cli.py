@@ -3,7 +3,11 @@ fails a mathematical check) or 2 (malformed invocation) on every
 subcommand, JSON on stdout and never a traceback."""
 
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -61,6 +65,24 @@ def test_bernoulli(capsys):
     assert (rc, text) == (0, "0: 1\n1: -1/2\n2: 1/6\n")
     usage_error(capsys, "bernoulli", "--max", "-1")
     usage_error(capsys, "bernoulli")
+
+
+@pytest.mark.parametrize("unbuffered", ["1", ""], ids=["unbuffered", "buffered"])
+def test_closed_stdout_exits_one_without_traceback(unbuffered):
+    # the reader is gone before the first byte; unbuffered, print fails,
+    # buffered, only the flush at the end does
+    read, write = os.pipe()
+    os.close(read)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    try:
+        proc = subprocess.run([sys.executable, "-m", "jbkit", "bch", "--max-degree", "6"],
+                              stdout=write, stderr=subprocess.PIPE, text=True, env=env, timeout=120)
+    finally:
+        os.close(write)
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+    assert (proc.returncode, proc.stderr) == (1, "")
 
 
 def test_degree_cap_from_environment(capsys, monkeypatch):

@@ -17,10 +17,12 @@ from jbkit.exactnum import (
     column_echelon,
     format_rational,
     insert,
+    kernel_complement,
     parse_rational,
     rank,
     rank_kernel,
     remainder,
+    row_echelon,
     solve,
 )
 
@@ -427,8 +429,53 @@ def test_rank_kernel_solve_and_column_echelon_leave_the_matrix_alone():
         rank(m)
         rank_kernel(m)
         column_echelon(m)
+        list(kernel_complement({}, m)[1])
         solve(m, {i: Fraction(i + 1) for i in range(m.nrows)})
         assert list(m.entries.items()) == before
+
+
+def _greedy_complement(d, prev):
+    """rank(prev) and the kernel vectors of d, ascending, that raise the span of prev and those kept."""
+    span = column_echelon(prev)
+    rank_prev = len(span)
+    return rank_prev, [v for v in rank_kernel(d)[1] if insert(span, v)]
+
+
+def _kernel_pair(rng, kind):
+    """A random d and a prev with d*prev = 0: prev zero, random, or spanning ker d."""
+    n = rng.randint(1, 7)
+    d = SparseRatMatrix(rng.randint(0, 5), n)
+    if kind != "d=0":
+        for (i, j), x in _random_matrix(rng, 5, n, rng.random()).entries.items():
+            if i < d.nrows:
+                d[i, j] = x
+    kernel = rank_kernel(d)[1]
+    weights = [[rng.randint(-2, 2) for _ in kernel] for _ in range(rng.randint(0, 6))]
+    if kind == "prev=0":
+        weights = [[0] * len(kernel) for _ in weights]
+    if kind == "full":
+        weights += [[int(i == c) for i in range(len(kernel))] for c in range(len(kernel))]
+    prev = SparseRatMatrix(n, len(weights))
+    for c, w in enumerate(weights):
+        for a, v in zip(w, kernel):
+            for i, x in v.items():
+                prev[i, c] += a * x
+    assert d.mul(prev).is_zero()
+    return d, prev
+
+
+@pytest.mark.parametrize("kind", ["random", "prev=0", "d=0", "full"])
+def test_kernel_complement_keeps_what_the_greedy_sweep_keeps(kind):
+    rng = random.Random("kernel complement " + kind)
+    for _ in range(60):
+        d, prev = _kernel_pair(rng, kind)
+        rank_prev, vectors = kernel_complement(row_echelon(d), prev)
+        want_rank, want = _greedy_complement(d, prev)
+        assert rank_prev == want_rank == rank(prev)
+        assert list(vectors) == want
+        assert len(want) == d.ncols - rank(d) - rank_prev
+        if kind == "full":
+            assert want == []
 
 
 def test_remainder_and_insert_leave_echelon_rows_alone():

@@ -469,8 +469,7 @@ def test_euler_check_reads_one_rank_per_matrix(monkeypatch):
     def refuse(*args):
         raise AssertionError("a dimension built a representative")
 
-    monkeypatch.setattr(sela_module, "kernel_vectors", refuse)
-    monkeypatch.setattr(sela_module, "column_echelon", refuse)
+    monkeypatch.setattr(sela_module, "kernel_complement", refuse)
     chain = sum((-1) ** deg * jb.dim(deg) for deg in jb.degrees())
     cohomology = sum((-1) ** deg * c for deg, c in coh.items())
     assert euler_characteristic_check(jb) == {
@@ -596,28 +595,28 @@ def _bundled_triangle():
 ])
 def test_cohomology_equals_full_kernel_route(monkeypatch, make):
     # the same dimension and representatives, printed alike, in every
-    # degree, though only the reference takes rank(previous d) from a
-    # column echelon; and no kernel vector built beyond the last one the
-    # sweep reads
+    # degree, though only the reference builds every kernel vector and
+    # sweeps them against a column echelon of the image; and exactly one
+    # kernel vector back-substituted per class
     built = [0]
-    kernel_vectors = sela_module.kernel_vectors
+    back_substitute = exactnum._back_substitute
 
-    def counting(echelon, ncols):
-        for vec in kernel_vectors(echelon, ncols):
+    def counting(echelon, starts):
+        for vec in back_substitute(echelon, starts):
             built[0] += 1
             yield vec
 
-    monkeypatch.setattr(sela_module, "kernel_vectors", counting)
+    monkeypatch.setattr(exactnum, "_back_substitute", counting)
     jb = jb_assemble(make())
     for degree in jb.degrees():
-        built[0] = 0
         if not jb.matrix(degree).mul(jb.matrix(degree - 1)).is_zero():
             with pytest.raises(ValueError, match="d\\*d does not vanish"):
                 jb_cohomology(jb, degree)
             continue
-        dim, reps, read = _full_kernel_cohomology(jb, degree)
+        dim, reps, _ = _full_kernel_cohomology(jb, degree)
+        built[0] = 0
         assert repr(jb_cohomology(jb, degree)) == repr((dim, reps))
-        assert built[0] == read
+        assert built[0] == dim
 
 
 def test_bundled_triangle_has_representatives_to_compare():
@@ -1119,6 +1118,20 @@ def test_assembly_names_a_target_that_raises_the_factor_count(monkeypatch):
                  lambda: jb.cohomology(degree + 1)):
         with pytest.raises(AssertionError, match="^%s$" % re.escape(named)):
             read()
+
+
+def test_cohomology_of_nonabelian_triangle_4_makes_two_eliminations_per_degree(monkeypatch):
+    # row_echelon(d) and one elimination of the previous d on d's free
+    # rows in each degree; a route through a column echelon of the image
+    # makes 7
+    calls = []
+    eliminate = exactnum._eliminate
+    monkeypatch.setattr(exactnum, "_eliminate", lambda rows: calls.append(1) or eliminate(rows))
+    jb = jb_assemble(factories.nonabelian_triangle(4))
+    assert [jb.bound(n) for n in (-3, -2, -1)] == [1, 6, 9]  # the E1 table's own eliminations
+    calls.clear()
+    assert [jb.cohomology(n)[0] for n in (-3, -2, -1)] == [1, 4, 7]
+    assert len(calls) == 6
 
 
 def test_euler_check_on_nonabelian_triangle_5_makes_eight_eliminations(monkeypatch):

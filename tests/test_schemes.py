@@ -400,7 +400,7 @@ def test_ci_t1_of_one_equation_is_exact_past_a_plateau():
 
 @pytest.mark.xfail(strict=True, reason=(
     "several equations are still counted in windows, and the count is level "
-    "at caps 4 and 5 before it falls; ROADMAP direction 4 (an exact module "
+    "at caps 4 and 5 before it falls; ROADMAP direction 6 (an exact module "
     "quotient) mends it"
 ))
 def test_ci_t1_of_a_reembedded_surface_is_exact_past_a_plateau():
