@@ -56,8 +56,6 @@ from .freelie import (
 BCH_ALPHABET = Alphabet(["x", "y"])
 BCH_ALPHABET3 = Alphabet(["x", "y", "z"])
 
-DEFAULT_MAX_DEGREE = 8
-
 
 class BchTable:
     """Immutable table of bigraded (and optionally trigraded) components."""
@@ -98,7 +96,7 @@ class BchTable:
         )
 
 
-def build_table(max_degree: int = DEFAULT_MAX_DEGREE, tri: bool = False) -> BchTable:
+def build_table(max_degree: int, tri: bool = False) -> BchTable:
     """Solve the recursion up to total degree ``max_degree``.
 
     ``expanded[j]`` is B_j and ``powers[g][k]`` maps m to T_k^(m)(g),
@@ -159,38 +157,20 @@ def _lowest(den: int, v: dict) -> tuple:
     return den // g, {w: c // g for w, c in v.items()}
 
 
-def _series_sum(table: BchTable, alphabet, index_map) -> FreeLieElement:
-    """The bivariate series with x, y sent to letters ``index_map`` of ``alphabet``.
+def _compose_trivariate(table: BchTable) -> dict:
+    """Feed the bivariate law through itself: beta(beta(x,y),z).
 
-    The letter map must be strictly increasing, which keeps every word Lyndon.
-    """
-    total = FreeLieElement.zero(alphabet)
-    for part in table.bidegree.values():
-        moved = {tuple(index_map[i] for i in w): c for w, c in part.terms.items()}
-        total = total + FreeLieElement(alphabet, moved)
-    return total
-
-
-def _compose_trivariate(table: BchTable, order: str = "left") -> dict:
-    """Feed the bivariate law through itself: beta(beta(x,y),z) by default.
-
+    The law is associative, so this is log(exp x exp y exp z), which
+    bch_oracle_trivariate computes without the bivariate table.
     Applying the law to two Lie elements is, in the associative span,
     just multiplication of their exponentials, so the outer application
     is evaluated there and pulled back through the bracketing
     projection, which certifies the result is again a Lie element.
     """
-    cap = table.max_degree
-    if order == "left":
-        inner = _series_sum(table, BCH_ALPHABET3, {0: 0, 1: 1})  # beta(x,y)
-        first = expand_associative(inner)
-        second = AssocPoly.generator(BCH_ALPHABET3, "z")
-    elif order == "right":
-        inner = _series_sum(table, BCH_ALPHABET3, {0: 1, 1: 2})  # beta(y,z)
-        first = AssocPoly.generator(BCH_ALPHABET3, "x")
-        second = expand_associative(inner)
-    else:
-        raise ValueError("order must be 'left' or 'right'")
-    return _log_of_exps([first, second], cap)
+    terms = {w: c for part in table.bidegree.values() for w, c in part.terms.items()}
+    inner = FreeLieElement._of(BCH_ALPHABET3, terms)  # beta(x,y) among x, y, z
+    z = AssocPoly.generator(BCH_ALPHABET3, "z")
+    return _log_of_exps([expand_associative(inner), z], table.max_degree)
 
 
 # ---------------------------------------------------------------------------
@@ -205,14 +185,13 @@ def _power_series(u: AssocPoly, cap: int, coeff, acc: AssocPoly) -> AssocPoly:
     integer word sum v^k over d^k; the sum is kept over one common
     denominator and each output word is divided once.
     """
-    deg = u.alphabet.degree
     d, v = _integer_form(u.terms)
-    right = _ranked(deg, v, cap)
+    right = _ranked(v, cap)
     den, total = _integer_form(acc.terms)
     power = {(): 1}
     k = 0
     while True:
-        power = _word_products(deg, power, right, cap)
+        power = _word_products(power, right, cap)
         if not power:
             break
         k += 1

@@ -1,6 +1,7 @@
 """Free Lie algebras in the Lyndon-word basis, with exact coefficients.
 
-Words over an ordered alphabet are tuples of letter indices.  A Lyndon word
+Words over an ordered alphabet are tuples of letter indices, and every
+letter has degree one, so a word's degree is its length.  A Lyndon word
 is strictly smaller than every proper suffix; the set of Lyndon words of a
 given degree, each replaced by its standard-factorization bracketing,
 is a basis of the corresponding graded piece of the free Lie algebra.
@@ -29,42 +30,30 @@ Word = tuple  # tuple[int, ...]
 
 
 class Alphabet:
-    """Ordered generators with integer weights (default 1 each)."""
+    """Ordered generators, each of degree one."""
 
-    __slots__ = ("labels", "weights", "_index")
+    __slots__ = ("labels", "_index")
 
-    def __init__(self, labels, weights=None):
+    def __init__(self, labels):
         labels = tuple(str(x) for x in labels)
         if len(set(labels)) != len(labels):
             raise ValueError("duplicate generator labels")
         if not labels:
             raise ValueError("alphabet needs at least one generator")
         self.labels = labels
-        self.weights = tuple(int(w) for w in weights) if weights else (1,) * len(labels)
-        if len(self.weights) != len(labels):
-            raise ValueError("one weight per generator")
-        if any(w <= 0 for w in self.weights):
-            raise ValueError("weights must be positive")
         self._index = {lab: i for i, lab in enumerate(labels)}
 
     def __len__(self):
         return len(self.labels)
 
     def __eq__(self, other):
-        return (
-            isinstance(other, Alphabet)
-            and self.labels == other.labels
-            and self.weights == other.weights
-        )
+        return isinstance(other, Alphabet) and self.labels == other.labels
 
     def __repr__(self):
         return f"Alphabet({','.join(self.labels)})"
 
     def index(self, label: str) -> int:
         return self._index[label]
-
-    def degree(self, word: Word) -> int:
-        return sum(self.weights[i] for i in word)
 
     def multidegree(self, word: Word) -> tuple:
         counts = [0] * len(self.labels)
@@ -206,8 +195,7 @@ class _WordSum:
         return self._of(self.alphabet, {w: c * v for w, v in self.terms.items()})
 
     def truncate(self, degree_cap: int):
-        deg = self.alphabet.degree
-        kept = {w: c for w, c in self.terms.items() if deg(w) <= degree_cap}
+        kept = {w: c for w, c in self.terms.items() if len(w) <= degree_cap}
         return self._of(self.alphabet, kept)
 
     def multidegree_parts(self) -> dict:
@@ -246,8 +234,7 @@ class AssocPoly(_WordSum):
         """
         a, left = _integer_form(self.terms)
         b, right = _integer_form(other.terms)
-        deg = self.alphabet.degree
-        out = _word_products(deg, left, _ranked(deg, right, degree_cap), degree_cap)
+        out = _word_products(left, _ranked(right, degree_cap), degree_cap)
         ab = a * b
         return AssocPoly._of(self.alphabet, {w: Fraction(s, ab) for w, s in out.items()})
 
@@ -258,7 +245,7 @@ def _integer_form(terms: dict) -> tuple:
     return d, {w: c.numerator * (d // c.denominator) for w, c in terms.items()}
 
 
-def _ranked(deg, terms: dict, degree_cap) -> tuple:
+def _ranked(terms: dict, degree_cap) -> tuple:
     """The right operand of _word_products: (degrees, [(word, coeff)]).
 
     Under a cap the terms are sorted by degree and their degrees listed;
@@ -266,11 +253,11 @@ def _ranked(deg, terms: dict, degree_cap) -> tuple:
     """
     if degree_cap is None:
         return None, list(terms.items())
-    order = sorted((deg(w), w, c) for w, c in terms.items())
+    order = sorted((len(w), w, c) for w, c in terms.items())
     return [d for d, _, _ in order], [(w, c) for _, w, c in order]
 
 
-def _word_products(deg, left: dict, right: tuple, degree_cap) -> dict:
+def _word_products(left: dict, right: tuple, degree_cap) -> dict:
     """Sum of the word products of two integer word sums, capped.
 
     Under a cap only the pairs within it are formed: each left term
@@ -284,7 +271,7 @@ def _word_products(deg, left: dict, right: tuple, degree_cap) -> dict:
         if degree_cap is None:
             rows = pairs
         else:
-            rows = pairs[: bisect_right(degrees, degree_cap - deg(wa))]
+            rows = pairs[: bisect_right(degrees, degree_cap - len(wa))]
         for wb, cb in rows:
             w = wa + wb
             s = out.get(w, 0) + ca * cb
@@ -324,7 +311,7 @@ class LyndonBasisElement:
 
     @property
     def degree(self):
-        return self.alphabet.degree(self.word)
+        return len(self.word)
 
     def standard_factorization(self):
         return standard_factorization(self.word)
@@ -342,13 +329,10 @@ class LyndonBasisElement:
 
 
 def lyndon_basis(alphabet: Alphabet, degree: int) -> list:
-    """Basis elements of the given weighted degree, in lexicographic order."""
-    if degree < 1:
-        return []
-    min_w = min(alphabet.weights)
+    """Basis elements of the given degree, in lexicographic order."""
     out = []
-    for word in lyndon_words(len(alphabet), degree // min_w):
-        if alphabet.degree(word) == degree:
+    for word in lyndon_words(len(alphabet), degree):
+        if len(word) == degree:
             out.append(LyndonBasisElement(alphabet, word))
     return out
 
@@ -387,10 +371,9 @@ class FreeLieElement(_WordSum):
 
     def to_terms(self) -> list:
         """Serialization: [{"word": ..., "coeff": ...}] sorted by (degree, word)."""
-        deg = self.alphabet.degree
         return [
             {"word": self.alphabet.word_str(w), "coeff": format_rational(c)}
-            for w, c in sorted(self.terms.items(), key=lambda kv: (deg(kv[0]), kv[0]))
+            for w, c in sorted(self.terms.items(), key=lambda kv: (len(kv[0]), kv[0]))
         ]
 
     @staticmethod

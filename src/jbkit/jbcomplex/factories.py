@@ -1,8 +1,9 @@
-"""Ready-made gluing data: triangles, pairs, and degenerate examples.
+"""Ready-made gluing data: covers, triangles, pairs, and degenerate examples.
 
-Every factory returns a datum whose validate() comes back empty.  The
-triangle fixtures put one fixed algebra on every simplex with signed
-identity cofaces; the pair fixtures glue two vertices along one edge.
+Every factory returns a datum whose validate() comes back empty.
+``cover`` puts one fixed algebra on every face of a list of simplices
+with signed identity cofaces; the triangle fixtures are the cover of
+one triangle and the pair fixtures that of one edge.
 Tests and the bundled self-check lean on the invariants documented in
 the individual docstrings.
 """
@@ -10,6 +11,7 @@ the individual docstrings.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 from ..exactnum import SparseRatMatrix
 from ..liecore import StructLie
@@ -20,6 +22,7 @@ __all__ = [
     "abelian_lie",
     "dg_toy",
     "mc_toy",
+    "cover",
     "nonabelian_triangle",
     "abelian_triangle",
     "dg_triangle",
@@ -93,64 +96,58 @@ def mc_toy():
     return StructLie(["x", "y", "w"], [1, 1, 2], {(1, 1): {2: Fraction(1)}}, differential=d)
 
 
-def _signed_identity_cofaces(simplices, dim):
-    cofaces = {}
-    ident = SparseRatMatrix.identity(dim)
-    for inner in simplices:
-        for outer in simplices:
-            if len(outer) == len(inner) + 1 and set(inner) < set(outer):
-                cofaces[(inner, outer)] = ident.scale(coface_sign(inner, outer))
-    return cofaces
+def cover(simplices, lie, order):
+    """``lie`` on every face of the listed simplices, glued by signed identities.
 
-
-_TRIANGLE = [(0,), (1,), (2,), (0, 1), (0, 2), (1, 2), (0, 1, 2)]
+    The simplices are increasing tuples of at most three indices; the
+    datum's indices are the ones they use.
+    """
+    faces = sorted(
+        {f for s in simplices for k in range(1, len(s) + 1) for f in combinations(s, k)},
+        key=lambda f: (len(f), f),
+    )
+    ident = SparseRatMatrix.identity(lie.dim)
+    cofaces = {
+        (inner, outer): ident.scale(coface_sign(inner, outer))
+        for inner in faces
+        for outer in faces
+        if len(outer) == len(inner) + 1 and set(inner) < set(outer)
+    }
+    indices = sorted({v for s in simplices for v in s})
+    return Sela(indices, {f: lie for f in faces}, cofaces, order)
 
 
 def nonabelian_triangle(order=4):
     """Strictly upper triangular 3 x 3 matrices on every simplex of a
     triangle, glued by signed identities."""
-    g = upper_triangular(3)
-    algebras = {s: g for s in _TRIANGLE}
-    return Sela((0, 1, 2), algebras, _signed_identity_cofaces(_TRIANGLE, g.dim), order)
+    return cover([(0, 1, 2)], upper_triangular(3), order)
 
 
 def abelian_triangle(order=2, dim=1):
     """Abelian algebra of the given dimension on every simplex of a
     triangle; the complexes reduce to intersection-pattern counting."""
-    g = abelian_lie(dim)
-    algebras = {s: g for s in _TRIANGLE}
-    return Sela((0, 1, 2), algebras, _signed_identity_cofaces(_TRIANGLE, g.dim), order)
+    return cover([(0, 1, 2)], abelian_lie(dim), order)
 
 
 def dg_triangle(order=3):
     """dg_toy on every simplex of a triangle; internal degrees exercise
     the Koszul signs of every corestriction family at once."""
-    g = dg_toy()
-    algebras = {s: g for s in _TRIANGLE}
-    return Sela((0, 1, 2), algebras, _signed_identity_cofaces(_TRIANGLE, g.dim), order)
+    return cover([(0, 1, 2)], dg_toy(), order)
 
 
 def mc_triangle(order=3):
     """mc_toy on every simplex of a triangle."""
-    g = mc_toy()
-    algebras = {s: g for s in _TRIANGLE}
-    return Sela((0, 1, 2), algebras, _signed_identity_cofaces(_TRIANGLE, g.dim), order)
-
-
-def _pair(lie, order):
-    simplices = [(0,), (1,), (0, 1)]
-    algebras = {s: lie for s in simplices}
-    return Sela((0, 1), algebras, _signed_identity_cofaces(simplices, lie.dim), order)
+    return cover([(0, 1, 2)], mc_toy(), order)
 
 
 def dg_pair(order=3):
     """Two vertices and one edge, each carrying dg_toy."""
-    return _pair(dg_toy(), order)
+    return cover([(0, 1)], dg_toy(), order)
 
 
 def mc_pair(order=3):
     """Two vertices and one edge, each carrying mc_toy."""
-    return _pair(mc_toy(), order)
+    return cover([(0, 1)], mc_toy(), order)
 
 
 def lie_pair(order=2):

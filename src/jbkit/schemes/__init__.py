@@ -6,7 +6,7 @@ attendant numerical invariants, and deformation of an equation with
 gauge gluing and order-by-order lifting.
 """
 
-from .poly import MONOMIAL_ORDERS, Poly, monomial_key, parse_poly
+from .poly import Poly, parse_poly
 from .groebner import (
     buchberger,
     ideal_member,
@@ -40,9 +40,7 @@ from .deform import (
 )
 
 __all__ = [
-    "MONOMIAL_ORDERS",
     "Poly",
-    "monomial_key",
     "parse_poly",
     "buchberger",
     "ideal_member",

@@ -15,8 +15,8 @@ from .poly import Poly, parse_poly
 __all__ = ["PolyComplex", "koszul_resolution"]
 
 
-def _zero_matrix(vars, order, rows, cols):
-    z = Poly.zero(vars, order)
+def _zero_matrix(vars, rows, cols):
+    z = Poly.zero(vars)
     return tuple(tuple(z for _ in range(cols)) for _ in range(rows))
 
 
@@ -58,11 +58,10 @@ class PolyComplex:
     ranks[k+1] x ranks[k].
     """
 
-    __slots__ = ("vars", "order", "start", "ranks", "maps")
+    __slots__ = ("vars", "start", "ranks", "maps")
 
-    def __init__(self, vars, start, ranks, maps, order="grevlex"):
+    def __init__(self, vars, start, ranks, maps):
         self.vars = tuple(vars)
-        self.order = order
         self.start = int(start)
         self.ranks = tuple(int(r) for r in ranks)
         if any(r < 0 for r in self.ranks):
@@ -116,17 +115,16 @@ class PolyComplex:
         k = degree - self.start
         if 0 <= k < len(self.maps):
             return self.maps[k]
-        return _zero_matrix(self.vars, self.order, self.rank(degree + 1), self.rank(degree))
+        return _zero_matrix(self.vars, self.rank(degree + 1), self.rank(degree))
 
     def composition_defects(self):
-        return _square_defects(self.maps, Poly.zero(self.vars, self.order))
+        return _square_defects(self.maps, Poly.zero(self.vars))
 
     # -- serialization ----------------------------------------------------
 
     def to_json(self):
         return {
             "vars": list(self.vars),
-            "order": self.order,
             "start": self.start,
             "ranks": list(self.ranks),
             "maps": [
@@ -139,19 +137,18 @@ class PolyComplex:
         """Parse {"vars", "maps", "ranks", ...}; malformed data raises ValueError."""
         try:
             vars = tuple(data["vars"])
-            order = data.get("order", "grevlex")
             maps = [
-                [[parse_poly(s, vars, order) for s in row] for row in mat]
+                [[parse_poly(s, vars) for s in row] for row in mat]
                 for mat in data["maps"]
             ]
-            return PolyComplex(vars, data.get("start", 0), data["ranks"], maps, order)
+            return PolyComplex(vars, data.get("start", 0), data["ranks"], maps)
         except (KeyError, IndexError, TypeError, AttributeError) as e:
             raise ValueError(
                 "malformed complex (%s: %s)" % (type(e).__name__, e)
             ) from None
 
 
-def koszul_resolution(fs, order="grevlex"):
+def koszul_resolution(fs):
     """Koszul complex on a regular sequence, augmented by the full ring.
 
     Exactness is the caller's assertion for two or more elements; the
@@ -171,7 +168,7 @@ def koszul_resolution(fs, order="grevlex"):
     }
     index = {k: {s: i for i, s in enumerate(subsets[k])} for k in subsets}
     ranks = [len(subsets[c - j]) for j in range(c + 1)]
-    zero = Poly.zero(vars, order)
+    zero = Poly.zero(vars)
     maps = []
     for j in range(c):
         k = c - j  # source exterior power
@@ -183,4 +180,4 @@ def koszul_resolution(fs, order="grevlex"):
                 sign = -1 if pos % 2 else 1
                 mat[row][col] = mat[row][col] + fs[i].scale(sign)
         maps.append(mat)
-    return PolyComplex(vars, 1 - c, ranks, maps, order)
+    return PolyComplex(vars, 1 - c, ranks, maps)

@@ -12,7 +12,7 @@ from fractions import Fraction
 from itertools import product as iter_product
 
 from ..exactnum import ZERO
-from .poly import Poly, monomial_key
+from .poly import Poly, _grevlex_key
 
 __all__ = [
     "normal_form",
@@ -35,15 +35,13 @@ def _coprime(a, b):
     return all(not (x and y) for x, y in zip(a, b))
 
 
-def normal_form(p, basis, key=None):
+def normal_form(p, basis):
     """Remainder of p under full multivariate division by the basis."""
-    if key is None:
-        key = monomial_key(p.order)
-    leads = [(g.leading(key), g) for g in basis if not g.is_zero()]
+    leads = [(g.leading(), g) for g in basis if not g.is_zero()]
     rem = {}
     work = dict(p.terms)
     while work:
-        e = max(work, key=key)
+        e = max(work, key=_grevlex_key)
         c = work.pop(e)
         hit = None
         for (le, lc), g in leads:
@@ -65,22 +63,22 @@ def normal_form(p, basis, key=None):
                 work[ne] = s
             else:
                 work.pop(ne, None)
-    return Poly(p.vars, rem, p.order)
+    return Poly(p.vars, rem)
 
 
-def _s_poly(f, g, key):
-    (ef, cf), (eg, cg) = f.leading(key), g.leading(key)
+def _s_poly(f, g):
+    (ef, cf), (eg, cg) = f.leading(), g.leading()
     l = _lcm(ef, eg)
-    mf = Poly(f.vars, {tuple(x - y for x, y in zip(l, ef)): Fraction(1) / cf}, f.order)
-    mg = Poly(g.vars, {tuple(x - y for x, y in zip(l, eg)): Fraction(1) / cg}, g.order)
+    mf = Poly(f.vars, {tuple(x - y for x, y in zip(l, ef)): Fraction(1) / cf})
+    mg = Poly(g.vars, {tuple(x - y for x, y in zip(l, eg)): Fraction(1) / cg})
     return mf * f - mg * g
 
 
-def _update(G, P, h, key):
+def _update(G, P, h):
     # Gebauer-Moeller pair update on generator arrival
-    lt = {i: g.leading(key)[0] for i, g in G.items()}
-    lh = h.leading(key)[0]
-    C = sorted(G, key=lambda i: key(_lcm(lt[i], lh)))
+    lt = {i: g.leading()[0] for i, g in G.items()}
+    lh = h.leading()[0]
+    C = sorted(G, key=lambda i: _grevlex_key(_lcm(lt[i], lh)))
     D = []
     for n, i in enumerate(C):
         li = _lcm(lt[i], lh)
@@ -104,20 +102,16 @@ def _update(G, P, h, key):
     return new, pairs
 
 
-def buchberger(gens, order=None):
+def buchberger(gens):
     """Reduced Groebner basis of the ideal the generators span."""
     gens = [g for g in gens if g is not None]
     if not gens:
         raise ValueError("nonempty generator list required")
     vars = gens[0].vars
-    if order is None:
-        order = gens[0].order
-    key = monomial_key(order)
     work = []
     for g in gens:
         if g.vars != vars:
             raise ValueError("generators use different variable lists")
-        g = Poly(vars, g.terms, order)
         if not g.is_zero():
             work.append(g)
     if not work:
@@ -126,23 +120,23 @@ def buchberger(gens, order=None):
     G = {}
     P = []
     for g in work:
-        g = normal_form(g, list(G.values()), key)
+        g = normal_form(g, list(G.values()))
         if g.is_zero():
             continue
-        idx, P = _update(G, P, g, key)
-        G[idx] = g.monic(key)
+        idx, P = _update(G, P, g)
+        G[idx] = g.monic()
     while P:
-        P.sort(key=lambda ij: key(_lcm(G[ij[0]].leading(key)[0], G[ij[1]].leading(key)[0])))
+        P.sort(key=lambda ij: _grevlex_key(_lcm(G[ij[0]].leading()[0], G[ij[1]].leading()[0])))
         i, j = P.pop(0)
-        r = normal_form(_s_poly(G[i], G[j], key), list(G.values()), key)
+        r = normal_form(_s_poly(G[i], G[j]), list(G.values()))
         if r.is_zero():
             continue
-        idx, P = _update(G, P, r, key)
-        G[idx] = r.monic(key)
+        idx, P = _update(G, P, r)
+        G[idx] = r.monic()
 
     # interreduce: drop dominated leads, then reduce every tail
     basis = list(G.values())
-    leads = [g.leading(key)[0] for g in basis]
+    leads = [g.leading()[0] for g in basis]
     keep = [
         g for n, g in enumerate(basis)
         if not any(
@@ -154,15 +148,15 @@ def buchberger(gens, order=None):
     out = []
     for n, g in enumerate(keep):
         rest = keep[:n] + keep[n + 1:]
-        r = normal_form(g, rest, key)
+        r = normal_form(g, rest)
         if not r.is_zero():
-            out.append(r.monic(key))
-    out.sort(key=lambda g: key(g.leading(key)[0]))
+            out.append(r.monic())
+    out.sort(key=lambda g: _grevlex_key(g.leading()[0]))
     return out
 
 
-def ideal_member(p, gb, key=None):
-    return normal_form(p, gb, key).is_zero()
+def ideal_member(p, gb):
+    return normal_form(p, gb).is_zero()
 
 
 def standard_monomials(gb):
@@ -174,8 +168,7 @@ def standard_monomials(gb):
     if not gb:
         raise ValueError("zero ideal has an infinite-dimensional quotient")
     vars = gb[0].vars
-    key = monomial_key(gb[0].order)
-    leads = [g.leading(key)[0] for g in gb]
+    leads = [g.leading()[0] for g in gb]
     bounds = []
     for i, v in enumerate(vars):
         pures = [
@@ -192,7 +185,7 @@ def standard_monomials(gb):
         for e in iter_product(*[range(b) for b in bounds])
         if not any(_divides(l, e) for l in leads)
     ]
-    return sorted(out, key=key)
+    return sorted(out, key=_grevlex_key)
 
 
 def quotient_dimension(gb):

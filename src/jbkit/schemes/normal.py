@@ -69,7 +69,7 @@ class HomElement:
         mat = self.comps.get(i)
         if mat is not None:
             return mat
-        return _zero_matrix(F.vars, F.order, F.rank(i + self.degree), F.rank(i))
+        return _zero_matrix(F.vars, F.rank(i + self.degree), F.rank(i))
 
     def is_zero(self):
         return not self.comps
@@ -117,7 +117,7 @@ class HomElement:
                 continue
             mat = _mat_mul(
                 self.matrix(mid), other.comps[i], F.rank(mid + self.degree), F.rank(i),
-                Poly.zero(F.vars, F.order),
+                Poly.zero(F.vars),
             )
             if any(not p.is_zero() for row in mat for p in row):
                 out[i] = mat
@@ -136,7 +136,7 @@ class HomElement:
             j = i + self.degree
             if j + 1 not in self.dgla.targets:
                 continue
-            zero = Poly.zero(F.vars, F.order)
+            zero = Poly.zero(F.vars)
             mat = _mat_mul(F.matrix(j), self.matrix(i), F.rank(j + 1), F.rank(i), zero)
             if i + 1 in self.dgla.sources:
                 right = _mat_mul(self.matrix(i + 1), F.matrix(i), F.rank(j + 1), F.rank(i), zero)
@@ -161,7 +161,7 @@ class HomElement:
 
 
 def _apply_field(coeffs, p):
-    out = Poly.zero(p.vars, p.order)
+    out = Poly.zero(p.vars)
     for name, q in coeffs.items():
         out = out + q * p.diff(name)
     return out

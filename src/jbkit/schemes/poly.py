@@ -2,8 +2,8 @@
 
 Terms map exponent tuples to nonzero rational coefficients; the
 variable list is fixed per polynomial and arithmetic refuses to mix
-different lists.  Monomial comparisons go through order keys so the
-Groebner layer can swap orders without touching the data.
+different lists.  Monomials compare in one term order, graded reverse
+lexicographic, which both printing and the Groebner layer read.
 """
 
 from __future__ import annotations
@@ -13,45 +13,20 @@ from fractions import Fraction
 
 from ..exactnum import ZERO, format_rational, parse_rational
 
-__all__ = [
-    "Poly",
-    "parse_poly",
-    "monomial_key",
-    "MONOMIAL_ORDERS",
-]
+__all__ = ["Poly", "parse_poly"]
 
 
 def _grevlex_key(exp):
     return (sum(exp), tuple(-e for e in reversed(exp)))
 
 
-def _grlex_key(exp):
-    return (sum(exp), exp)
-
-
-def _lex_key(exp):
-    return exp
-
-
-MONOMIAL_ORDERS = {"grevlex": _grevlex_key, "grlex": _grlex_key, "lex": _lex_key}
-
-
-def monomial_key(order):
-    try:
-        return MONOMIAL_ORDERS[order]
-    except KeyError:
-        raise ValueError("unknown monomial order %r" % (order,)) from None
-
-
 class Poly:
-    """Polynomial with exponent-vector terms and an attached order tag."""
+    """Polynomial with exponent-vector terms."""
 
-    __slots__ = ("vars", "terms", "order")
+    __slots__ = ("vars", "terms")
 
-    def __init__(self, vars, terms=None, order="grevlex"):
+    def __init__(self, vars, terms=None):
         self.vars = tuple(vars)
-        monomial_key(order)
-        self.order = order
         self.terms = {}
         n = len(self.vars)
         for exp, c in (terms or {}).items():
@@ -65,20 +40,20 @@ class Poly:
     # -- constructors ---------------------------------------------------
 
     @staticmethod
-    def zero(vars, order="grevlex"):
-        return Poly(vars, {}, order)
+    def zero(vars):
+        return Poly(vars, {})
 
     @staticmethod
-    def constant(vars, c, order="grevlex"):
-        return Poly(vars, {(0,) * len(tuple(vars)): Fraction(c)}, order)
+    def constant(vars, c):
+        return Poly(vars, {(0,) * len(tuple(vars)): Fraction(c)})
 
     @staticmethod
-    def variable(vars, name, order="grevlex"):
+    def variable(vars, name):
         vars = tuple(vars)
         if name not in vars:
             raise ValueError("unknown variable %r" % (name,))
         exp = tuple(1 if v == name else 0 for v in vars)
-        return Poly(vars, {exp: Fraction(1)}, order)
+        return Poly(vars, {exp: Fraction(1)})
 
     # -- predicates -------------------------------------------------------
 
@@ -133,7 +108,7 @@ class Poly:
         k = int(k)
         if k < 0:
             raise ValueError("negative power")
-        acc = Poly.constant(self.vars, 1, self.order)
+        acc = Poly.constant(self.vars, 1)
         base = self
         while k:
             if k & 1:
@@ -149,7 +124,6 @@ class Poly:
     def _wrap(self, terms):
         p = Poly.__new__(Poly)
         p.vars = self.vars
-        p.order = self.order
         p.terms = {e: c for e, c in terms.items() if c}
         return p
 
@@ -193,10 +167,10 @@ class Poly:
         for v in self.vars:
             img = images.get(v)
             if img is None:
-                img = Poly.variable(target.vars, v, target.order)
+                img = Poly.variable(target.vars, v)
             vals.append(img)
-        acc = Poly.zero(target.vars, target.order)
-        one = Poly.constant(target.vars, 1, target.order)
+        acc = Poly.zero(target.vars)
+        one = Poly.constant(target.vars, 1)
         for e, c in self.terms.items():
             term = one.scale(c)
             for val, k in zip(vals, e):
@@ -207,17 +181,15 @@ class Poly:
 
     # -- leading data -------------------------------------------------------
 
-    def leading(self, key=None):
+    def leading(self):
         """(exponent, coefficient) of the leading monomial; None when zero."""
         if not self.terms:
             return None
-        if key is None:
-            key = monomial_key(self.order)
-        e = max(self.terms, key=key)
+        e = max(self.terms, key=_grevlex_key)
         return e, self.terms[e]
 
-    def monic(self, key=None):
-        lead = self.leading(key)
+    def monic(self):
+        lead = self.leading()
         if lead is None:
             return self
         return self.scale(Fraction(1) / lead[1])
@@ -227,9 +199,8 @@ class Poly:
     def __str__(self):
         if not self.terms:
             return "0"
-        key = monomial_key(self.order)
         parts = []
-        for e in sorted(self.terms, key=key, reverse=True):
+        for e in sorted(self.terms, key=_grevlex_key, reverse=True):
             c = self.terms[e]
             mono = "*".join(
                 "%s^%d" % (v, k) if k > 1 else v
@@ -282,11 +253,10 @@ def _tokenize(text):
 
 
 class _Parser:
-    def __init__(self, text, vars, order):
+    def __init__(self, text, vars):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.vars = tuple(vars)
-        self.order = order
 
     def peek(self):
         return self.tokens[self.pos]
@@ -337,7 +307,7 @@ class _Parser:
         kind, val, at = self.peek()
         if kind == "num":
             self.take()
-            return Poly.constant(self.vars, parse_rational(val), self.order)
+            return Poly.constant(self.vars, parse_rational(val))
         if kind == "var":
             self.take()
             if val not in self.vars:
@@ -345,7 +315,7 @@ class _Parser:
                     "unknown variable %r at position %d (declared: %s)"
                     % (val, at, ", ".join(self.vars))
                 )
-            return Poly.variable(self.vars, val, self.order)
+            return Poly.variable(self.vars, val)
         if (kind, val) == ("op", "("):
             self.take()
             inner = self.expr()
@@ -359,13 +329,13 @@ class _Parser:
         self.fail("expected a number, variable or '('")
 
 
-def parse_poly(text, vars, order="grevlex"):
+def parse_poly(text, vars):
     """Parse an expression over the declared variables.
 
     ^ binds tightest, then *, then + and -; rational literals like 2/3
     are single tokens.
     """
-    p = _Parser(text, vars, order)
+    p = _Parser(text, vars)
     out = p.expr()
     if p.peek()[0] != "end":
         p.fail("trailing input")

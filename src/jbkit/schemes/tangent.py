@@ -84,12 +84,12 @@ def hypersurface_tangent_dgla(f: Poly) -> TangentComplex:
     vars = f.vars
     n = len(vars)
     partials = [f.diff(v) for v in vars]
-    zero = Poly.zero(vars, f.order)
+    zero = Poly.zero(vars)
     low = [
         [f if r == c else zero for c in range(n)] for r in range(n)
     ] + [[-p for p in partials]]
     high = [list(partials) + [f]]
-    complex = PolyComplex(vars, -1, (n, n + 1, 1), [low, high], f.order)
+    complex = PolyComplex(vars, -1, (n, n + 1, 1), [low, high])
     return TangentComplex(f, complex, [f] + partials)
 
 
@@ -198,7 +198,7 @@ def ci_t1_dimension(fs, cap=8):
     if len(fs) == 1:
         return hypersurface_tangent_dgla(fs[0]).h1_dimension()
     vars = fs[0].vars
-    zero = Poly.zero(vars, fs[0].order)
+    zero = Poly.zero(vars)
     c = len(fs)
     vectors = []
     for v in vars:

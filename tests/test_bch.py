@@ -131,17 +131,13 @@ def test_trigraded_low_components():
     assert table.trigraded(1, 0, 1) == x3.bracket(z3).scale(half)
 
 
-def test_both_composition_orders_match_triple_log_oracle():
+def test_composition_matches_triple_log_oracle():
     cap = 5
-    table = build_table(cap)
-    left = _compose_trivariate(table, order="left")
-    right = _compose_trivariate(table, order="right")
+    composed = _compose_trivariate(build_table(cap))
     oracle = bch_oracle_trivariate(cap)
-    keys = set(left) | set(right) | set(oracle)
     zero = FreeLieElement.zero(BCH_ALPHABET3)
-    for key in sorted(keys):
-        assert left.get(key, zero) == oracle.get(key, zero), key
-        assert right.get(key, zero) == oracle.get(key, zero), key
+    for key in sorted(set(composed) | set(oracle)):
+        assert composed.get(key, zero) == oracle.get(key, zero), key
 
 
 def test_exp_log_roundtrip_in_associative_span():
@@ -173,10 +169,13 @@ def test_cli_table_bytes_are_pinned(argv, prefix):
 
 # -- the integer word products against a plain Fraction reference ----------
 
-W123 = Alphabet(["a", "b", "c"], weights=(1, 2, 3))
+ABC = Alphabet(["a", "b", "c"])
 _coeffs = st.fractions(min_value=-5, max_value=5, max_denominator=12)
 _words = st.lists(st.integers(0, 2), max_size=3).map(tuple)
 _caps = st.integers(-1, 14)
+# a power of three one-letter words has 3^k words of length k, so the
+# series tests stop at caps whose powers stay a few thousand words
+_series_caps = st.integers(-1, 8)
 
 
 def _ref_mul(a: dict, b: dict, cap) -> dict:
@@ -186,7 +185,7 @@ def _ref_mul(a: dict, b: dict, cap) -> dict:
         for wb, cb in b.items():
             out[wa + wb] = out.get(wa + wb, Fraction(0)) + ca * cb
     return {
-        w: c for w, c in out.items() if c and (cap is None or W123.degree(w) <= cap)
+        w: c for w, c in out.items() if c and (cap is None or len(w) <= cap)
     }
 
 
@@ -211,7 +210,7 @@ def _ref_series(u: dict, cap: int, coeff, acc: dict) -> dict:
     st.one_of(st.none(), _caps),
 )
 def test_product_matches_fraction_reference(a, b, cap):
-    got = AssocPoly(W123, a).mul(AssocPoly(W123, b), cap)
+    got = AssocPoly(ABC, a).mul(AssocPoly(ABC, b), cap)
     assert got.terms == _ref_mul(a, b, cap)
     assert all(type(c) is Fraction for c in got.terms.values())
 
@@ -219,15 +218,15 @@ def test_product_matches_fraction_reference(a, b, cap):
 @settings(max_examples=30, deadline=None, database=None)
 @given(
     st.dictionaries(_words.filter(len), _coeffs, min_size=1, max_size=3),
-    _caps,
+    _series_caps,
 )
 def test_exp_and_log_match_fraction_reference(u, cap):
-    p = AssocPoly(W123, u)
+    p = AssocPoly(ABC, u)
     u = p.terms
     want_exp = _ref_series(u, cap, lambda k: Fraction(1, factorial(k)), {(): Fraction(1)})
     assert exp_assoc(p, cap).terms == want_exp
     want_log = _ref_series(u, cap, lambda k: Fraction((-1) ** (k + 1), k), {})
-    assert log_assoc(p + AssocPoly.unit(W123), cap).terms == want_log
+    assert log_assoc(p + AssocPoly.unit(ABC), cap).terms == want_log
 
 
 class MatElt:

@@ -405,6 +405,21 @@ def test_resolution_check(capsys, tmp_path):
     usage_error(capsys, "resolution", "check", "--file", str(tmp_path / "absent.json"))
 
 
+def test_resolution_check_ignores_an_order_key(capsys, tmp_path):
+    # older files carry "order": "grevlex", the one term order
+    V = ("x", "y")
+    koszul = koszul_resolution([parse_poly("x", V), parse_poly("y", V)]).to_json()
+    not_a_complex = {"vars": list(V), "ranks": [1, 1, 1], "maps": [[["x"]], [["x+y^2"]]]}
+    for data in (koszul, not_a_complex):
+        assert "order" not in data
+        runs = [
+            run(capsys, "resolution", "check", "--file", write(tmp_path, "c.json", body))
+            for body in (data, dict(data, order="grevlex"))
+        ]
+        assert runs[0] == runs[1]
+    assert runs[0][0] == 1 and "x*y^2 + x^2" in runs[0][1]
+
+
 def test_selfcheck(capsys, monkeypatch):
     rc, out = run_json(capsys, "selfcheck", "--format", "json")
     assert rc == 0

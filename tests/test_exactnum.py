@@ -411,14 +411,26 @@ def test_bucketed_elimination_equals_scan_reference(rows):
 
 
 def _random_matrix(rng, nrows, ncols, density):
-    return SparseRatMatrix.from_dense(_random_dense(rng, nrows, ncols, density))
+    """nrows x ncols, built entry by entry: from_dense reads no width off zero rows."""
+    m = SparseRatMatrix(nrows, ncols)
+    for i, row in enumerate(_random_dense(rng, nrows, ncols, density)):
+        for j, x in enumerate(row):
+            m[i, j] = x
+    return m
 
 
 def test_rank_needs_no_kernel_and_agrees_with_rank_kernel():
     rng = random.Random(611)
+    shapes = set()
     for _ in range(40):
-        m = _random_matrix(rng, rng.randint(0, 8), rng.randint(0, 8), rng.random())
-        assert rank(m) == rank_kernel(m)[0]
+        nrows, ncols = rng.randint(0, 8), rng.randint(0, 8)
+        m = _random_matrix(rng, nrows, ncols, rng.random())
+        assert (m.nrows, m.ncols) == (nrows, ncols)
+        r, kernel = rank_kernel(m)
+        assert rank(m) == r
+        assert len(kernel) == ncols - r
+        shapes.add((nrows, ncols))
+    assert any(nrows == 0 < ncols for nrows, ncols in shapes)
 
 
 def test_rank_kernel_solve_and_column_echelon_leave_the_matrix_alone():

@@ -69,7 +69,6 @@ def test_from_json_defaults():
     data = {"vars": ["x", "y"], "ranks": [1, 1], "maps": [[["x^2+y^3"]]]}
     pc = PolyComplex.from_json(data)
     assert pc.start == 0
-    assert pc.order == "grevlex"
 
 
 # -- graded endomorphism algebra ----------------------------------------------

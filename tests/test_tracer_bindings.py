@@ -5,7 +5,9 @@ including bindings that jbkit itself no longer calls, so a refactor
 that drops one breaks only the traced benchmark.  Installing the tracer
 in a fresh process catches that here.  Reading the final counts there
 too catches a moved cache: they read the assembly caches of
-jbkit.jbcomplex.assemble and three lru_caches of jbkit.freelie.
+jbkit.jbcomplex.assemble and three lru_caches of jbkit.freelie.  A traced
+``bch --tri`` checks that the table and trivariate spans still record
+their calls, so a changed signature cannot zero those metrics silently.
 
 The tracer's assembly hook reads the matrix of every degree, so a traced
 ``jb cohomology``, which by itself assembles only two degrees, still
@@ -72,3 +74,33 @@ def test_traced_cohomology_records_every_degree(tmp_path):
         str(n): [jb.matrix(n).nrows, jb.matrix(n).ncols, len(jb.matrix(n).entries)]
         for n in jb.degrees()
     }
+
+
+_TRIVARIATE = """
+import contextlib
+import io
+import json
+import sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+import tracer
+from jbkit import cli
+tr = tracer.Tracer()
+tracer.install(tr)
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.run(["bch", "--max-degree", "4", "--tri"]) == 0
+print(json.dumps(tr.summary(0.0)))
+"""
+
+
+def test_traced_trivariate_table_records_its_spans():
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", _TRIVARIATE, str(ROOT / "perfbench"), str(ROOT / "src")],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads(proc.stdout.splitlines()[-1])
+    assert summary["bch.build_table.calls"] >= 1
+    assert summary["bch.trivariate.calls"] == 1
+    assert summary["bch.build_table.max_degree"] == 4
