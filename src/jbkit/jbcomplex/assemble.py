@@ -38,8 +38,8 @@ contribute zero.
 
 chain_mul, the Koszul product of sparse chains, lives here too; the
 exponential chains of cocycle and induced_chain_map use it.  Only
-monomial_differential keeps its own merge of one new factor into the
-leftover word: it is the assembly's hot path.
+_merge keeps its own merge of one new factor into the leftover word: it
+is the hot path of assembly and of the d*d certificate.
 
 JBComplex is a sela.GradedComplex on these monomials, so its matrices,
 assembled per degree on first read, its d*d check and its cohomology
@@ -59,31 +59,37 @@ dimensions of TotalComplex; where TotalComplex does not square to zero
 bound(n) is None in every degree.  A count of 0 answers (0, []) with no
 elimination; elsewhere the eliminated dimension must not exceed it.
 
-JBComplex certifies d*d = 0 from the one-factor rows.  The chain groups
-are the symmetric coalgebra on C_1, truncated by the tags, and d is a
-coderivation of it: d of a word is the sum, over every nonempty set S of
-positions of its factors, of the one-factor part of d on the factors at
-S, merged into the word without them with the Koszul sign of moving them
-to the front.  That is the L-infinity structure of D. Fiorenza, M.
-Manetti & E. Martinengo, Cosimplicial DGLAs in deformation theory
-(Comm. Algebra 40, 2012), and the plan walk and its merge in
-monomial_differential are written to produce it.  d*d, the square of an
-odd coderivation, is a coderivation too, and a coderivation vanishes
-exactly when its one-factor rows do (Loday-Vallette, Algebraic Operads,
-10.3).  Each degree's basis lists its one-factor monomials first, so
-square_defects multiplies only that prefix of the rows of d out of n + 1
-by the rows of d out of n that its columns reach.  The statement is
-global, not per degree: on mc_triangle(5) the one-factor rows fail in
-degree 1 only, the full product in degrees 1 to 5.  So a zero result
-certifies every degree at once, and any other result falls back to the
-full product in every degree, whose list jb check prints.  The trade:
-the full product also checks the rows with several factors on their own
-terms, while the certificate relies on d being a coderivation.  A wrong
-Koszul sign in the merge can break that and slip past the certificate
-(dropping the sign of moving the selected factors to the front does on
-mc_pair(3-5) and dg_pair(3)), so a test rebuilds every column of every
-assembled matrix as the coderivation extension of the one-factor rows.
-TotalComplex and the d*d refusal of cohomology(n) keep the full product.
+JBComplex certifies d*d = 0 from the one-factor rows, word by word and
+with no matrix.  The chain groups are the symmetric coalgebra on C_1,
+truncated by the tags, and d is a coderivation of it: d of a word is the
+sum, over every nonempty set S of positions of its factors, of the
+one-factor part of d on the factors at S, merged into the word without
+them with the Koszul sign of moving them to the front (the L-infinity
+structure of D. Fiorenza, M. Manetti & E. Martinengo, Cosimplicial DGLAs
+in deformation theory, Comm. Algebra 40, 2012).  d*d, the square of an
+odd coderivation, is a coderivation too, and vanishes exactly when its
+one-factor rows do (Loday-Vallette, Algebraic Operads, 10.3).  Its entry
+at one-factor row h and column (w, q) is the sum over u of d(w)_u times
+p1d(u)_h, where p1d(u) sums the plan entries of u that select every
+factor (leftover ()): zero unless the shape of u is full, i.e. has such
+an entry.  A target of a plan entry is its leftover plus one factor on
+the family's simplex (for one factor on s: on s or a coface of s), so an
+entry whose leftover shape grows into no full shape that way adds
+exactly zero and is skipped.  d(w, q) is d(w) tagged q, so each word is
+walked once.  The statement is global, not per degree: on mc_triangle(5)
+the one-factor rows fail in degree 1 only, the full product in degrees 1
+to 5.  So a zero result certifies every degree at once, and any other
+falls back to the full product in every degree, whose list jb check
+prints.  The trade: the certificate relies on d being a coderivation,
+which a wrong Koszul sign in the merge can break unseen (dropping the
+sign of moving the selected factors to the front does on mc_pair(3-5)
+and dg_pair(3)), so a test rebuilds every column of every assembled
+matrix as the coderivation extension of the one-factor rows.  The
+guards "raises the factor count" and "left the enumerated basis" run on
+every assembled matrix: in cohomology, in the fallback and in the
+tests.  A certified target is a leftover plus one factor, so it cannot
+raise the count.  TotalComplex and the d*d refusal of cohomology(n) keep
+the full product.
 
 One JBComplex, or one chain_differential call, keeps a dict (the memo)
 that lives as long as that complex or call and holds, each computed
@@ -97,9 +103,11 @@ once:
                     simplex and basis index alone;
   per simplex       the selection plan: the selections of every family
   shape             that can be nonzero on factors sitting on that tuple
-                    of simplices, in the order monomial_differential
-                    walks them, each with its sorted and leftover
-                    positions;
+                    of simplices, in the order _merge walks them, each
+                    with its sorted and leftover positions; and for the
+                    certificate, its entries that select every factor
+                    and those that can reach a full shape;
+  per word          for the certificate, the one-factor part of its d;
   per selection     the value of each family on the selected factors,
                     keyed by (kind, simplex, ranks of those factors):
                     the vertex bracket, the symmetrized adjoint action of
@@ -117,7 +125,7 @@ of degree N - 1.  Neither is kept beyond one memo.  A value is computed
 on plain sparse maps {basis index: Fraction}, with StructLie.bracket_maps
 for every bracket and SparseRatMatrix.apply for every coface.  The rest
 of the monomial only enters through the Koszul sign and the merge that
-monomial_differential applies per selection.  Values are stored with
+_merge applies per selection.  Values are stored with
 the rank and parity of every factor they produce and with each
 coefficient next to its negative, ready for that merge: the Koszul sign
 picks one of the two, and the new factor goes where bisect_left puts
@@ -164,7 +172,7 @@ from ..exactnum import ONE, SparseRatMatrix, bernoulli_normalized
 from ..exactnum import rank_kernel  # noqa: F401
 from ..freelie import Alphabet, AssocPoly, _extract_lie, evaluate_lie, expand_associative
 from ..liecore import _add_maps
-from .sela import GradedComplex, TotalComplex, coface_sign, _acc, _simplex_name
+from .sela import GradedComplex, TotalComplex, coface_sign, _acc, _simplex_key, _simplex_name
 
 __all__ = [
     "JBComplex",
@@ -265,17 +273,6 @@ def chain_mul(sela, u, v):
                     out[key] = s
                 else:
                     out.pop(key, None)
-    return out
-
-
-def _factor_count(mono):
-    return len(mono[0])
-
-
-def _rows(mat, keep):
-    """mat with its entries outside the rows in keep dropped."""
-    out = SparseRatMatrix(mat.nrows, mat.ncols)
-    out.entries = {rc: v for rc, v in mat.entries.items() if rc[0] in keep}
     return out
 
 
@@ -520,6 +517,33 @@ def _selection_plan(sela, shape):
     return plan
 
 
+def _kept(memo, key, make):
+    """memo[key], made by make() on the first read."""
+    value = memo.get(key)
+    if value is None:
+        value = memo[key] = make()
+    return value
+
+
+def _plan(sela, memo, shape):
+    return _kept(memo, ("plan", shape), lambda: _selection_plan(sela, shape))
+
+
+def _full_plan(sela, memo, shape):
+    """The entries of shape's plan that select every factor; empty unless shape is full."""
+    return _kept(memo, ("full", shape), lambda: [e for e in _plan(sela, memo, shape) if not e[3]])
+
+
+def _reaching_plan(sela, memo, shape):
+    """The entries of shape's plan with a target whose shape can be full (module docstring)."""
+    def reaches(head, pick, chosen, rest):
+        s = shape[pick] if head is None else head[1]
+        new = [s] if head else [s] + [t for t in sela.all_simplices(len(s) + 1) if set(s) < set(t)]
+        left = [shape[t] for t in rest]
+        return any(_full_plan(sela, memo, tuple(sorted(left + [t], key=_simplex_key))) for t in new)
+    return _kept(memo, ("reach", shape), lambda: [e for e in _plan(sela, memo, shape) if reaches(*e)])
+
+
 def monomial_differential(sela, mono, memo=None):
     """d of one basis monomial as a sparse chain {monomial: Fraction}.
 
@@ -531,11 +555,19 @@ def monomial_differential(sela, mono, memo=None):
     """
     if memo is None:
         memo = {}
+    shape = _shape(mono[0])
+    return _merge(sela, mono, memo.get(("plan", shape)) or _plan(sela, memo, shape), memo)
+
+
+def _shape(word):
+    return tuple([s for s, _ in word])
+
+
+def _merge(sela, mono, plan, memo):
+    """The sum over the entries of plan of their targets, merged into the word of mono."""
+    if not plan:
+        return {}
     factors, q = mono
-    shape = tuple([s for s, _ in factors])
-    plan = memo.get(("plan", shape))
-    if plan is None:
-        plan = memo["plan", shape] = _selection_plan(sela, shape)
     data = [memo.get(f) or _factor_data(sela, memo, f) for f in factors]
     ranks = [d[0] for d in data]
     parities = [d[1] for d in data]
@@ -639,7 +671,7 @@ class JBComplex(GradedComplex):
 
     def __init__(self, sela):
         self.order = sela.artin_order
-        memo = {}
+        memo = self._memo = {}
         factors = list(_ranks(sela, memo))  # in rank order
         last = [None, ()]  # the last word and its d, tags dropped
 
@@ -687,24 +719,32 @@ class JBComplex(GradedComplex):
         return list(self.basis.get(degree, ()))
 
     def square_defects(self):
-        """GradedComplex.square_defects, certified empty from the one-factor rows.
+        """GradedComplex.square_defects, certified empty word by word.
 
-        For every pair of consecutive degrees only the one-factor rows of
-        d out of n + 1, a prefix of its rows, are multiplied by d out of
-        n, and of that only by the rows their columns reach: the other
-        rows meet zero columns.  d*d is a coderivation, so where all
-        those products vanish it is zero (module docstring) and the list
-        is empty.  Otherwise the full product of every degree gives the
-        list.
+        Where the one-factor part of d(d(w)) is zero for every word w, d*d
+        is zero (module docstring): the list is empty and no matrix is
+        assembled.  Otherwise the full product of every degree gives it.
         """
-        for n in self.degrees():
-            if n + 1 in self.basis:
-                ones = bisect_right(self.basis.get(n + 2, ()), 1, key=_factor_count)
-                head = _rows(self.matrix(n + 1), range(ones))
-                reached = _rows(self.matrix(n), {c for _, c in head.entries})
-                if not head.mul(reached).is_zero():
-                    return super().square_defects()
+        if any(acc for _, acc in self._word_defects()):
+            return super().square_defects()
         return []
+
+    def _word_defects(self):
+        """((w, len(w)), {one-factor word: value of d(d(w)) there}) for every word w.
+
+        d(w) walks the plan entries that can reach a full shape, d of each
+        target those that select every factor."""
+        sela, memo = self.sela, self._memo
+        for monos in self.basis.values():
+            for word, q in monos:
+                if q == len(word):
+                    acc = {}
+                    for (u, _), c in _merge(sela, (word, q), _reaching_plan(sela, memo, _shape(word)),
+                                            memo).items():
+                        for (h, _), v in _kept(memo, ("one", u), lambda: _merge(
+                                sela, (u, q), _full_plan(sela, memo, _shape(u)), memo)).items():
+                            _acc(acc, h, c * v)
+                    yield (word, q), acc
 
     def bound(self, n):
         """The E1 count of degree n (module docstring); None in every degree
@@ -745,11 +785,11 @@ def jb_assemble(sela):
 def verify_d_squared(jb):
     """All compositions d(d(monomial)); empty list means they vanish.
 
-    Read off JBComplex.square_defects: the one-factor rows of d*d
-    certify the empty list; where they do not vanish, every nonzero
-    entry of the full product comes back as (degree, source monomial,
-    target monomial, coefficient) with the monomials formatted for
-    reading.
+    Read off JBComplex.square_defects: the one-factor rows of d*d,
+    walked word by word with no matrix, certify the empty list; where
+    they do not vanish, every nonzero entry of the full product comes
+    back as (degree, source monomial, target monomial, coefficient)
+    with the monomials formatted for reading.
     """
     return [
         (deg, format_monomial(jb.sela, src), format_monomial(jb.sela, dst), v)

@@ -406,31 +406,71 @@ def test_every_column_is_the_coderivation_extension_of_one_factor_rows(factory, 
                 (deg, format_monomial(sela, mono))
 
 
-def test_certificate_multiplies_only_one_factor_rows(monkeypatch):
-    jb = _assembled(factories.nonabelian_triangle, 5)
+@pytest.mark.parametrize("order", [3, 4, 5])
+@pytest.mark.parametrize("factory", _ORDERED_FACTORIES, ids=lambda f: f.__name__)
+def test_word_defects_are_the_one_factor_rows_of_the_product(factory, order):
+    # the certificate walks each word w once, at (w, len(w)), through the
+    # plan entries that can reach a full shape; what it finds must be the
+    # one-factor rows of the full product in every column (w, q)
+    jb = _assembled(factory, order)
+    walked = dict(jb._word_defects())
+    assert set(walked) == {(w, q) for monos in jb.basis.values() for w, q in monos if q == len(w)}
+    nonzero = False
+    for n in jb.degrees():
+        want = {}
+        for (r, c), v in jb.matrix(n + 1).mul(jb.matrix(n)).entries.items():
+            (h, tag), (w, q) = jb.basis[n + 2][r], jb.basis[n][c]
+            assert tag == q
+            if len(h) == 1:
+                want.setdefault((w, q), {})[h] = v
+        for w, q in jb.basis[n]:
+            assert walked[w, len(w)] == want.get((w, q), {}), (n, format_monomial(jb.sela, (w, q)))
+        nonzero = nonzero or bool(want)
+    assert nonzero == (factory is factories.mc_triangle)
+
+
+def _check_through_cli(sela, tmp_path, monkeypatch, capsys):
+    """Exit code and report of jb check, with the matrices read and multiplied after loading."""
+    path = tmp_path / "sela.json"
+    path.write_text(json.dumps(sela.to_json()))
     calls = []
-    mul = SparseRatMatrix.mul
-    monkeypatch.setattr(SparseRatMatrix, "mul",
-                        lambda left, right: calls.append((left, right)) or mul(left, right))
-    assert jb.square_defects() == []
-    pairs = [n for n in jb.degrees() if n + 1 in jb.basis]
-    assert len(calls) == len(pairs)
-    left_out = 0
-    for n, (left, right) in zip(pairs, calls):
-        # the left factor holds every one-factor row of d out of n + 1
-        # and no other row, the right one the rows of d out of n that
-        # its columns reach
-        targets = jb.basis.get(n + 2, [])
-        entries = jb.matrix(n + 1).entries
-        assert left.entries == {
-            (r, c): v for (r, c), v in entries.items() if len(targets[r][0]) == 1
-        }, n
-        reached = {c for _, c in left.entries}
-        assert right.entries == {
-            (r, c): v for (r, c), v in jb.matrix(n).entries.items() if r in reached
-        }, n
-        left_out += len(entries) - len(left.entries)
-    assert left_out  # d has rows with several factors, so the spy can tell the two apart
+    assemble_ = cli.jb_assemble
+    monkeypatch.setattr(cli, "jb_assemble", lambda sela: calls.append("load") or assemble_(sela))
+
+    def spy(owner, attr):
+        spied = getattr(owner, attr)
+
+        def counted(*args):
+            if calls:
+                calls.append(attr)
+            return spied(*args)
+        monkeypatch.setattr(owner, attr, counted)
+
+    spy(sela_module.GradedComplex, "matrix")
+    spy(SparseRatMatrix, "mul")
+    code = cli.run(["jb", "check", "--data", str(path)])
+    return code, json.loads(capsys.readouterr().out), calls[1:]
+
+
+def test_cli_check_reads_and_multiplies_no_matrix(tmp_path, monkeypatch, capsys):
+    # validating the gluing datum multiplies coface maps; after that the
+    # certificate reads no JB matrix and multiplies none
+    code, report, calls = _check_through_cli(
+        factories.nonabelian_triangle(5), tmp_path, monkeypatch, capsys)
+    assert (code, report["d_squared_zero"], calls) == (0, True, [])
+
+
+def test_cli_check_falls_back_to_the_full_product(tmp_path, monkeypatch, capsys):
+    sela = factories.mc_triangle(4)
+    code, report, calls = _check_through_cli(sela, tmp_path, monkeypatch, capsys)
+    full = sela_module.GradedComplex.square_defects(jb_assemble(sela))
+    assert (code, report["d_squared_zero"]) == (1, False)
+    assert full and "mul" in calls
+    assert report["failures"] == [
+        {"degree": n, "source": format_monomial(sela, src), "target": format_monomial(sela, dst),
+         "coeff": exactnum.format_rational(v)}
+        for n, src, dst, v in full
+    ]
 
 
 @pytest.mark.parametrize("degree", [-2, 0, 1])

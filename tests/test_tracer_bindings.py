@@ -10,8 +10,9 @@ jbkit.jbcomplex.assemble and three lru_caches of jbkit.freelie.  A traced
 their calls, so a changed signature cannot zero those metrics silently.
 
 The tracer's assembly hook reads the matrix of every degree, so a traced
-``jb cohomology``, which by itself assembles only two degrees, still
-records the shape of the whole complex for the shape gate.
+``jb cohomology``, which by itself assembles only two degrees, and a
+traced ``jb check``, which by itself assembles none, still record the
+shape of the whole complex for the shape gate.
 """
 
 import json
@@ -56,24 +57,57 @@ print(json.dumps(tr.shapes))
 """
 
 
-def test_traced_cohomology_records_every_degree(tmp_path):
-    sela = factories.dg_triangle(4)
+def _traced(script, sela, tmp_path):
+    """The last stdout line of script, run traced on sela's JSON file, as JSON."""
     path = tmp_path / "sela.json"
     path.write_text(json.dumps(sela.to_json()))
     proc = subprocess.run(
-        [sys.executable, "-B", "-c", _COHOMOLOGY, str(ROOT / "perfbench"), str(ROOT / "src"),
+        [sys.executable, "-B", "-c", script, str(ROOT / "perfbench"), str(ROOT / "src"),
          str(path)],
         capture_output=True,
         text=True,
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    (record,) = json.loads(proc.stdout.splitlines()[-1])
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def _every_shape(sela):
     jb = jb_assemble(sela)
-    assert record["shapes"] == {
+    return {
         str(n): [jb.matrix(n).nrows, jb.matrix(n).ncols, len(jb.matrix(n).entries)]
         for n in jb.degrees()
     }
+
+
+def test_traced_cohomology_records_every_degree(tmp_path):
+    sela = factories.dg_triangle(4)
+    (record,) = _traced(_COHOMOLOGY, sela, tmp_path)
+    assert record["shapes"] == _every_shape(sela)
+
+
+_CHECK = """
+import contextlib
+import io
+import json
+import sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+import tracer
+from jbkit import cli
+tr = tracer.Tracer()
+tracer.install(tr)
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.run(["jb", "check", "--data", sys.argv[3]]) == 0
+print(json.dumps({"shapes": tr.shapes, "summary": tr.summary(0.0)}))
+"""
+
+
+def test_traced_check_records_every_degree_and_its_span(tmp_path):
+    sela = factories.dg_triangle(4)
+    traced = _traced(_CHECK, sela, tmp_path)
+    (record,) = traced["shapes"]
+    assert record["shapes"] == _every_shape(sela)
+    assert traced["summary"]["jbcomplex.verify_d_squared.calls"] == 1
 
 
 _TRIVARIATE = """
