@@ -22,7 +22,7 @@ from functools import lru_cache
 from importlib import resources
 
 from .bch import build_table
-from .exactnum import bernoulli, binomial, format_rational, parse_rational
+from .exactnum import bernoulli, binomial, format_rational, json_int, parse_rational
 from .liecore import ArtinLine, LieElement
 from .jbcomplex import (
     Sela,
@@ -165,8 +165,9 @@ def _element_from_json(sela, simplex, records):
                 "no basis element %r on simplex %s" % (name, _simplex_name(simplex))
             )
         idx = lie.index[name]
-        cur = coeffs.get(idx, ring.element([0]))
-        coeffs[idx] = cur + ring.t_power(int(rec["power"]), parse_rational(str(rec["coeff"])))
+        power = json_int(rec["power"], "power", "family", nonnegative=True)
+        term = ring.t_power(power, parse_rational(str(rec["coeff"])))
+        coeffs[idx] = coeffs.get(idx, ring.zero()) + term
     return LieElement(lie, ring, coeffs)
 
 

@@ -29,6 +29,27 @@ def parse_rational(text: str) -> Fraction:
     return Fraction(int(s))
 
 
+def json_int(value, field: str, datum: str, nonnegative: bool = False) -> int:
+    """A JSON integer, not a bool; else "malformed <datum> (...)" naming the field."""
+    if not isinstance(value, int) or isinstance(value, bool) or (nonnegative and value < 0):
+        kind = "a nonnegative integer" if nonnegative else "an integer"
+        raise ValueError("malformed %s (%s must be %s, got %r)" % (datum, field, kind, value))
+    return value
+
+
+def _add_maps(u: dict, v: dict) -> dict:
+    """Sum of two sparse maps {key: coefficient}, zeros dropped; the only sparse sum.
+
+    Keys keep the order of their first insertion, u's before v's.  A
+    coefficient needs only + and truthiness meaning nonzero.
+    """
+    out = dict(u)
+    for c, w in v.items():
+        s = out.get(c)
+        out[c] = w if s is None else s + w
+    return {c: w for c, w in out.items() if w}
+
+
 def format_rational(x: Fraction) -> str:
     """Render an exact rational as "p/q", or "p" when the denominator is 1."""
     x = Fraction(x)
@@ -122,11 +143,6 @@ class SparseRatMatrix:
     def __repr__(self):
         return f"SparseRatMatrix({self.nrows}x{self.ncols}, {len(self.entries)} nonzero)"
 
-    def copy(self) -> "SparseRatMatrix":
-        m = SparseRatMatrix(self.nrows, self.ncols)
-        m.entries = dict(self.entries)
-        return m
-
     @staticmethod
     def identity(n: int) -> "SparseRatMatrix":
         m = SparseRatMatrix(n, n)
@@ -144,9 +160,8 @@ class SparseRatMatrix:
     def add(self, other: "SparseRatMatrix") -> "SparseRatMatrix":
         if (self.nrows, self.ncols) != (other.nrows, other.ncols):
             raise ValueError("shape mismatch")
-        m = self.copy()
-        for key, v in other.entries.items():
-            m[key] = m[key] + v
+        m = SparseRatMatrix(self.nrows, self.ncols)
+        m.entries = _add_maps(self.entries, other.entries)
         return m
 
     def scale(self, c) -> "SparseRatMatrix":
@@ -210,7 +225,7 @@ class SparseRatMatrix:
 
         The only sparse linear map: a coefficient may be a Fraction or
         any ring element that a Fraction scales from the left and whose
-        truthiness means nonzero (liecore.ArtinElt).
+        truthiness means nonzero (liecore.ArtinElt, schemes.TruncPoly).
         """
         out: dict = {}
         for (i, j), a in self.entries.items():

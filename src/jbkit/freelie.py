@@ -24,7 +24,7 @@ from functools import lru_cache
 from math import factorial, lcm
 from itertools import permutations
 
-from .exactnum import ZERO, ONE, format_rational, parse_rational
+from .exactnum import ZERO, ONE, _add_maps, format_rational, parse_rational
 
 Word = tuple  # tuple[int, ...]
 
@@ -176,14 +176,7 @@ class _WordSum:
         )
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for w, c in other.terms.items():
-            s = out.get(w, ZERO) + c
-            if s:
-                out[w] = s
-            else:
-                out.pop(w, None)
-        return self._of(self.alphabet, out)
+        return self._of(self.alphabet, _add_maps(self.terms, other.terms))
 
     def __sub__(self, other):
         return self + other.scale(-1)

@@ -167,11 +167,10 @@ from itertools import combinations, combinations_with_replacement, permutations,
 from operator import itemgetter
 
 from ..bch import build_table
-from ..exactnum import ONE, SparseRatMatrix, bernoulli_normalized
+from ..exactnum import ONE, SparseRatMatrix, _add_maps, bernoulli_normalized
 # Unused here, but kept bound: perfbench/tracer.py patches this module's rank_kernel.
 from ..exactnum import rank_kernel  # noqa: F401
 from ..freelie import Alphabet, AssocPoly, _extract_lie, evaluate_lie, expand_associative
-from ..liecore import _add_maps
 from .sela import GradedComplex, TotalComplex, coface_sign, _acc, _simplex_key, _simplex_name
 
 __all__ = [

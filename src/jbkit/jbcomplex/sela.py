@@ -32,7 +32,8 @@ from __future__ import annotations
 from itertools import combinations
 
 from ..exactnum import (
-    SparseRatMatrix, ZERO, format_rational, kernel_complement, parse_rational, rank, row_echelon,
+    SparseRatMatrix, ZERO, format_rational, json_int, kernel_complement, parse_rational, rank,
+    row_echelon,
 )
 from ..liecore import StructLie, check_lie_axioms
 
@@ -245,11 +246,7 @@ class Sela:
         """Parse the to_json schema; malformed data raises ValueError."""
         try:
             indices = tuple(data["indices"])
-            order = data.get("artin_order", 2)
-            if not isinstance(order, int) or isinstance(order, bool):
-                raise ValueError(
-                    "malformed gluing datum (artin_order must be an integer, got %r)" % (order,)
-                )
+            order = json_int(data.get("artin_order", 2), "artin_order", "gluing datum")
             algebras = {}
             for key, alg in data.get("algebras", {}).items():
                 algebras[_parse_simplex(key, indices)] = StructLie.from_json(alg)

@@ -8,19 +8,108 @@ word of length >= N vanish, which is the nilpotency bound the series
 evaluator relies on.
 
 Sparse coefficient maps {basis index: coefficient} are bracketed by
-StructLie.bracket_maps and mapped by SparseRatMatrix.apply, whatever
-the coefficient ring.  A coefficient only has to support the ring's *
-and +, multiplication by a Fraction scalar on its left, and truthiness
-meaning nonzero: Fraction and ArtinElt both do, and neither kernel
-stores a zero.
+StructLie.bracket_maps, mapped by SparseRatMatrix.apply and added by
+exactnum._add_maps, whatever the coefficient ring.  A coefficient only
+has to support the ring's * and +, multiplication by a Fraction scalar
+on its left, and truthiness meaning nonzero: Fraction, schemes.Poly and
+every TruncElt do, and no kernel stores a zero.
+
+TruncElt is the one truncated line R[t]/(t^N) over such a coefficient
+ring R, its arithmetic written once: ArtinElt is the line over Q and
+schemes.TruncPoly the line over Q[x1..xn].
 """
 from __future__ import annotations
 
 from fractions import Fraction
 from math import factorial
 
-from .exactnum import ONE, ZERO, SparseRatMatrix, format_rational, insert, parse_rational, rank
+from .exactnum import (
+    ONE, ZERO, SparseRatMatrix, _add_maps, format_rational, insert, json_int, parse_rational, rank,
+)
 from .freelie import FreeLieElement, evaluate_lie
+
+
+def t_power_slots(zero, order: int, k: int, c) -> tuple:
+    """The slots of c*t^k on a line of the given order: zero when k >= order."""
+    if k < 0:
+        raise ValueError("negative power of t: %d" % k)
+    return tuple(c if i == k else zero for i in range(order))
+
+
+class TruncElt:
+    """Element of R[t]/(t^N): slot k of ``coeffs`` holds the t^k part.
+
+    A subclass fixes R.  It names the line an element lives on
+    (``_line()``, compared with ==), the zero of R (``_zero()``), and
+    rebuilds an element of the same line from a tuple of slots
+    (``_with``).  Operators take two elements of one class; a Fraction
+    scales from the left.
+    """
+
+    __slots__ = ("coeffs",)
+    _MIXED = "operands live on different truncated lines"
+
+    def _check(self, other):
+        if self._line() != other._line():
+            raise ValueError(self._MIXED)
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        self._check(other)
+        return self._with(tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+
+    def __sub__(self, other):
+        return self + -other
+
+    def __neg__(self):
+        return self._with(tuple(-a for a in self.coeffs))
+
+    def __mul__(self, other):
+        """The truncated product: t^i * t^j dies once i + j reaches N."""
+        if type(other) is not type(self):
+            return NotImplemented
+        self._check(other)
+        n = len(self.coeffs)
+        out = [self._zero()] * n
+        for i, a in enumerate(self.coeffs):
+            if not a:
+                continue
+            for j, b in enumerate(other.coeffs):
+                if i + j >= n:
+                    break
+                if b:
+                    out[i + j] = out[i + j] + a * b
+        return self._with(tuple(out))
+
+    def scale(self, c):
+        c = Fraction(c)
+        return self._with(tuple(c * a for a in self.coeffs))
+
+    __rmul__ = scale  # a rational scalar on the left: c * self
+
+    def __bool__(self) -> bool:
+        return any(self.coeffs)
+
+    def __eq__(self, other):
+        return (
+            type(other) is type(self)
+            and self._line() == other._line()
+            and self.coeffs == other.coeffs
+        )
+
+    def __hash__(self):
+        return hash((self._line(), self.coeffs))
+
+    def is_zero(self) -> bool:
+        return not any(self.coeffs)
+
+    def in_maximal_ideal(self) -> bool:
+        return not self.coeffs[0]
+
+    def valuation(self) -> int:
+        """Smallest power of t with a nonzero coefficient; N if zero."""
+        return next((k for k, c in enumerate(self.coeffs) if c), len(self.coeffs))
 
 
 class ArtinLine:
@@ -58,91 +147,27 @@ class ArtinLine:
         return self.t_power(0)
 
     def t_power(self, k: int, coeff=ONE) -> "ArtinElt":
-        c = Fraction(coeff)
-        if k >= self.order:
-            return self.zero()
-        vals = [ZERO] * self.order
-        vals[k] = c
-        return ArtinElt(self, tuple(vals))
+        return ArtinElt(self, t_power_slots(ZERO, self.order, k, Fraction(coeff)))
 
 
-class ArtinElt:
+class ArtinElt(TruncElt):
     """Element of Q[t]/(t^N) as a coefficient vector."""
 
-    __slots__ = ("ring", "coeffs")
+    __slots__ = ("ring",)
+    _MIXED = "mixed artin rings"
 
     def __init__(self, ring: ArtinLine, coeffs: tuple):
         self.ring = ring
         self.coeffs = coeffs
 
-    def _check(self, other):
-        if self.ring != other.ring:
-            raise ValueError("mixed artin rings")
+    def _line(self):
+        return self.ring
 
-    def __add__(self, other: "ArtinElt") -> "ArtinElt":
-        if not isinstance(other, ArtinElt):
-            return NotImplemented
-        self._check(other)
-        return ArtinElt(self.ring, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+    def _zero(self):
+        return ZERO
 
-    def __sub__(self, other: "ArtinElt") -> "ArtinElt":
-        if not isinstance(other, ArtinElt):
-            return NotImplemented
-        self._check(other)
-        return ArtinElt(self.ring, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
-
-    def __neg__(self) -> "ArtinElt":
-        return ArtinElt(self.ring, tuple(-a for a in self.coeffs))
-
-    def __mul__(self, other: "ArtinElt") -> "ArtinElt":
-        if not isinstance(other, ArtinElt):
-            return NotImplemented
-        self._check(other)
-        n = self.ring.order
-        out = [ZERO] * n
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if i + j >= n:
-                    break
-                if b:
-                    out[i + j] += a * b
-        return ArtinElt(self.ring, tuple(out))
-
-    def scale(self, c) -> "ArtinElt":
-        c = Fraction(c)
-        return ArtinElt(self.ring, tuple(c * a for a in self.coeffs))
-
-    def __rmul__(self, c) -> "ArtinElt":
-        """A rational scalar on the left: c * self."""
-        return self.scale(c)
-
-    def __bool__(self) -> bool:
-        return any(self.coeffs)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, ArtinElt)
-            and self.ring == other.ring
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.ring, self.coeffs))
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
-
-    def in_maximal_ideal(self) -> bool:
-        return self.coeffs[0] == 0
-
-    def valuation(self) -> int:
-        """Smallest power of t with a nonzero coefficient; order if zero."""
-        for k, c in enumerate(self.coeffs):
-            if c:
-                return k
-        return self.ring.order
+    def _with(self, coeffs):
+        return ArtinElt(self.ring, coeffs)
 
     def to_list(self) -> list:
         return [format_rational(c) for c in self.coeffs]
@@ -248,7 +273,7 @@ class StructLie:
         antisymmetry; explicitly provided pairs are never overwritten.
         """
         names = [b["name"] for b in data["basis"]]
-        degrees = [int(b["degree"]) for b in data["basis"]]
+        degrees = [json_int(b["degree"], "degree", "Lie algebra") for b in data["basis"]]
         index = {n: i for i, n in enumerate(names)}
         brackets: dict = {}
         for entry in data.get("brackets", []):
@@ -329,15 +354,6 @@ def _nilpotency_class(lie: StructLie):
             return None
         spans.append(list(echelon.values()))
         n += 1
-
-
-def _add_maps(u: dict, v: dict) -> dict:
-    """Sum of two sparse coefficient maps, zeros dropped."""
-    out = dict(u)
-    for c, w in v.items():
-        s = out.get(c)
-        out[c] = w if s is None else s + w
-    return {c: w for c, w in out.items() if w}
 
 
 def check_lie_axioms(lie: StructLie) -> list:
@@ -479,23 +495,14 @@ class LieElement:
 
     def __add__(self, other: "LieElement") -> "LieElement":
         self._check(other)
-        out = dict(self.coeffs)
-        for i, c in other.coeffs.items():
-            s = out.get(i)
-            out[i] = c if s is None else s + c
-        return LieElement(self.lie, self.ring, out)
+        return LieElement(self.lie, self.ring, _add_maps(self.coeffs, other.coeffs))
 
     def __sub__(self, other: "LieElement") -> "LieElement":
         return self + other.scale(Fraction(-1))
 
     def scale(self, c) -> "LieElement":
-        if isinstance(c, ArtinElt):
-            return LieElement(
-                self.lie, self.ring, {i: v * c for i, v in self.coeffs.items()}
-            )
-        return LieElement(
-            self.lie, self.ring, {i: v.scale(c) for i, v in self.coeffs.items()}
-        )
+        c = c if isinstance(c, ArtinElt) else Fraction(c)
+        return LieElement(self.lie, self.ring, {i: c * v for i, v in self.coeffs.items()})
 
     def bracket(self, other: "LieElement") -> "LieElement":
         self._check(other)

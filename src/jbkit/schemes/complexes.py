@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from itertools import combinations
 
+from ..exactnum import json_int
 from .poly import Poly, parse_poly
 
 __all__ = ["PolyComplex", "koszul_resolution"]
@@ -141,7 +142,9 @@ class PolyComplex:
                 [[parse_poly(s, vars) for s in row] for row in mat]
                 for mat in data["maps"]
             ]
-            return PolyComplex(vars, data.get("start", 0), data["ranks"], maps)
+            start = json_int(data.get("start", 0), "start", "complex")
+            ranks = [json_int(r, "ranks[%d]" % k, "complex") for k, r in enumerate(data["ranks"])]
+            return PolyComplex(vars, start, ranks, maps)
         except (KeyError, IndexError, TypeError, AttributeError) as e:
             raise ValueError(
                 "malformed complex (%s: %s)" % (type(e).__name__, e)

@@ -9,6 +9,11 @@ bracket series, triple overlaps are tested with its trivariate form,
 and pushing a family to a higher truncation order runs the extension
 step of the gluing complex on a one-chart datum built from the
 quotient by the singularity ideal.
+
+TruncPoly is the truncated line of liecore.TruncElt over Q[x1..xn], the
+line whose arithmetic ArtinElt shares over Q.  Its slots are Poly, which
+keeps the coefficient protocol of liecore: ring + and *, a Fraction on
+the left, and truthiness meaning nonzero, so a zero TruncPoly is falsy.
 """
 
 from __future__ import annotations
@@ -16,7 +21,8 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..bch import eval_bch
-from ..liecore import ArtinLine, LieElement, StructLie, exp_conjugate
+from ..exactnum import _add_maps
+from ..liecore import ArtinLine, LieElement, StructLie, TruncElt, exp_conjugate, t_power_slots
 from ..jbcomplex.assemble import _shared_table
 from ..jbcomplex.cocycle import special_cocycle
 from ..jbcomplex.obstruct import obstruction
@@ -44,70 +50,39 @@ __all__ = [
 # -- truncated polynomial line over Q[x1..xn] --------------------------------
 
 
-class TruncPoly:
+class TruncPoly(TruncElt):
     """Polynomial with coefficients in Q[t]/(t^N); slot k holds the t^k part."""
 
-    __slots__ = ("vars", "order", "coeffs")
+    __slots__ = ("vars", "order")
 
     def __init__(self, vars, order, coeffs=None):
         if order < 1:
             raise ValueError("truncation order must be at least 1")
         self.vars = tuple(vars)
         self.order = order
-        filled = [Poly.zero(self.vars) for _ in range(order)]
-        for k, p in enumerate(coeffs or ()):
-            if k >= order:
-                break
+        slots = tuple(coeffs or ())[:order]
+        for k, p in enumerate(slots):
             if p.vars != self.vars:
                 raise ValueError("coefficient %d uses different variables" % k)
-            filled[k] = p
-        self.coeffs = tuple(filled)
+        self.coeffs = slots + (Poly.zero(self.vars),) * (order - len(slots))
 
     @staticmethod
     def from_poly(p, order, power=0):
         """p * t^power as a truncated series."""
-        coeffs = [Poly.zero(p.vars)] * power + [p]
-        return TruncPoly(p.vars, order, coeffs)
+        return TruncPoly(p.vars, order, t_power_slots(Poly.zero(p.vars), order, power, p))
 
     @staticmethod
     def zero(vars, order):
         return TruncPoly(vars, order)
 
-    def _check(self, other):
-        if self.vars != other.vars or self.order != other.order:
-            raise ValueError("operands live on different truncated lines")
+    def _line(self):
+        return self.vars, self.order
 
-    def __add__(self, other):
-        self._check(other)
-        return TruncPoly(
-            self.vars, self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)]
-        )
+    def _zero(self):
+        return Poly.zero(self.vars)
 
-    def __sub__(self, other):
-        self._check(other)
-        return TruncPoly(
-            self.vars, self.order, [a - b for a, b in zip(self.coeffs, other.coeffs)]
-        )
-
-    def __neg__(self):
-        return self.scale(Fraction(-1))
-
-    def __mul__(self, other):
-        self._check(other)
-        out = [Poly.zero(self.vars) for _ in range(self.order)]
-        for i, a in enumerate(self.coeffs):
-            if a.is_zero():
-                continue
-            for j, b in enumerate(other.coeffs):
-                if i + j >= self.order:
-                    break
-                if not b.is_zero():
-                    out[i + j] = out[i + j] + a * b
-        return TruncPoly(self.vars, self.order, out)
-
-    def scale(self, c):
-        c = Fraction(c)
-        return TruncPoly(self.vars, self.order, [p.scale(c) for p in self.coeffs])
+    def _with(self, coeffs):
+        return TruncPoly(self.vars, self.order, coeffs)
 
     def shift(self, k):
         """Multiply by t^k."""
@@ -117,24 +92,6 @@ class TruncPoly:
 
     def diff(self, name):
         return TruncPoly(self.vars, self.order, [p.diff(name) for p in self.coeffs])
-
-    def is_zero(self):
-        return all(p.is_zero() for p in self.coeffs)
-
-    def valuation(self):
-        """Smallest k with a nonzero t^k part, or the order when zero."""
-        for k, p in enumerate(self.coeffs):
-            if not p.is_zero():
-                return k
-        return self.order
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TruncPoly)
-            and self.vars == other.vars
-            and self.order == other.order
-            and self.coeffs == other.coeffs
-        )
 
     def __str__(self):
         parts = []
@@ -208,17 +165,14 @@ class GlueGauge:
         return self.fields.get(name, TruncPoly.zero(self.vars, self.order))
 
     def in_maximal_ideal(self):
-        parts = list(self.fields.values()) + list(self.twist)
-        return all(p.valuation() >= 1 for p in parts)
+        return all(p.in_maximal_ideal() for p in (*self.fields.values(), *self.twist))
 
     def is_zero(self):
         return not self.fields and all(p.is_zero() for p in self.twist)
 
     def __add__(self, other):
         self._check(other)
-        fields = dict(self.fields)
-        for name, c in other.fields.items():
-            fields[name] = fields.get(name, TruncPoly.zero(self.vars, self.order)) + c
+        fields = _add_maps(self.fields, other.fields)
         twist = (self.twist[0] + other.twist[0], self.twist[1] + other.twist[1])
         return GlueGauge(self.vars, self.order, fields, twist)
 
@@ -463,8 +417,7 @@ def _reduce_to_element(lie, monos, gb, phi, order):
         red = normal_form(p, gb)
         for e, c in red.terms.items():
             idx = n + index[e]
-            cur = coeffs.get(idx, ring.element([0]))
-            coeffs[idx] = cur + ring.t_power(k, c)
+            coeffs[idx] = coeffs.get(idx, ring.zero()) + ring.t_power(k, c)
     return LieElement(lie, ring, coeffs)
 
 
@@ -537,8 +490,6 @@ def lift_deformation(f, g, from_order, to_order):
         raise ValueError("target order must exceed the starting order")
     if f.is_zero():
         raise ValueError("the equation must be nonzero, got f = 0")
-    # the largest table first: every smaller one is a truncation of it
-    _shared_table(to_order - 1)
     ks = ks_cochain(f, g, from_order)
     sela, cocycle = package_one_chart(ks)
     steps = []

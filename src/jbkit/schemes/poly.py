@@ -3,7 +3,10 @@
 Terms map exponent tuples to nonzero rational coefficients; the
 variable list is fixed per polynomial and arithmetic refuses to mix
 different lists.  Monomials compare in one term order, graded reverse
-lexicographic, which both printing and the Groebner layer read.
+lexicographic, which both printing and the Groebner layer read.  A
+polynomial is falsy exactly when it is zero and a Fraction scales it
+from the left, so it serves as the coefficient of a truncated line
+(liecore.TruncElt).
 """
 
 from __future__ import annotations
@@ -11,7 +14,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from ..exactnum import ZERO, format_rational, parse_rational
+from ..exactnum import ZERO, _add_maps, format_rational, parse_rational
 
 __all__ = ["Poly", "parse_poly"]
 
@@ -60,6 +63,9 @@ class Poly:
     def is_zero(self):
         return not self.terms
 
+    def __bool__(self):
+        return bool(self.terms)
+
     def is_constant(self):
         return all(not any(e) for e in self.terms)
 
@@ -76,14 +82,7 @@ class Poly:
 
     def __add__(self, other):
         self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, ZERO) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return self._wrap(out)
+        return self._wrap(_add_maps(self.terms, other.terms))
 
     def __sub__(self, other):
         return self + other.scale(-1)
@@ -120,6 +119,10 @@ class Poly:
     def scale(self, c):
         c = Fraction(c)
         return self._wrap({e: c * v for e, v in self.terms.items()} if c else {})
+
+    def __rmul__(self, c):
+        """A rational scalar on the left: c * self."""
+        return self.scale(c)
 
     def _wrap(self, terms):
         p = Poly.__new__(Poly)

@@ -184,6 +184,19 @@ def test_artin_order_that_is_not_an_integer_exits_one(capsys, tmp_path, order):
     }
 
 
+@pytest.mark.parametrize("degree", [0.5, True, "0", None])
+def test_basis_degree_that_is_not_an_integer_exits_one(capsys, tmp_path, degree):
+    # 0.5 was once truncated to the degree-0 basis it stands beside
+    data = factories.nonabelian_triangle(3).to_json()
+    for entry in data["algebras"]["0"]["basis"]:
+        entry["degree"] = degree
+    rc, out, err = run(capsys, "jb", "check", "--data", write(tmp_path, "bad.json", data))
+    assert (rc, err) == (1, "")
+    assert json.loads(out) == {
+        "error": "malformed Lie algebra (degree must be an integer, got %r)" % (degree,)
+    }
+
+
 def test_unparsable_json_exits_one(capsys, tmp_path):
     path = tmp_path / "bad.json"
     path.write_text("{")
@@ -270,6 +283,20 @@ def test_jb_obstruct(capsys, tmp_path):
     rc, out = run_json(capsys, "jb", "obstruct", "--data", path, "--from-order", "3")
     assert rc == 1 and "does not match" in out["error"]
     usage_error(capsys, "jb", "obstruct", "--data", path, "--to-order", "x")
+
+
+@pytest.mark.parametrize("action", ["cocycle", "obstruct"])
+@pytest.mark.parametrize("power", [2.7, True, "1", -1])
+def test_family_power_that_is_not_a_nonnegative_integer_exits_one(capsys, tmp_path, action, power):
+    # at N = 3, 2.7 was once read as 2 and -1 landed on t^2
+    sela = factories.nonabelian_triangle(3).to_json()
+    psi = {"01": edge(("e12", 1, "1")), "12": edge(("e23", power, "1")),
+           "02": edge(("e12", 1, "1"), ("e23", 1, "1"))}
+    path = write(tmp_path, "family.json", {"sela": sela, "psi": psi})
+    rc, out = run_json(capsys, "jb", action, "--data", path)
+    assert (rc, out) == (
+        1, {"error": "malformed family (power must be a nonnegative integer, got %r)" % (power,)}
+    )
 
 
 def test_jb_obstruct_refuses_unordered_orders_before_reading_data(capsys, tmp_path):
@@ -403,6 +430,25 @@ def test_resolution_check(capsys, tmp_path):
         rc, out = run_json(capsys, "resolution", "check", "--file", path)
         assert rc == 1 and out["ok"] is False
     usage_error(capsys, "resolution", "check", "--file", str(tmp_path / "absent.json"))
+
+
+@pytest.mark.parametrize("start", [0.5, False, "0"])
+def test_resolution_start_that_is_not_an_integer_exits_one(capsys, tmp_path, start):
+    data = koszul_resolution([parse_poly("x", ("x",))]).to_json()
+    data["start"] = start
+    rc, out = run_json(capsys, "resolution", "check", "--file", write(tmp_path, "c.json", data))
+    assert (rc, out) == (
+        1, {"ok": False, "error": "malformed complex (start must be an integer, got %r)" % (start,)}
+    )
+
+
+@pytest.mark.parametrize("rank", [1.9, True, "1"])
+def test_resolution_rank_that_is_not_an_integer_exits_one(capsys, tmp_path, rank):
+    data = koszul_resolution([parse_poly("x", ("x",))]).to_json()
+    data["ranks"] = [rank, 1]
+    rc, out = run_json(capsys, "resolution", "check", "--file", write(tmp_path, "c.json", data))
+    error = "malformed complex (ranks[0] must be an integer, got %r)" % (rank,)
+    assert (rc, out) == (1, {"ok": False, "error": error})
 
 
 def test_resolution_check_ignores_an_order_key(capsys, tmp_path):

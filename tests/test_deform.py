@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from jbkit.jbcomplex import assemble
 from jbkit.liecore import exp_conjugate
 from jbkit.schemes import (
     GlueGauge,
@@ -237,6 +238,18 @@ def test_lift_smooth_chart_is_trivial():
     rep = lift_deformation(parse_poly("x", W), parse_poly("y", W), 2, 3)
     assert rep.succeeded
     assert str(rep.equation()) == "x"
+
+
+def test_lift_reads_no_series_table(monkeypatch):
+    # a one-chart datum has no triangle, the only place a step reads a table
+    f, g = parse_poly("y^4+x^2*y", W), parse_poly("y^2", W)
+    monkeypatch.setattr(assemble, "_TABLE_CACHE", {})
+    cold = lift_deformation(f, g, 2, 5)
+    assert assemble._TABLE_CACHE == {}
+    assemble._shared_table(4)
+    warm = lift_deformation(f, g, 2, 5)
+    assert cold.describe() == warm.describe()
+    assert str(cold.equation()) == "y^4 + x^2*y + y^2*t"
 
 
 def test_lift_argument_validation():
