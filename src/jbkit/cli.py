@@ -22,7 +22,7 @@ from functools import lru_cache
 from importlib import resources
 
 from .bch import build_table
-from .exactnum import bernoulli, binomial, format_rational, json_int, parse_rational
+from .exactnum import bernoulli, binomial, format_rational, json_int, json_rational
 from .liecore import ArtinLine, LieElement
 from .jbcomplex import (
     Sela,
@@ -166,7 +166,7 @@ def _element_from_json(sela, simplex, records):
             )
         idx = lie.index[name]
         power = json_int(rec["power"], "power", "family", nonnegative=True)
-        term = ring.t_power(power, parse_rational(str(rec["coeff"])))
+        term = ring.t_power(power, json_rational(rec["coeff"], "coeff", "family"))
         coeffs[idx] = coeffs.get(idx, ring.zero()) + term
     return LieElement(lie, ring, coeffs)
 

@@ -37,6 +37,18 @@ def json_int(value, field: str, datum: str, nonnegative: bool = False) -> int:
     return value
 
 
+def json_rational(value, field: str, datum: str) -> Fraction:
+    """A JSON integer (not bool, not float) or "p/q" / "p" string; else "malformed <datum> ..."."""
+    reason = ""
+    if isinstance(value, str) or type(value) is int:
+        try:
+            return parse_rational(str(value))
+        except ValueError as e:
+            reason = ": %s" % e
+    raise ValueError('malformed %s (%s must be an integer or a "p/q" string, got %r%s)'
+                     % (datum, field, value, reason))
+
+
 def _add_maps(u: dict, v: dict) -> dict:
     """Sum of two sparse maps {key: coefficient}, zeros dropped; the only sparse sum.
 
@@ -348,11 +360,6 @@ def row_echelon(matrix: SparseRatMatrix) -> dict[int, dict[int, int]]:
     return _eliminate([_integer_row(row) for _, row in sorted(matrix.rows().items())])
 
 
-def column_echelon(matrix: SparseRatMatrix) -> dict[int, dict[int, int]]:
-    """Echelon rows spanning the column space of matrix, keyed by pivot."""
-    return row_echelon(matrix.transpose())
-
-
 def remainder(
     echelon: dict[int, dict[int, int]], vec: dict[int, Fraction]
 ) -> dict[int, Fraction]:
@@ -443,21 +450,17 @@ def rank(matrix: SparseRatMatrix) -> int:
 
 
 def solve(matrix: SparseRatMatrix, rhs: dict[int, Fraction]):
-    """One exact solution of A x = b, or None when the system is inconsistent.
+    """(x, rest): b modulo the column space of A, and x with A x = b when rest is empty.
 
-    ``rhs`` is a sparse column vector {row index: Fraction}.  Free
-    coordinates of the solution are 0: it is the kernel vector of the
-    augmented matrix [A | b] whose last coordinate is -1.
+    One elimination.  Column j of the m x n matrix A, unless zero, is a
+    row that carries its index at the tail coordinate m + n - 1 - j.  The
+    remainder of b is b - A c on the first m coordinates, which are rest,
+    and -c on the tail, which is zero at each j whose column depends on
+    those before it: x = c has its free coordinates 0.  x is None when
+    rest is not empty.
     """
-    n = matrix.ncols
-    aug = SparseRatMatrix(matrix.nrows, n + 1)
-    aug.entries = dict(matrix.entries)
-    for i, v in rhs.items():
-        if v:
-            aug[i, n] = v
-    echelon = row_echelon(aug)
-    if n in echelon:
-        return None  # a row reduced to 0 = nonzero
-    x = next(_back_substitute(echelon, [{n: -ONE}]))
-    del x[n]
-    return x
+    tail = matrix.nrows + matrix.ncols - 1
+    cols = sorted(matrix.transpose().rows().items())
+    left = remainder(_eliminate([_integer_row(c | {tail - j: ONE}) for j, c in cols]), rhs)
+    rest = {i: c for i, c in left.items() if i < matrix.nrows}
+    return (None if rest else {tail - k: -c for k, c in sorted(left.items())}), rest

@@ -7,8 +7,9 @@ the edge ones negated; below t^k they vanish by validation.  This is a
 degree-two vector of the one-factor complex, equal to the one-factor
 part of d(exp w) for the chain w of the padded family, as the tests
 check against the chain differential.  Its class modulo exact vectors
-is independent of the padding; the class vanishes exactly when some
-correction at t^k repairs the family, and the repaired family is
+is independent of the padding.  One elimination, ``exactnum.solve``,
+gives the class as a remainder and, exactly when it vanishes, a
+correction at t^k that repairs the family; the repaired family is
 returned fully re-validated.
 
 Only one step at a time makes sense: over a longer extension the new
@@ -18,7 +19,7 @@ linear in the correction.
 
 from __future__ import annotations
 
-from ..exactnum import column_echelon, remainder, solve
+from ..exactnum import solve
 from ..liecore import ArtinLine, LieElement
 from .cocycle import gluing_defects, special_cocycle
 from .sela import TotalComplex, _simplex_name
@@ -142,15 +143,10 @@ def obstruction(cocycle, to_order, pad=None):
     if up:
         raise AssertionError("defect vector is not closed")
 
-    # a preimage exists exactly when the class vanishes, so the class is
-    # reduced only when there is none, and must then be nonzero
-    eta = solve(tot.matrix(1), vec)
-    if eta is None:
+    eta, rest = solve(tot.matrix(1), vec)
+    if rest:
         basis2 = tot.basis.get(2, [])
-        cls = {basis2[r]: c for r, c in remainder(column_echelon(tot.matrix(1)), vec).items()}
-        if not cls:
-            raise AssertionError("no preimage exists but the reduced class vanished")
-        return ObstructionResult(k, residual, cls, None)
+        return ObstructionResult(k, residual, {basis2[r]: c for r, c in rest.items()}, None)
 
     basis1 = tot.basis.get(1, [])
     for col, c in eta.items():

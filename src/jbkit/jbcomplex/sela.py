@@ -32,7 +32,7 @@ from __future__ import annotations
 from itertools import combinations
 
 from ..exactnum import (
-    SparseRatMatrix, ZERO, format_rational, json_int, kernel_complement, parse_rational, rank,
+    SparseRatMatrix, ZERO, format_rational, json_int, json_rational, kernel_complement, rank,
     row_echelon,
 )
 from ..liecore import StructLie, check_lie_axioms
@@ -292,7 +292,7 @@ def _matrix_from_json(rows, nrows, ncols):
     mat = SparseRatMatrix(nrows, ncols)
     for r, row in enumerate(rows):
         for c, v in enumerate(row):
-            val = parse_rational(v)
+            val = json_rational(v, "coface entry", "gluing datum")
             if val:
                 mat[(r, c)] = val
     return mat

@@ -24,7 +24,8 @@ from fractions import Fraction
 from math import factorial
 
 from .exactnum import (
-    ONE, ZERO, SparseRatMatrix, _add_maps, format_rational, insert, json_int, parse_rational, rank,
+    ONE, ZERO, SparseRatMatrix, _add_maps, format_rational, insert, json_int, json_rational,
+    parse_rational, rank,
 )
 from .freelie import FreeLieElement, evaluate_lie
 
@@ -278,7 +279,7 @@ class StructLie:
         brackets: dict = {}
         for entry in data.get("brackets", []):
             a, b, c = index[entry["a"]], index[entry["b"]], index[entry["c"]]
-            coeff = parse_rational(str(entry["coeff"]))
+            coeff = json_rational(entry["coeff"], "bracket coeff", "Lie algebra")
             brackets.setdefault((a, b), {})
             brackets[(a, b)][c] = brackets[(a, b)].get(c, ZERO) + coeff
         for (a, b) in list(brackets):
@@ -290,13 +291,13 @@ class StructLie:
             differential = SparseRatMatrix(len(names), len(names))
             for entry in data["differential"]:
                 src, dst = index[entry["from"]], index[entry["to"]]
-                differential[dst, src] = differential[dst, src] + parse_rational(
-                    str(entry["coeff"])
+                differential[dst, src] = differential[dst, src] + json_rational(
+                    entry["coeff"], "differential coeff", "Lie algebra"
                 )
         rep = None
         if data.get("rep"):
             rep = {
-                name: [[parse_rational(str(v)) for v in row] for row in mat]
+                name: [[json_rational(v, "rep entry", "Lie algebra") for v in row] for row in mat]
                 for name, mat in data["rep"].items()
             }
         return StructLie(names, degrees, brackets, differential, rep)

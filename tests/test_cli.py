@@ -299,6 +299,70 @@ def test_family_power_that_is_not_a_nonnegative_integer_exits_one(capsys, tmp_pa
     )
 
 
+def _lie_slots(key):
+    """Every (container, key) of one rational field in each algebra of a gluing datum."""
+    def slots(data):
+        algebras = data["algebras"].values()
+        if key == "rep":
+            return [(row, c) for a in algebras for mat in a.get("rep", {}).values()
+                    for row in mat for c in range(len(row))]
+        return [(e, "coeff") for a in algebras for e in a.get(key, [])]
+    return slots
+
+
+def _coface_slots(data):
+    return [(row, c) for e in data["cofaces"] for row in e["matrix"] for c in range(len(row))]
+
+
+def _family_slots(data):
+    return [(rec, "coeff") for records in data["psi"].values() for rec in records]
+
+
+def _triangle_family():
+    return {"sela": factories.nonabelian_triangle(2).to_json(),
+            "psi": {"01": edge(("e12", 1, "1")), "12": edge(("e23", 1, "1")),
+                    "02": edge(("e12", 1, "1"), ("e23", 1, "1"))}}
+
+
+_RATIONAL_FIELDS = {
+    "bracket coeff": ("check", "Lie algebra", lambda: factories.nonabelian_triangle(3).to_json(),
+                      _lie_slots("brackets")),
+    "differential coeff": ("check", "Lie algebra", lambda: factories.dg_triangle(3).to_json(),
+                           _lie_slots("differential")),
+    "rep entry": ("check", "Lie algebra", lambda: factories.nonabelian_triangle(3).to_json(),
+                  _lie_slots("rep")),
+    "coface entry": ("check", "gluing datum", lambda: factories.nonabelian_triangle(3).to_json(),
+                     _coface_slots),
+    "coeff": ("cocycle", "family", _triangle_family, _family_slots),
+}
+
+
+@pytest.mark.parametrize("field", list(_RATIONAL_FIELDS))
+def test_json_rational_fields_take_integers_and_name_themselves(capsys, tmp_path, field):
+    # integer coface entries once failed with an AttributeError, and a
+    # float or bool elsewhere with "invalid literal for int()"
+    action, datum, build, slots = _RATIONAL_FIELDS[field]
+    data = build()
+    rc, want = run_json(capsys, "jb", action, "--data", write(tmp_path, "str.json", data))
+    assert rc == 0
+    changed = 0
+    for entry, key in slots(data):
+        if "/" not in entry[key]:
+            entry[key] = int(entry[key])
+            changed += 1
+    assert changed
+    path = write(tmp_path, "int.json", data)
+    assert run_json(capsys, "jb", action, "--data", path) == (0, want)
+    for bad in (0.5, True, None, "1/x"):
+        data = build()
+        entry, key = slots(data)[0]
+        entry[key] = bad
+        rc, out = run_json(capsys, "jb", action, "--data", write(tmp_path, "bad.json", data))
+        assert rc == 1 and out["error"].startswith(
+            'malformed %s (%s must be an integer or a "p/q" string, got %r' % (datum, field, bad)
+        )
+
+
 def test_jb_obstruct_refuses_unordered_orders_before_reading_data(capsys, tmp_path):
     absent = str(tmp_path / "absent.json")
     err = usage_error(capsys, "jb", "obstruct", "--data", absent,

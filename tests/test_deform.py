@@ -3,11 +3,12 @@
 import random
 import re
 from fractions import Fraction
+from math import comb
 
 import pytest
 
-from jbkit.jbcomplex import assemble
-from jbkit.liecore import exp_conjugate
+from jbkit.jbcomplex import Sela, assemble, deformation_ring_dimension, jb_assemble
+from jbkit.liecore import StructLie, exp_conjugate
 from jbkit.schemes import (
     GlueGauge,
     KSCochain,
@@ -20,6 +21,7 @@ from jbkit.schemes import (
     koszul_resolution,
     ks_cochain,
     lift_deformation,
+    milnor_dim,
     milnor_quotient_dgla,
     package_one_chart,
     parse_poly,
@@ -215,6 +217,31 @@ def test_package_one_chart_reduces_direction():
     elt = cocycle.phi[(0,)]
     names = {lie.names[i] for i in elt.coeffs}
     assert names == {"b:y"}
+
+
+def _hull_dimension(lie, order):
+    return deformation_ring_dimension(jb_assemble(Sela((0,), {(0,): lie}, {}, order)))
+
+
+@pytest.mark.parametrize("order", [2, 3, 4, 5])
+@pytest.mark.parametrize("vars, poly", [
+    (W, "x^2+y^3"), (W, "x^3+y^4"), (("x", "y", "z"), "x^2+y^2+z^2"), (W, "x^3+y^3"),
+    (W, "x^2*y+y^4"), (W, "x^4+y^5"), (W, "x^4+y^5+x^2*y^3"), (("x", "y", "z"), "x^3+y^3+z^3"),
+])
+def test_isolated_singularity_has_a_smooth_hull(vars, poly, order):
+    # T^2 = 0, so the hull is Q[[s_1..s_tau]] and its truncation mod m^N
+    # has dimension C(tau + N - 1, N - 1), tau the Tjurina number
+    f = parse_poly(poly, vars)
+    tau = milnor_dim(f)
+    assert _hull_dimension(milnor_quotient_dgla(f)[0], order) == comb(tau + order - 1, order - 1)
+
+
+def test_smooth_hull_needs_the_brackets():
+    # without its brackets the cusp's algebra is abelian, and the count
+    # leaves the smooth hull's 6
+    lie = milnor_quotient_dgla(parse_poly("x^2+y^3", W))[0]
+    assert _hull_dimension(lie, 3) == 6
+    assert _hull_dimension(StructLie(lie.names, lie.degrees, {}), 3) == 8
 
 
 # -- lifting ---------------------------------------------------------------------

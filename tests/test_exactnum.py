@@ -14,7 +14,6 @@ from jbkit.exactnum import (
     _primitive,
     bernoulli,
     bernoulli_normalized,
-    column_echelon,
     format_rational,
     insert,
     kernel_complement,
@@ -264,14 +263,15 @@ def test_product_of_empty_and_zero_shaped_matrices():
 
 def test_solve_consistent_and_inconsistent():
     m = SparseRatMatrix.from_dense([[1, 2], [2, 4]])
-    x = solve(m, {0: Fraction(3), 1: Fraction(6)})
-    assert x is not None
+    x, rest = solve(m, {0: Fraction(3), 1: Fraction(6)})
+    assert x is not None and rest == {}
     assert m[0, 0] * x.get(0, Fraction(0)) + m[0, 1] * x.get(1, Fraction(0)) == 3
-    assert solve(m, {0: Fraction(3), 1: Fraction(7)}) is None
+    assert solve(m, {0: Fraction(3), 1: Fraction(7)}) == (None, {1: Fraction(1)})
 
 
 def test_solve_random_systems():
     rng = random.Random(7)
+    consistent = set()
     for _ in range(20):
         nrows, ncols = rng.randint(1, 6), rng.randint(1, 6)
         dense = [
@@ -284,11 +284,20 @@ def test_solve_random_systems():
             s = sum(dense[i][j] * target.get(j, Fraction(0)) for j in range(ncols))
             if s:
                 rhs[i] = s
-        x = solve(m, rhs)
-        assert x is not None
+        x, rest = solve(m, rhs)
+        assert x is not None and rest == {}
         for i in range(nrows):
             lhs = sum(dense[i][j] * x.get(j, Fraction(0)) for j in range(ncols))
             assert lhs == rhs.get(i, Fraction(0))
+        # the free coordinates of x are 0
+        assert set(x) <= set(row_echelon(m))
+        # any right-hand side: rest is b modulo the column space
+        rhs = {i: Fraction(rng.randint(-2, 2)) for i in range(nrows)}
+        x, rest = solve(m, rhs)
+        assert rest == remainder(row_echelon(m.transpose()), rhs)
+        assert (x is None) == bool(rest)
+        consistent.add(x is not None)
+    assert consistent == {True, False}
 
 
 def _random_dense(rng, nrows, ncols, density):
@@ -310,7 +319,7 @@ def test_remainder_is_canonical_and_differs_by_the_span():
         cols = _random_dense(rng, k, n, 0.5)  # k spanning vectors of length n
         if rng.random() < 0.3 and k >= 2:
             cols.append([a + 2 * b for a, b in zip(cols[0], cols[1])])
-        echelon = column_echelon(SparseRatMatrix.from_dense(cols).transpose()) if cols else {}
+        echelon = row_echelon(SparseRatMatrix.from_dense(cols)) if cols else {}
         vec = {i: x for i, x in enumerate(_random_dense(rng, 1, n, 0.7)[0]) if x}
         rest = remainder(echelon, vec)
         assert not set(rest) & set(echelon)
@@ -321,7 +330,7 @@ def test_remainder_is_canonical_and_differs_by_the_span():
         other = [[3 * x for x in c] for c in reversed(cols)]
         if len(other) >= 2:
             other[0] = [a - b for a, b in zip(other[0], other[1])]
-        again = column_echelon(SparseRatMatrix.from_dense(other).transpose()) if other else {}
+        again = row_echelon(SparseRatMatrix.from_dense(other)) if other else {}
         assert remainder(again, vec) == rest
         for c in cols:
             assert remainder(echelon, {i: x for i, x in enumerate(c) if x}) == {}
@@ -340,7 +349,7 @@ def test_insert_grows_the_span_only_by_independent_vectors():
             assert len(echelon) == len(kept)
             assert all(min(row) == p for p, row in echelon.items())
         # the grown echelon reduces like a fresh one of the same span
-        fresh = column_echelon(SparseRatMatrix.from_dense(kept).transpose()) if kept else {}
+        fresh = row_echelon(SparseRatMatrix.from_dense(kept)) if kept else {}
         for probe in _random_dense(rng, 3, n, 0.8):
             probe = {i: x for i, x in enumerate(probe) if x}
             assert remainder(echelon, probe) == remainder(fresh, probe)
@@ -433,14 +442,14 @@ def test_rank_needs_no_kernel_and_agrees_with_rank_kernel():
     assert any(nrows == 0 < ncols for nrows, ncols in shapes)
 
 
-def test_rank_kernel_solve_and_column_echelon_leave_the_matrix_alone():
+def test_rank_kernel_solve_and_row_echelon_leave_the_matrix_alone():
     rng = random.Random(17)
     for _ in range(20):
         m = _random_matrix(rng, rng.randint(1, 7), rng.randint(1, 7), 0.6)
         before = list(m.entries.items())
         rank(m)
         rank_kernel(m)
-        column_echelon(m)
+        row_echelon(m.transpose())
         list(kernel_complement({}, m)[1])
         solve(m, {i: Fraction(i + 1) for i in range(m.nrows)})
         assert list(m.entries.items()) == before
@@ -448,7 +457,7 @@ def test_rank_kernel_solve_and_column_echelon_leave_the_matrix_alone():
 
 def _greedy_complement(d, prev):
     """rank(prev) and the kernel vectors of d, ascending, that raise the span of prev and those kept."""
-    span = column_echelon(prev)
+    span = row_echelon(prev.transpose())
     rank_prev = len(span)
     return rank_prev, [v for v in rank_kernel(d)[1] if insert(span, v)]
 
@@ -495,7 +504,7 @@ def test_remainder_and_insert_leave_echelon_rows_alone():
     for _ in range(30):
         n = rng.randint(1, 7)
         cols = _random_dense(rng, rng.randint(1, 6), n, 0.6)
-        echelon = column_echelon(SparseRatMatrix.from_dense(cols).transpose())
+        echelon = row_echelon(SparseRatMatrix.from_dense(cols))
         for vec in _random_dense(rng, 4, n, 0.7):
             vec = {i: x for i, x in enumerate(vec) if x}
             before = copy.deepcopy(echelon)

@@ -40,7 +40,7 @@ from jbkit.jbcomplex.assemble import (
     monomial_differential,
 )
 from jbkit.exactnum import (
-    SparseRatMatrix, bernoulli_normalized, column_echelon, insert, rank_kernel,
+    SparseRatMatrix, bernoulli_normalized, insert, rank_kernel, row_echelon,
 )
 from jbkit.jbcomplex import sela as sela_module
 from jbkit.jbcomplex.sela import coface_sign
@@ -601,7 +601,7 @@ def _full_kernel_cohomology(jb, degree):
     if not d.mul(prev).is_zero():
         raise ValueError("d*d does not vanish")
     _, kernel = rank_kernel(d)
-    span = column_echelon(prev)
+    span = row_echelon(prev.transpose())
     dim = len(kernel) - len(span)
     monos = jb.basis.get(degree, [])
     reps = []

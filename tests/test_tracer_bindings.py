@@ -138,3 +138,41 @@ def test_traced_trivariate_table_records_its_spans():
     assert summary["bch.build_table.calls"] >= 1
     assert summary["bch.trivariate.calls"] == 1
     assert summary["bch.build_table.max_degree"] == 4
+
+
+_OBSTRUCT = """
+import contextlib
+import io
+import json
+import sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+import tracer
+from jbkit import cli
+tr = tracer.Tracer()
+tracer.install(tr)
+argv = ["jb", "obstruct", "--data", sys.argv[3], "--from-order", "2", "--to-order", "4"]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.run(argv) == 1
+print(json.dumps(tr.summary(0.0)))
+"""
+
+
+def test_traced_obstruction_step_records_its_solve(tmp_path):
+    # one obstructed step, so one solve: a change to solve's shape or
+    # imports cannot zero the benchmark's solve counters silently
+    taut = [{"name": "u0", "power": 1, "coeff": "1"}]
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({
+        "sela": factories.obstructed_triangle(2).to_json(),
+        "psi": {"01": taut, "02": taut, "12": taut},
+    }))
+    proc = subprocess.run(
+        [sys.executable, "-B", "-c", _OBSTRUCT, str(ROOT / "perfbench"), str(ROOT / "src"),
+         str(path)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads(proc.stdout.splitlines()[-1])
+    assert summary["exactnum.solve.calls"] == 1
