@@ -51,6 +51,15 @@ def json_rational(value, field: str, datum: str) -> Fraction:
                      % (datum, field, value, reason))
 
 
+def exact_scalar(c) -> Fraction:
+    """c as a Fraction by json_rational's rule, so no float or bool; ints and Fractions go first."""
+    if type(c) is Fraction:
+        return c
+    if type(c) is int:
+        return Fraction(c)
+    return json_rational(c, "factor", "scalar")
+
+
 def _add_maps(u: dict, v: dict) -> dict:
     """Sum of two sparse maps {key: coefficient}, zeros dropped; the only sparse sum.
 
@@ -327,7 +336,8 @@ def _eliminate(rows: list[dict[int, int]]) -> dict[int, dict[int, int]]:
     ascending order, each once, because a combined row leads further
     right than the pivot that cleared it.  A bucket's rows are the
     pivot candidates, in the order they were given or made; the pivot
-    is the first of smallest magnitude (a stable sort), and the others
+    is the first of the shortest rows, which keeps fill-in down, and of
+    those the first of smallest magnitude (a stable sort); the others
     are combined with it in sorted order.
     """
     echelon: dict[int, dict[int, int]] = {}
@@ -341,7 +351,7 @@ def _eliminate(rows: list[dict[int, int]]) -> dict[int, dict[int, int]]:
         lead = heappop(leads)
         candidates = buckets.pop(lead)
         if len(candidates) > 1:
-            candidates.sort(key=lambda r: abs(r[lead]))
+            candidates.sort(key=lambda r: (len(r), abs(r[lead])))
         pivot_row = echelon[lead] = candidates[0]
         p = pivot_row[lead]
         for r in candidates[1:]:

@@ -9,7 +9,6 @@ from .assemble import (
     jb_cohomology,
     deformation_ring_dimension,
     euler_characteristic_check,
-    induced_chain_map,
 )
 from .cocycle import (
     SpecialCocycle,
@@ -17,6 +16,7 @@ from .cocycle import (
     verify_cocycle,
     coboundary_gluing,
     bernoulli_transport,
+    induced_chain_map,
 )
 from .obstruct import ObstructionResult, obstruction
 from . import factories

@@ -36,27 +36,27 @@ with true exponential normalization of product chains this makes
 d(exp w) close without stray factorials.  All other factor patterns
 contribute zero.
 
-chain_mul, the Koszul product of sparse chains, lives here too; the
-exponential chains of cocycle and induced_chain_map use it.  Only
-_merge keeps its own merge of one new factor into the leftover word: it
-is the hot path of assembly and of the d*d certificate.
+cocycle.chain_mul is the Koszul product of sparse chains.  Only _merge
+keeps its own merge of one new factor into the leftover word: it is the
+hot path of assembly and of the d*d certificate.
 
-JBComplex is a sela.GradedComplex on these monomials, so its matrices,
-assembled per degree on first read, its d*d check and its cohomology
-routine come from there.  It fills that routine's one hook, bound(n),
-with the E1 page of the factor-count filtration.  d keeps the tag q and
-never raises the count k: the assembly writes the tag of every target
-itself, and raises AssertionError, naming source and target, where a
-word's d has a target with more factors than the word, in every degree
-it assembles.  The part of d that keeps k is the derivation extension
-of C_1, TotalComplex shifted down one degree (a factor's parity is its
-degree mod 2).  Over Q, H(Sym^k C_1) = Sym^k H(C_1), so dim H^n is at
-most the E1 count: the sum over k < N of N - k times the number of
-super-symmetric monomials of k classes of H(C_1) in degree n (McCleary,
-A User's Guide to Spectral Sequences, ch. 2).  The counts of all
-degrees are built once per complex, on the first read, from the
-dimensions of TotalComplex; where TotalComplex does not square to zero
-bound(n) is None in every degree.  A count of 0 answers (0, []) with no
+JBComplex is a sela.GradedComplex on these monomials.  It enumerates
+each word once, as a tuple of factor ranks (each word extended by every
+rank not below its last, an odd one not repeated), and counts dim(n)
+from the words; a degree's sorted (word, q) list and row index are
+built on their first read, and so is its matrix.  It fills the one hook
+of the cohomology routine, bound(n), with the E1 page of the
+factor-count filtration.  d keeps the tag q and never raises the count
+k: the assembly writes the tag of every target itself, and raises
+AssertionError, naming source and target, where a word's d has a
+target with more factors than the word.  The part of d that keeps k is
+the derivation extension of C_1, TotalComplex shifted down one degree.
+Over Q, H(Sym^k C_1) = Sym^k H(C_1), so dim H^n is at most the E1
+count: the sum over k < N of N - k times the number of super-symmetric
+monomials of k classes of H(C_1) in degree n (McCleary, A User's Guide
+to Spectral Sequences, ch. 2), built once per complex from the
+dimensions of TotalComplex, and None in every degree where TotalComplex
+does not square to zero.  A count of 0 answers (0, []) with no
 elimination; elsewhere the eliminated dimension must not exceed it.
 
 JBComplex certifies d*d = 0 from the one-factor rows, word by word and
@@ -71,14 +71,22 @@ odd coderivation, is a coderivation too, and vanishes exactly when its
 one-factor rows do (Loday-Vallette, Algebraic Operads, 10.3).  Its entry
 at one-factor row h and column (w, q) is the sum over u of d(w)_u times
 p1d(u)_h, where p1d(u) sums the plan entries of u that select every
-factor (leftover ()): zero unless the shape of u is full, i.e. has such
-an entry.  A target of a plan entry is its leftover plus one factor on
-the family's simplex (for one factor on s: on s or a coface of s), so an
-entry whose leftover shape grows into no full shape that way adds
-exactly zero and is skipped.  d(w, q) is d(w) tagged q, so each word is
-walked once.  The statement is global, not per degree: on mc_triangle(5)
-the one-factor rows fail in degree 1 only, the full product in degrees 1
-to 5.  So a zero result certifies every degree at once, and any other
+factor: zero unless the shape of u (its simplices) is full, i.e. one
+factor, two on one vertex, a vertex and t copies of one edge through it
+with C_t != 0, the top vertex and its triangle, or 2 to class-many edges
+of one present triangle.  _full reads that off the shape.  A target of
+a plan entry is its leftover plus one factor on the family's simplex
+(for one factor on s: on s or a coface of s), so the certificate
+generates only the entries whose leftover so grows into a full shape,
+and walks a word only where its shape has one, at q = len(w): d(w, q)
+is d(w) tagged q.  The selection of such an entry is full too, so
+_may_reach skips, before any plan, a shape with a triangle other than
+(t), (v, t) and (v, v, t) for the top vertex v of t, one of edges only
+that is not full, one with three vertex factors other than (v, v, v) and
+one with two where the edge factors are not all one edge through both.
+The statement is global, not per degree: on mc_triangle(5) the
+one-factor rows fail in degree 1 only, the full product in degrees 1 to
+5.  So a zero result certifies every degree at once, and any other
 falls back to the full product in every degree, whose list jb check
 prints.  The trade: the certificate relies on d being a coderivation,
 which a wrong Koszul sign in the merge can break unseen (dropping the
@@ -86,69 +94,52 @@ sign of moving the selected factors to the front does on mc_pair(3-5)
 and dg_pair(3)), so a test rebuilds every column of every assembled
 matrix as the coderivation extension of the one-factor rows.  The
 guards "raises the factor count" and "left the enumerated basis" run on
-every assembled matrix: in cohomology, in the fallback and in the
-tests.  A certified target is a leftover plus one factor, so it cannot
-raise the count.  TotalComplex and the d*d refusal of cohomology(n) keep
-the full product.
+every assembled matrix.  TotalComplex and the d*d refusal of
+cohomology(n) keep the full product.
 
 One JBComplex, or one chain_differential call, keeps a dict (the memo)
 that lives as long as that complex or call and holds, each computed
 once:
 
-  once              the rank of every factor of the gluing datum: its
-                    place in factor_key order, the order the enumeration
-                    sorts factors by, so ranks compare as keys do;
+  once              the rank of every factor: its place in factor_key
+                    order, so ranks compare as keys do;
   per factor        its rank, its parity and its one-factor differential
-                    (Sela.differential_of), all read off the factor's
-                    simplex and basis index alone;
+                    (Sela.differential_of);
   per simplex       the selection plan: the selections of every family
-  shape             that can be nonzero on factors sitting on that tuple
-                    of simplices, in the order _merge walks them, each
-                    with its sorted and leftover positions; and for the
-                    certificate, its entries that select every factor
-                    and those that can reach a full shape;
+  shape             that can be nonzero on factors on those simplices,
+                    in the order _merge walks them, each with its sorted
+                    and leftover positions; for the certificate, whether
+                    the shape is full and the entries that select every
+                    factor or can reach a full shape;
   per word          for the certificate, the one-factor part of its d;
   per selection     the value of each family on the selected factors,
-                    keyed by (kind, simplex, ranks of those factors):
-                    the vertex bracket, the symmetrized adjoint action of
-                    edge factors on a vertex factor (with its Bernoulli
-                    scalar and coface sign), the bracket of the restricted
-                    top vertex with a triangle factor, and the trivariate
-                    series on the factors fed to the slots of a triangle.
+                    keyed by (kind, simplex, ranks of those factors).
 
 A plan is a function of the shape and of the gluing datum: its
 triangles and their nilpotency classes.  So is a family value of the
-selected factors (simplex and basis index, in slot order): the coface
-matrices, brackets and series it reads are fixed by them and by the
-gluing datum, whose truncation order N picks the shared series table
-of degree N - 1.  Neither is kept beyond one memo.  A value is computed
-on plain sparse maps {basis index: Fraction}, with StructLie.bracket_maps
-for every bracket and SparseRatMatrix.apply for every coface.  The rest
-of the monomial only enters through the Koszul sign and the merge that
-_merge applies per selection.  Values are stored with
-the rank and parity of every factor they produce and with each
-coefficient next to its negative, ready for that merge: the Koszul sign
-picks one of the two, and the new factor goes where bisect_left puts
-its rank among the ranks of the word, less the selected factors before
-that place.  The odd factors it passes are the word's count of odd
-factors before that place, less the odd selected ones.  The factor
-tuples of a selection are built only when its value is computed.
+selected factors (simplex and basis index, in slot order), whose
+truncation order N picks the shared series table of degree N - 1.  A
+value is computed on sparse maps {basis index: Fraction}, with
+StructLie.bracket_maps for every bracket and SparseRatMatrix.apply for
+every coface, and stored with the rank and parity of every factor it
+produces and each coefficient next to its negative, ready for _merge:
+the Koszul sign picks one of the two, and the new factor goes where
+bisect_left puts its rank among the ranks of the word, less the selected
+factors before that place, passing the word's odd factors before that
+place less the odd selected ones.
 
-The power q of t only tags the targets: d(word, q) is d(word, q') with
-every tag q turned into q'.  Each degree's basis keeps the tags of one
-word next to each other, so JBComplex calls monomial_differential once
-per word and re-tags that result for the word's other tags.
+The power q of t only tags the targets, and each degree's basis keeps
+the tags of one word next to each other, so JBComplex calls
+monomial_differential once per word and re-tags that result.
 
 Slot selections too long to be nonzero are never formed.  Every term of
 the trivariate series on n selected factors is a bracketing of n
 vectors of the triangle algebra, and every bracketing of n vectors lies
 in F_n, where F_1 is the algebra and F_n is spanned by [F_i, F_j] over
-i + j = n; that follows by induction on the bracketing alone, with no
-Jacobi identity.  StructLie.nilpotency_class certifies the largest n
-with F_n != 0, so a selection of more factors is exactly zero and is
-left out of the plan.  An algebra without a certificate
-(None, as for a triangle algebra with a non-nilpotent bracket) keeps
-every selection.
+i + j = n, by induction on the bracketing alone.
+StructLie.nilpotency_class certifies the largest n with F_n != 0, so a
+selection of more factors is exactly zero and left out of the plan; an
+algebra without a certificate (None) keeps every selection.
 
 Scope: d*d = 0 holds exactly for arbitrary gradings on covers without
 2-simplices, and on covers with 2-simplices whenever every odd edge
@@ -161,17 +152,17 @@ module does not model; verify_d_squared is the guard for that regime.
 from __future__ import annotations
 
 import sys
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from functools import cached_property
-from itertools import combinations, combinations_with_replacement, permutations, product
+from itertools import combinations, permutations, product
 from operator import itemgetter
 
 from ..bch import build_table
-from ..exactnum import ONE, SparseRatMatrix, _add_maps, bernoulli_normalized
+from ..exactnum import ONE, _add_maps, bernoulli_normalized
 # Unused here, but kept bound: perfbench/tracer.py patches this module's rank_kernel.
 from ..exactnum import rank_kernel  # noqa: F401
 from ..freelie import Alphabet, AssocPoly, _extract_lie, evaluate_lie, expand_associative
-from .sela import GradedComplex, TotalComplex, coface_sign, _acc, _simplex_key, _simplex_name
+from .sela import GradedComplex, TotalComplex, coface_sign, _acc, _Lazy, _simplex_key, _simplex_name
 
 __all__ = [
     "JBComplex",
@@ -183,9 +174,7 @@ __all__ = [
     "jb_cohomology",
     "deformation_ring_dimension",
     "euler_characteristic_check",
-    "induced_chain_map",
     "format_monomial",
-    "chain_mul",
     "factor_key",
     "factor_parity",
     "factor_degree",
@@ -212,67 +201,6 @@ def factor_parity(sela, f):
 def factor_degree(sela, f):
     simplex, idx = f
     return len(simplex) + sela.algebra(simplex).degrees[idx] - 2
-
-
-def chain_mul(sela, u, v):
-    """Koszul product of sparse chains; tags add, overflow truncates.
-
-    Chain words are sorted and free of repeated odd factors, so each
-    product merges the right word into the left one: a right factor
-    lands after the left factors whose key is not larger, and an odd one
-    flips the sign once for every odd left factor it passes.  An odd
-    factor that meets itself kills the product.  Each factor's key and
-    parity are read once per call.  Coefficients may be Fractions or ints.
-    """
-    order = sela.artin_order
-    read = {}  # factor -> (key, parity)
-
-    def factors_of(word):
-        out = []
-        for f in word:
-            kp = read.get(f)
-            if kp is None:
-                kp = read[f] = (factor_key(f), factor_parity(sela, f))
-            out.append(kp)
-        return out
-
-    below = {}  # room -> the terms of v with tag below room, in v's order
-    out = {}
-    for (wu, qu), cu in u.items():
-        room = order - qu
-        terms = below.get(room)
-        if terms is None:
-            terms = below[room] = [
-                (qv, cv, [(f, k, p) for f, (k, p) in zip(wv, factors_of(wv))])
-                for (wv, qv), cv in v.items()
-                if qv < room
-            ]
-        if not terms:
-            continue
-        items = factors_of(wu)
-        keys = [k for k, _ in items]
-        odd_from = [0] * (len(items) + 1)  # odd factors from each position on
-        for i in range(len(items) - 1, -1, -1):
-            odd_from[i] = odd_from[i + 1] + items[i][1]
-        for qv, cv, rights in terms:
-            word, lo, passed = (), 0, 0
-            for f, k, p in rights:
-                pos = bisect_right(keys, k, lo)
-                if p:
-                    if pos and keys[pos - 1] == k:
-                        break  # odd square
-                    passed += odd_from[pos]
-                word += wu[lo:pos] + (f,)
-                lo = pos
-            else:
-                key = (word + wu[lo:], qu + qv)
-                val = cu * cv
-                s = out.get(key, 0) + (-val if passed % 2 else val)
-                if s:
-                    out[key] = s
-                else:
-                    out.pop(key, None)
-    return out
 
 
 def format_monomial(sela, mono):
@@ -431,7 +359,7 @@ def _family_value(sela, selection):
 
 # -- the differential of one monomial -------------------------------------
 
-def _selection_plan(sela, shape):
+def _selection_plan(sela, shape, keep=None):
     """The selections of every family on factors sitting on the simplices of shape.
 
     One entry per selection, in the order monomial_differential emits
@@ -442,7 +370,8 @@ def _selection_plan(sela, shape):
     in the memo and head + pick(factors of the word) selects its factors.
     Transport selections with a zero Bernoulli coefficient and slot
     selections longer than the triangle algebra's nilpotency class are
-    left out: their value is zero.
+    left out: their value is zero.  So is a selection where keep(kind,
+    simplex, leftover positions) is false.
     """
     k = len(shape)
     plan = []
@@ -450,6 +379,8 @@ def _selection_plan(sela, shape):
     def add(kind, simplex, order):
         chosen = tuple(sorted(order))
         rest = tuple(t for t in range(k) if t not in chosen)
+        if keep is not None and not keep(kind, simplex, rest):
+            return
         if kind is None:
             plan.append((None, order[0], chosen, rest))
         else:
@@ -530,17 +461,50 @@ def _plan(sela, memo, shape):
 
 def _full_plan(sela, memo, shape):
     """The entries of shape's plan that select every factor; empty unless shape is full."""
-    return _kept(memo, ("full", shape), lambda: [e for e in _plan(sela, memo, shape) if not e[3]])
+    return _kept(memo, ("full", shape), lambda: _selection_plan(sela, shape, lambda kind, s, rest: not rest)
+                 if _full(sela, memo, shape) else [])
+
+
+def _full(sela, memo, shape):
+    """Whether shape is full, read off the shape: bool(_full_plan) (module docstring)."""
+    return _kept(memo, ("full?", shape), lambda: _is_full(sela, shape))
+
+
+def _is_full(sela, shape):  # shape sorted by _simplex_key, so a vertex comes first
+    k, v, last = len(shape), shape[0], shape[-1]
+    if k == 1 or k == 2 and len(v) == 1 and (last == v or len(last) == 3 and last[2] == v[0]):
+        return True
+    if len(v) == 1:  # a vertex and k - 1 copies of one edge through it
+        return len(last) == 2 and v[0] in last and shape.count(last) == k - 1 \
+            and bool(bernoulli_normalized(k - 1))
+    for tri in sela.simplices(3):  # 2 to class-many edges of one present triangle
+        most = sela.algebra(tri).nilpotency_class()
+        if (most is None or k <= most) and all(set(s) < set(tri) for s in shape):
+            return True
+    return False
 
 
 def _reaching_plan(sela, memo, shape):
     """The entries of shape's plan with a target whose shape can be full (module docstring)."""
-    def reaches(head, pick, chosen, rest):
-        s = shape[pick] if head is None else head[1]
-        new = [s] if head else [s] + [t for t in sela.all_simplices(len(s) + 1) if set(s) < set(t)]
-        left = [shape[t] for t in rest]
-        return any(_full_plan(sela, memo, tuple(sorted(left + [t], key=_simplex_key))) for t in new)
-    return _kept(memo, ("reach", shape), lambda: [e for e in _plan(sela, memo, shape) if reaches(*e)])
+    def reaches(kind, s, rest):  # kept per leftover shape and new simplices
+        left = tuple([shape[t] for t in rest])
+        return _kept(memo, ("reach?", left, s, not kind), lambda: any(
+            _full(sela, memo, tuple(sorted(left + (t,), key=_simplex_key)))
+            for t in [s] + ([] if kind else [t for t in sela.all_simplices(len(s) + 1) if set(s) < set(t)])))
+    return _kept(memo, ("reach", shape), lambda: _selection_plan(sela, shape, reaches)
+                 if _may_reach(sela, memo, shape) else [])
+
+
+def _may_reach(sela, memo, shape):
+    """False where no entry of shape's plan can reach a full shape (module docstring)."""
+    nv, t = sum(1 for s in shape if len(s) == 1), shape[-1]
+    if len(t) == 3:  # (t), (v, t) or (v, v, t) with v the top vertex of t
+        return shape in ((t,), ((t[2],), t), ((t[2],), (t[2],), t))
+    if nv == 0:  # edge factors only: the shape itself is full
+        return _full(sela, memo, shape)
+    if nv == 2:  # every edge factor is one edge through both vertices
+        return all(e == t and set(shape[0] + shape[1]) <= set(e) for e in shape[2:])
+    return nv == 1 or shape == shape[:1] * 3  # three vertex factors: (v, v, v)
 
 
 def monomial_differential(sela, mono, memo=None):
@@ -661,17 +625,36 @@ def chain_differential(sela, chain):
 
 # -- the assembled complex -------------------------------------------------
 
-class JBComplex(GradedComplex):
-    """Enumerated monomial bases with sparse differential matrices.
+def _monomials(words, n, factors, order):
+    """The basis of degree n from its words of ranks, by (factor count, factors, q)."""
+    # tuples of factors order words otherwise than their ranks: (0, 1) < (1,)
+    words = sorted((tuple([factors[r] for r in w]) for w in words[n]), key=lambda w: (len(w), w))
+    return [(w, q) for w in words for q in range(len(w), order)]
 
-    Every monomial the truncation order admits is enumerated; the matrix
-    of each degree is assembled on its first read.
+
+class JBComplex(GradedComplex):
+    """Chain monomials with sparse differential matrices.
+
+    Every word the truncation order admits is enumerated once, as a tuple
+    of factor ranks; a degree's (word, q) list, its index and its matrix
+    are built on their first read.
     """
 
     def __init__(self, sela):
         self.order = sela.artin_order
         memo = self._memo = {}
-        factors = list(_ranks(sela, memo))  # in rank order
+        factors = self._factors = list(_ranks(sela, memo))  # in rank order
+        parity = [factor_parity(sela, f) for f in factors]
+        degree = [factor_degree(sela, f) for f in factors]
+        # each word extended by every rank not below its last, an odd one
+        # not repeated: combinations_with_replacement order, odd squares out
+        level, words = [((), 0, 0)], {}  # word, degree, lowest next rank
+        for _ in range(1, self.order):
+            level = [(w + (r,), d + degree[r], r + parity[r])
+                     for w, d, lo in level for r in range(lo, len(factors))]
+            for w, d, _ in level:
+                words.setdefault(d, []).append(w)
+        self._words = words
         last = [None, ()]  # the last word and its d, tags dropped
 
         # d reads the tag q only to tag its targets, and the basis keeps
@@ -691,31 +674,14 @@ class JBComplex(GradedComplex):
                 last[0], last[1] = word, image
             return [((w, q), v) for w, v in last[1]]
 
+        # no reference back to the complex, so that it dies with its last user
         super().__init__(
-            sela, self._enumerate(sela, factors), differential,
-            lambda mono: format_monomial(sela, mono),
+            sela, _Lazy(sorted(words), lambda n: _monomials(words, n, factors, sela.artin_order)),
+            differential, lambda mono: format_monomial(sela, mono),
         )
 
-    # enumeration is deterministic: factors come in factor_key order,
-    # (simplex size, simplex, basis index), monomials by (factor count,
-    # factors, q)
-    def _enumerate(self, sela, factors):
-        parity = {f: factor_parity(sela, f) for f in factors}
-        degree = {f: factor_degree(sela, f) for f in factors}
-        basis = {}
-        for count in range(1, self.order):
-            for combo in combinations_with_replacement(factors, count):
-                if any(a == b and parity[a] for a, b in zip(combo, combo[1:])):
-                    continue
-                deg = sum(degree[f] for f in combo)
-                for q in range(count, self.order):
-                    basis.setdefault(deg, []).append((combo, q))
-        for monos in basis.values():
-            monos.sort(key=lambda m: (len(m[0]), m[0], m[1]))
-        return basis
-
-    def monomials(self, degree):
-        return list(self.basis.get(degree, ()))
+    def dim(self, n):
+        return sum([self.order - len(w) for w in self._words.get(n, ())])
 
     def square_defects(self):
         """GradedComplex.square_defects, certified empty word by word.
@@ -729,21 +695,27 @@ class JBComplex(GradedComplex):
         return []
 
     def _word_defects(self):
-        """((w, len(w)), {one-factor word: value of d(d(w)) there}) for every word w.
+        """((w, len(w)), {one-factor word: value of d(d(w)) there}) for every word w
+        whose shape can reach a full shape.
 
         d(w) walks the plan entries that can reach a full shape, d of each
         target those that select every factor."""
-        sela, memo = self.sela, self._memo
-        for monos in self.basis.values():
-            for word, q in monos:
-                if q == len(word):
-                    acc = {}
-                    for (u, _), c in _merge(sela, (word, q), _reaching_plan(sela, memo, _shape(word)),
-                                            memo).items():
-                        for (h, _), v in _kept(memo, ("one", u), lambda: _merge(
-                                sela, (u, q), _full_plan(sela, memo, _shape(u)), memo)).items():
-                            _acc(acc, h, c * v)
-                    yield (word, q), acc
+        sela, memo, factors = self.sela, self._memo, self._factors
+        simplex, plans = [s for s, _ in factors], {}
+        for words in self._words.values():
+            for w in words:
+                shape = tuple([simplex[r] for r in w])
+                plan = plans.get(shape)
+                if plan is None:
+                    plan = plans[shape] = _reaching_plan(sela, memo, shape)
+                if not plan:
+                    continue
+                word, q, acc = tuple([factors[r] for r in w]), len(w), {}
+                for (u, _), c in _merge(sela, (word, q), plan, memo).items():
+                    for (h, _), v in _kept(memo, ("one", u), lambda: _merge(
+                            sela, (u, q), _full_plan(sela, memo, _shape(u)), memo)).items():
+                        _acc(acc, h, c * v)
+                yield (word, q), acc
 
     def bound(self, n):
         """The E1 count of degree n (module docstring); None in every degree
@@ -801,8 +773,8 @@ def graded_pieces(jb, count):
     if count < 1:
         raise ValueError("factor count must be positive")
     out = {}
-    for deg, monos in sorted(jb.basis.items()):
-        c = sum(1 for fs, _ in monos if len(fs) == count)
+    for deg, words in sorted(jb._words.items()):
+        c = (jb.order - count) * sum(1 for w in words if len(w) == count)
         if c:
             out[deg] = c
     return out
@@ -827,39 +799,3 @@ def euler_characteristic_check(jb):
         chain += s * jb.dim(deg)
         coh += s * jb.dimension(deg)
     return {"chain": chain, "cohomology": coh, "equal": chain == coh}
-
-
-def induced_chain_map(source, target, morphism):
-    """Degree-wise matrices induced by per-simplex morphism matrices.
-
-    morphism maps a simplex to the matrix of a degree-preserving Lie
-    morphism into the target algebra on the same simplex (absent means
-    zero); a monomial goes to the chain_mul product of its factor images,
-    tagged with the monomial's power.
-    """
-    if source.order != target.order:
-        raise ValueError("truncation orders differ")
-    out = {}
-    for deg in source.degrees():
-        rows = target.index.get(deg, {})
-        mat = SparseRatMatrix(len(rows), source.dim(deg))
-        for col, (factors, q) in enumerate(source.basis[deg]):
-            words = {((), 0): ONE}
-            for simplex, b in factors:
-                mor = morphism.get(simplex)
-                img = mor.column(b) if mor is not None else {}
-                words = chain_mul(
-                    target.sela, words, {(((simplex, r),), 0): w for r, w in img.items()}
-                )
-                if not words:
-                    break
-            for (word, _), c in words.items():
-                row = rows.get((word, q))
-                if row is None:
-                    raise ValueError(
-                        "image monomial %s not enumerated in the target"
-                        % format_monomial(target.sela, (word, q))
-                    )
-                mat[row, col] = c
-        out[deg] = mat
-    return out

@@ -23,18 +23,23 @@ manufactures edge data from per-vertex gauges, the cocycles that deform
 nothing.
 
 bernoulli_transport is liecore.adjoint_series with Bernoulli
-coefficients; exp_chain takes powers with assemble.chain_mul.
+coefficients.  chain_mul, the Koszul product of sparse chains, takes
+the powers of exp_chain and the factor products of induced_chain_map,
+the chain map of per-simplex Lie morphisms.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from fractions import Fraction
 from math import lcm
 
 from ..bch import eval_bch
-from ..exactnum import ZERO, bernoulli_normalized
+from ..exactnum import ONE, ZERO, SparseRatMatrix, bernoulli_normalized
 from ..liecore import ArtinLine, LieElement, adjoint_series
-from .assemble import _shared_table, chain_differential, chain_mul, format_monomial
+from .assemble import (
+    _shared_table, chain_differential, factor_key, factor_parity, format_monomial,
+)
 from .sela import coface_sign, _acc, _simplex_name
 
 __all__ = [
@@ -48,6 +53,8 @@ __all__ = [
     "element_chain",
     "family_chain",
     "exp_chain",
+    "chain_mul",
+    "induced_chain_map",
 ]
 
 
@@ -293,3 +300,100 @@ def coboundary_gluing(sela, gauges):
         if not val.is_zero():
             psi[e] = val
     return psi
+
+
+def chain_mul(sela, u, v):
+    """Koszul product of sparse chains; tags add, overflow truncates.
+
+    Chain words are sorted and free of repeated odd factors, so each
+    product merges the right word into the left one: a right factor
+    lands after the left factors whose key is not larger, and an odd one
+    flips the sign once for every odd left factor it passes.  An odd
+    factor that meets itself kills the product.  Each factor's key and
+    parity are read once per call.  Coefficients may be Fractions or ints.
+    """
+    order = sela.artin_order
+    read = {}  # factor -> (key, parity)
+
+    def factors_of(word):
+        out = []
+        for f in word:
+            kp = read.get(f)
+            if kp is None:
+                kp = read[f] = (factor_key(f), factor_parity(sela, f))
+            out.append(kp)
+        return out
+
+    below = {}  # room -> the terms of v with tag below room, in v's order
+    out = {}
+    for (wu, qu), cu in u.items():
+        room = order - qu
+        terms = below.get(room)
+        if terms is None:
+            terms = below[room] = [
+                (qv, cv, [(f, k, p) for f, (k, p) in zip(wv, factors_of(wv))])
+                for (wv, qv), cv in v.items()
+                if qv < room
+            ]
+        if not terms:
+            continue
+        items = factors_of(wu)
+        keys = [k for k, _ in items]
+        odd_from = [0] * (len(items) + 1)  # odd factors from each position on
+        for i in range(len(items) - 1, -1, -1):
+            odd_from[i] = odd_from[i + 1] + items[i][1]
+        for qv, cv, rights in terms:
+            word, lo, passed = (), 0, 0
+            for f, k, p in rights:
+                pos = bisect_right(keys, k, lo)
+                if p:
+                    if pos and keys[pos - 1] == k:
+                        break  # odd square
+                    passed += odd_from[pos]
+                word += wu[lo:pos] + (f,)
+                lo = pos
+            else:
+                key = (word + wu[lo:], qu + qv)
+                val = cu * cv
+                s = out.get(key, 0) + (-val if passed % 2 else val)
+                if s:
+                    out[key] = s
+                else:
+                    out.pop(key, None)
+    return out
+
+
+def induced_chain_map(source, target, morphism):
+    """Degree-wise matrices induced by per-simplex morphism matrices.
+
+    morphism maps a simplex to the matrix of a degree-preserving Lie
+    morphism into the target algebra on the same simplex (absent means
+    zero); a monomial goes to the chain_mul product of its factor images,
+    tagged with the monomial's power.
+    """
+    if source.order != target.order:
+        raise ValueError("truncation orders differ")
+    out = {}
+    for deg in source.degrees():
+        rows = target.index.get(deg, {})
+        mat = SparseRatMatrix(len(rows), source.dim(deg))
+        for col, (factors, q) in enumerate(source.basis[deg]):
+            words = {((), 0): ONE}
+            for simplex, b in factors:
+                mor = morphism.get(simplex)
+                img = mor.column(b) if mor is not None else {}
+                words = chain_mul(
+                    target.sela, words, {(((simplex, r),), 0): w for r, w in img.items()}
+                )
+                if not words:
+                    break
+            for (word, _), c in words.items():
+                row = rows.get((word, q))
+                if row is None:
+                    raise ValueError(
+                        "image monomial %s not enumerated in the target"
+                        % format_monomial(target.sela, (word, q))
+                    )
+                mat[row, col] = c
+        out[deg] = mat
+    return out

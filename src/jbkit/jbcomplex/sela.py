@@ -14,7 +14,8 @@ Vertices, edges and triangles are enough for the intended deformation
 applications; higher simplices are rejected.
 
 GradedComplex holds what every complex over a gluing datum shares: an
-ordered basis per degree, one loop that assembles the sparse matrix of d
+ordered basis per degree (a mapping, which may build each degree's list
+on its first read), one loop that assembles the sparse matrix of d
 out of a degree from the differential of single basis items the first
 time that matrix is read (an item mapped outside the enumerated basis
 raises AssertionError naming both), the d*d check over consecutive
@@ -24,11 +25,13 @@ eliminated once for d and once for the previous d on d's free rows,
 and gated by bound(n); degree n assembles only d out of n - 1 and n.
 TotalComplex (basis vectors of the per-simplex algebras) supplies only
 the basis and the differential; assemble.JBComplex (chain monomials)
-also fills bound(n) with its E1 count.
+builds its basis per degree, counts dim(n) from its words and fills
+bound(n) with its E1 count.
 """
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from itertools import combinations
 
 from ..exactnum import (
@@ -306,22 +309,45 @@ def _acc(d, k, v):
         del d[k]
 
 
+class _Lazy(Mapping):
+    """Fixed keys whose values make(key) builds on the first read of each."""
+
+    def __init__(self, keys, make):
+        self._made, self._make = dict.fromkeys(keys), make
+
+    def __getitem__(self, key):
+        value = self._made[key]
+        if value is None:
+            value = self._made[key] = self._make(key)
+        return value
+
+    def __contains__(self, key):
+        return key in self._made
+
+    def __iter__(self):
+        return iter(self._made)
+
+    def __len__(self):
+        return len(self._made)
+
+
 class GradedComplex:
     """Chain groups with a sparse differential, assembled degree by degree on first read.
 
     basis maps a degree to its ordered list of basis items and index each
-    item to its position.  differential(item) gives the (target item,
-    coefficient) pairs of d(item), with distinct targets; label(item)
-    names an item in messages.  matrix(n) assembles d out of degree n the
-    first time it is read and keeps it, and the rank of d out of degree n
-    once one is computed.  bound(n) is the one hook of cohomology(n) and
+    item to its position; both may build a degree on its first read, and
+    dim(n) may count it without building it.  differential(item) gives
+    the (target item, coefficient) pairs of d(item), with distinct
+    targets; label(item) names an item in messages.  matrix(n) assembles
+    d out of degree n the first time it is read and keeps it, and the
+    rank of d out of degree n once one is computed.  bound(n) is the one hook of cohomology(n) and
     dimension(n): a certified upper bound on the dimension, or None.
     """
 
     def __init__(self, sela, basis, differential, label):
         self.sela = sela
         self.basis = basis
-        self.index = {n: {item: i for i, item in enumerate(items)} for n, items in basis.items()}
+        self.index = _Lazy(basis, lambda n: {item: i for i, item in enumerate(basis[n])})
         self._differential = differential
         self._label = label
         self._matrices = {}

@@ -24,8 +24,8 @@ from fractions import Fraction
 from math import factorial
 
 from .exactnum import (
-    ONE, ZERO, SparseRatMatrix, _add_maps, format_rational, insert, json_int, json_rational,
-    rank,
+    ONE, ZERO, SparseRatMatrix, _add_maps, exact_scalar, format_rational, insert, json_int,
+    json_rational, rank,
 )
 from .freelie import FreeLieElement, evaluate_lie
 
@@ -84,7 +84,7 @@ class TruncElt:
         return self._with(tuple(out))
 
     def scale(self, c):
-        c = Fraction(c)
+        c = exact_scalar(c)
         return self._with(tuple(c * a for a in self.coeffs))
 
     __rmul__ = scale  # a rational scalar on the left: c * self
@@ -503,7 +503,7 @@ class LieElement:
         return self + other.scale(Fraction(-1))
 
     def scale(self, c) -> "LieElement":
-        c = c if isinstance(c, ArtinElt) else Fraction(c)
+        c = c if isinstance(c, ArtinElt) else exact_scalar(c)
         return LieElement(self.lie, self.ring, {i: c * v for i, v in self.coeffs.items()})
 
     def bracket(self, other: "LieElement") -> "LieElement":

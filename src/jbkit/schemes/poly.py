@@ -14,7 +14,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 
-from ..exactnum import ZERO, _add_maps, format_rational, parse_rational
+from ..exactnum import ZERO, _add_maps, exact_scalar, format_rational, parse_rational
 
 __all__ = ["Poly", "parse_poly"]
 
@@ -117,7 +117,7 @@ class Poly:
         return acc
 
     def scale(self, c):
-        c = Fraction(c)
+        c = exact_scalar(c)
         return self._wrap({e: c * v for e, v in self.terms.items()} if c else {})
 
     def __rmul__(self, c):

@@ -2,6 +2,7 @@
 fails a mathematical check) or 2 (malformed invocation) on every
 subcommand, JSON on stdout and never a traceback."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -12,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from jbkit import cli
-from jbkit.jbcomplex import Sela, factories
+from jbkit.jbcomplex import Sela, factories, jb_assemble
 from jbkit.schemes import (
     buchberger, hypersurface_tangent_dgla, koszul_resolution, lift_deformation, parse_poly, tangent,
 )
@@ -216,6 +217,79 @@ def test_jb_cohomology(capsys, tmp_path):
     assert rc == 1
     assert "d*d does not vanish" in out["error"]
     usage_error(capsys, "jb", "cohomology", "--data", path, "--degree", "x")
+
+
+# sha256 of stdout, pinned on the code before the basis was built per
+# degree on first read: a reordered basis, representative or failure
+# list changes the digest.  mc_triangle takes the full-product fallback
+# and prints its failure list.
+_CHECK_STDOUT = {  # (exit code, sha256 of stdout) of jb check
+    ("abelian_triangle", 3): (0, "84bb6d7edfddbed1224ce0d6764a7822daaea04971881c7b1c6716a0d32da238"),
+    ("abelian_triangle", 4): (0, "e7e528240f1785821fb836cf5dbdb8f5f245392a0c48806a98a799593c3c4323"),
+    ("abelian_triangle", 5): (0, "7c9c1b6ad7401b342536ee8de91a715fdd9d10a0e76ce6026c3089f5acac8f10"),
+    ("dg_pair", 3): (0, "f3268dac3ea3997d2f07f2448031ea44dc3a015e5b8ec5be77eecbdf19dbcc27"),
+    ("dg_pair", 4): (0, "d4ee5539997e577d5e687b50ff2ef5a42751a3d33d77a284f989b1001f44fc9a"),
+    ("dg_pair", 5): (0, "3b5e31c77db7128f18c2e778f8b2cd4397e3ff9599eae03431e2b392bad2ede0"),
+    ("dg_triangle", 3): (0, "afd89b3029c8907ff60a6f418b4aea7a7be9f08bf65d5dce712417a300e08e5f"),
+    ("dg_triangle", 4): (0, "8240986f25a57b7d8c9fc13511d7347e302c26cc050e9873d9cc8c755a13f2ce"),
+    ("dg_triangle", 5): (0, "150de43cdcfef3f2b84696f78a59f5543c380a7b1b0e5dd390b3518754069f8b"),
+    ("lie_pair", 3): (0, "94bf3e01fa3ea73bfa626b746f5639472e1b559fa7965bede3058a121fc968c7"),
+    ("lie_pair", 4): (0, "440eacfc1b222e50791e5855d522a8c9c57ef950d20e6012daefd8aba1148acd"),
+    ("lie_pair", 5): (0, "c9ea2193f9c57bc0b1f222fd7c015611f4e8fd300e7b3f0d4ff246d3ce5ebee0"),
+    ("mc_pair", 3): (0, "a0a0904c5fc408072cf56a8dd3b4799732e7f3ba39174b4ae45b15e49964ea7b"),
+    ("mc_pair", 4): (0, "6970c3e3955cbb7194cb24f6376589d05b637624b4d196500e23ac7aec12576f"),
+    ("mc_pair", 5): (0, "a5d91c7118b54448b1dfc9dfd3482c89f7acd0640d258cd58b4ed03ff1992a62"),
+    ("mc_triangle", 3): (1, "847dce9065e102f228366be9b0c84ab38f1e8da2d775351d20b9a7a06b2354db"),
+    ("mc_triangle", 4): (1, "6f2ffd41fb67ed73918bed284991c180dc89d552d64ed07bf83a8625c7695ef1"),
+    ("mc_triangle", 5): (1, "8ad51687d1790ab2428b61b5b4705f7a6034b557095f2242a62affa8728353ec"),
+    ("nonabelian_triangle", 3): (0, "fdbbfa89f8614bc0a74babf6e93cb07486361b0f53a5f2c72a6b94e65fa72b4b"),
+    ("nonabelian_triangle", 4): (0, "4067fb5d6c4f400c5d7b74b622e5d7d308b4ef11e3973d2c37b8540bc6b6f625"),
+    ("nonabelian_triangle", 5): (0, "70bc33b8a7889c0c330e027942246ec1f322ee13d54f5dbf12918043ccc265cc"),
+    ("obstructed_triangle", 3): (0, "767c97730f450e96e040c401949316be1554befad756fe7610b3831444f6acab"),
+    ("obstructed_triangle", 4): (0, "3faa857da8830ccb6b4bd6a861024211c3407f5b9314a1bab9635c51625333d9"),
+    ("obstructed_triangle", 5): (0, "ab038f1f15829d6c4fcc2c8ec19536f58026934f84047f5401d0f9f79e941c57"),
+    ("zero_sela", 3): (0, "2c224ddea704f61f106126e80342e2273493dc4e0bfcdcaa7ed80a53af018fbf"),
+    ("zero_sela", 4): (0, "3611c55024d4a02e4dbf7d8349ab43bc9f88c67188286742a47fe7a9c6dd5e6f"),
+    ("zero_sela", 5): (0, "0fcd48065ed46acda9e4c1bd6e4841a34f8ac7336b6e586c4911d788b8c36408"),
+}
+_COHOMOLOGY_STDOUT = {  # sha256 of stdout of jb cohomology at order 4, every degree
+    ("dg_triangle", -3): "b8a5a2eb1b70bf3d08f4d5066b348ed1263e1d053eeda2e28c2becb62dc59328",
+    ("dg_triangle", -2): "b768c960437930ce268e0e2257727e0873adca60d9dc8a089a63b83155863ca5",
+    ("dg_triangle", -1): "650b3e458bdcb58c8aecb56a54d021281e85827918550a0b391a4054b8f284ab",
+    ("dg_triangle", 0): "579d6822495c21626cb7d6913bfc34cd429d864c733d89803da9e95203d3013a",
+    ("dg_triangle", 1): "472a1c5bea75d95dfde4e3e9dc952a0437d996a75b768935385d338d266b208b",
+    ("dg_triangle", 2): "4c18e80e8994a4c8016019d94fb68ffdc97c939c150e28f55a4b7889179a56dd",
+    ("dg_triangle", 3): "26807203d4e5c076e3ad9d6531bccacf799296b90437825c3a272b32fc09ec5b",
+    ("dg_triangle", 4): "396579bb6347e71d3de0ed4742ef15060500f20cef8991ea5dccb05365127a2f",
+    ("dg_triangle", 5): "b8cf3ed27c7c90254db8c17925e790a755d9583bb363fc0c649ea485a87f243f",
+    ("dg_triangle", 6): "5bf023f38093d31cf88b591459ba80b077312cc7fe70497b4f9104d2fed29d9b",
+    ("nonabelian_triangle", -3): "2fcffbe30b868bded8f1f4f8a7b484acdf06750ca91028b5941f23478f000afc",
+    ("nonabelian_triangle", -2): "59ffd1ce03a7e5c71c9bd222728916a0571f881079f2d0e5b7a6442ec83d1e6c",
+    ("nonabelian_triangle", -1): "61171ac5a5d1e032331db9744cb1fb4806d70d48714133b923b20397242c3822",
+    ("nonabelian_triangle", 0): "579d6822495c21626cb7d6913bfc34cd429d864c733d89803da9e95203d3013a",
+    ("nonabelian_triangle", 1): "472a1c5bea75d95dfde4e3e9dc952a0437d996a75b768935385d338d266b208b",
+    ("nonabelian_triangle", 2): "4c18e80e8994a4c8016019d94fb68ffdc97c939c150e28f55a4b7889179a56dd",
+    ("nonabelian_triangle", 3): "26807203d4e5c076e3ad9d6531bccacf799296b90437825c3a272b32fc09ec5b",
+}
+
+
+@pytest.mark.parametrize("name, order", sorted(_CHECK_STDOUT))
+def test_jb_check_prints_pinned_bytes(capsys, tmp_path, name, order):
+    path = write(tmp_path, "sela.json", getattr(factories, name)(order).to_json())
+    rc, out, err = run(capsys, "jb", "check", "--data", path)
+    assert (rc, hashlib.sha256(out.encode()).hexdigest(), err) == _CHECK_STDOUT[name, order] + ("",)
+
+
+@pytest.mark.parametrize("name", ["dg_triangle", "nonabelian_triangle"])
+def test_jb_cohomology_prints_pinned_bytes_in_every_degree(capsys, tmp_path, name):
+    sela = getattr(factories, name)(4)
+    path = write(tmp_path, "sela.json", sela.to_json())
+    degrees = sorted(deg for n, deg in _COHOMOLOGY_STDOUT if n == name)
+    assert degrees == jb_assemble(sela).degrees()
+    for deg in degrees:
+        rc, out, err = run(capsys, "jb", "cohomology", "--data", path, "--degree", str(deg))
+        assert (rc, hashlib.sha256(out.encode()).hexdigest(), err) == \
+            (0, _COHOMOLOGY_STDOUT[name, deg], ""), deg
 
 
 def test_jb_cocycle(capsys, tmp_path):

@@ -8,8 +8,8 @@ import pytest
 
 from jbkit.exactnum import SparseRatMatrix
 from jbkit.liecore import ArtinLine, LieElement, StructLie
-from jbkit.jbcomplex.assemble import chain_mul, factor_key, factor_parity, format_monomial
-from jbkit.jbcomplex.cocycle import element_chain, exp_chain
+from jbkit.jbcomplex.assemble import factor_key, factor_parity, format_monomial
+from jbkit.jbcomplex.cocycle import chain_mul, element_chain, exp_chain
 from jbkit.jbcomplex import (
     bernoulli_transport,
     coboundary_gluing,

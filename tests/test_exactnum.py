@@ -389,7 +389,7 @@ def _reference_eliminate(rows):
         if lead in echelon:
             pivot_row = echelon[lead]
         else:
-            candidates.sort(key=lambda r: abs(r[lead]))
+            candidates.sort(key=lambda r: (len(r), abs(r[lead])))
             pivot_row = candidates.pop(0)
             echelon[lead] = pivot_row
         p = pivot_row[lead]

@@ -1,9 +1,11 @@
 """Assembled chain complexes over gluing data: d*d, filtration, cohomology."""
 
+import gc
 import hashlib
 import json
 import random
 import re
+import weakref
 from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
@@ -406,15 +408,48 @@ def test_every_column_is_the_coderivation_extension_of_one_factor_rows(factory, 
                 (deg, format_monomial(sela, mono))
 
 
+def _plan_full(sela, memo, shape):
+    """The entries of shape's selection plan that select every factor, filtered from the plan."""
+    return [e for e in assemble._plan(sela, memo, shape) if not e[3]]
+
+
+def _picked(plan, shape):
+    """Plan entries with each key reader replaced by the positions it reads."""
+    at = tuple(range(len(shape)))
+    return [(head, pick if head is None else pick(at), chosen, rest) for head, pick, chosen, rest in plan]
+
+
+def _plan_reaching(sela, memo, shape):
+    """The entries of shape's selection plan with a target whose shape has a _plan_full entry."""
+    def reaches(head, pick, chosen, rest):
+        s = shape[pick] if head is None else head[1]
+        new = [s] if head else [s] + [t for t in sela.all_simplices(len(s) + 1) if set(s) < set(t)]
+        left = [shape[t] for t in rest]
+        return any(_plan_full(sela, memo, tuple(sorted(left + [t], key=lambda s: (len(s), s))))
+                   for t in new)
+    return [e for e in assemble._plan(sela, memo, shape) if reaches(*e)]
+
+
 @pytest.mark.parametrize("order", [3, 4, 5])
 @pytest.mark.parametrize("factory", _ORDERED_FACTORIES, ids=lambda f: f.__name__)
 def test_word_defects_are_the_one_factor_rows_of_the_product(factory, order):
-    # the certificate walks each word w once, at (w, len(w)), through the
-    # plan entries that can reach a full shape; what it finds must be the
-    # one-factor rows of the full product in every column (w, q)
+    # the certificate walks each word w whose shape can reach a full shape
+    # once, at (w, len(w)); what it finds must be the one-factor rows of
+    # the full product in every column (w, q), and every other word must
+    # have none there
     jb = _assembled(factory, order)
     walked = dict(jb._word_defects())
-    assert set(walked) == {(w, q) for monos in jb.basis.values() for w, q in monos if q == len(w)}
+    memo, reaching = {}, {}
+    for monos in jb.basis.values():
+        for w, q in monos:
+            shape = tuple(s for s, _ in w)
+            if shape not in reaching:
+                reaching[shape] = _picked(_plan_reaching(jb.sela, memo, shape), shape)
+                assert _picked(assemble._reaching_plan(jb.sela, {}, shape), shape) == reaching[shape]
+    assert set(walked) == {
+        (w, q) for monos in jb.basis.values() for w, q in monos
+        if q == len(w) and reaching[tuple(s for s, _ in w)]
+    }
     nonzero = False
     for n in jb.degrees():
         want = {}
@@ -424,9 +459,25 @@ def test_word_defects_are_the_one_factor_rows_of_the_product(factory, order):
             if len(h) == 1:
                 want.setdefault((w, q), {})[h] = v
         for w, q in jb.basis[n]:
-            assert walked[w, len(w)] == want.get((w, q), {}), (n, format_monomial(jb.sela, (w, q)))
+            assert walked.get((w, len(w)), {}) == want.get((w, q), {}), \
+                (n, format_monomial(jb.sela, (w, q)))
         nonzero = nonzero or bool(want)
     assert nonzero == (factory is factories.mc_triangle)
+
+
+@pytest.mark.parametrize("factory", _ORDERED_FACTORIES, ids=lambda f: f.__name__)
+def test_full_shapes_are_read_off_the_shape(factory):
+    # the predicate the certificate reads target shapes with, against the
+    # entries of the selection plan that select every factor, on every
+    # multiset of up to N - 1 simplices, present or not; _full_plan, which
+    # the predicate gates, must give those entries in the plan's order
+    for order in (3, 4, 5):
+        sela, memo = factory(order), {}
+        for k in range(1, order):
+            for shape in combinations_with_replacement(sela.all_simplices(), k):
+                full = _plan_full(sela, memo, shape)
+                assert assemble._full(sela, {}, shape) == bool(full), (order, shape)
+                assert _picked(assemble._full_plan(sela, {}, shape), shape) == _picked(full, shape)
 
 
 def _check_through_cli(sela, tmp_path, monkeypatch, capsys):
@@ -458,6 +509,50 @@ def test_cli_check_reads_and_multiplies_no_matrix(tmp_path, monkeypatch, capsys)
     code, report, calls = _check_through_cli(
         factories.nonabelian_triangle(5), tmp_path, monkeypatch, capsys)
     assert (code, report["d_squared_zero"], calls) == (0, True, [])
+
+
+def _spy_expansions(monkeypatch):
+    """The degrees whose (word, q) list a JBComplex builds, in order."""
+    expanded = []
+    monomials = assemble._monomials
+    monkeypatch.setattr(assemble, "_monomials",
+                        lambda words, n, *args: expanded.append(n) or monomials(words, n, *args))
+    return expanded
+
+
+def test_cli_check_expands_the_basis_of_no_degree(tmp_path, monkeypatch, capsys):
+    # the certificate walks rank tuples and the report counts dimensions
+    # from them: no degree's (word, q) list or row index is built
+    expanded = _spy_expansions(monkeypatch)
+    code, report, _ = _check_through_cli(factories.nonabelian_triangle(5), tmp_path, monkeypatch, capsys)
+    assert (code, report["d_squared_zero"], expanded) == (0, True, [])
+    jb = jb_assemble(factories.nonabelian_triangle(5))
+    assert report["dimensions"] == {str(n): len(jb.basis[n]) for n in jb.degrees()}
+    assert sorted(expanded) == jb.degrees()
+
+
+@pytest.mark.parametrize("degree", [-2, 0, 1])
+def test_cohomology_expands_only_the_degrees_its_matrices_read(degree, monkeypatch):
+    expanded = _spy_expansions(monkeypatch)
+    jb = jb_assemble(factories.dg_triangle(4))
+    jb.cohomology(degree)
+    assert sorted(expanded) == [n for n in (degree - 1, degree, degree + 1) if n in jb.degrees()]
+
+
+def test_a_complex_is_freed_without_the_cycle_collector():
+    # the lazy basis and index must not hold the complex: a cycle would
+    # keep every complex of a session alive until a collection, and the
+    # cohomology job list then peaked 1 MB higher
+    gc.disable()
+    try:
+        jb = jb_assemble(factories.nonabelian_triangle(3))
+        jb.cohomology(-1)
+        jb.square_defects()
+        ref = weakref.ref(jb)
+        del jb
+        assert ref() is None
+    finally:
+        gc.enable()
 
 
 def test_cli_check_falls_back_to_the_full_product(tmp_path, monkeypatch, capsys):
@@ -585,7 +680,7 @@ def test_representatives_match_dense_oracle(factory, order, degree):
     _, kernel = rank_kernel(jb.matrix(degree))
     kept = [v for v in kernel if span.raises_rank([v.get(i, 0) for i in range(n)])]
     dim, reps = jb_cohomology(jb, degree)
-    monos = jb.monomials(degree)
+    monos = jb.basis.get(degree, [])
     assert dim == len(kept)
     assert reps == [{monos[i]: c for i, c in sorted(v.items())} for v in kept]
 

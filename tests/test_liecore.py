@@ -12,6 +12,7 @@ import pytest
 from jbkit.bch import build_table, eval_bch
 from jbkit.exactnum import ONE, ZERO, SparseRatMatrix
 from jbkit.freelie import Alphabet, FreeLieElement, lie_normal_form
+from jbkit.schemes import parse_poly
 from jbkit.liecore import (
     ArtinLine,
     LieElement,
@@ -162,6 +163,29 @@ def test_artin_scalars_follow_the_json_rule():
         LieElement.from_dict(lie, ring, {"e12": 0.5})
     with pytest.raises(ValueError, match=bad):
         ring.t_power(1, 0.5)
+
+
+def test_scale_factors_follow_the_json_rule():
+    # TruncElt (here ArtinElt), Poly and LieElement scale by integers,
+    # Fractions and "p/q" strings exactly, and refuse floats and bools
+    # instead of storing a float's binary fraction
+    ring, lie = ArtinLine(2), heisenberg()
+    elt = ring.element([1, 2])
+    vec = LieElement.from_dict(lie, ring, {"e12": 1})
+    poly = parse_poly("x+1", ("x",))
+    for scale, half in (
+        (elt.scale, ring.element(["1/2", 1])),
+        (lambda c: c * elt, ring.element(["1/2", 1])),
+        (vec.scale, LieElement.from_dict(lie, ring, {"e12": "1/2"})),
+        (poly.scale, parse_poly("1/2*x+1/2", ("x",))),
+        (lambda c: c * poly, parse_poly("1/2*x+1/2", ("x",))),
+    ):
+        assert scale(Fraction(1, 2)) == scale("1/2") == half
+        assert scale(2) == scale(Fraction(2)) == scale("2")
+        for bad in (0.1, 0.5, True, False):
+            with pytest.raises(ValueError, match='malformed scalar \\(factor must be an integer'):
+                scale(bad)
+    assert type(elt.scale(-1).coeffs[0]) is Fraction and type(poly.scale(3).terms[(0,)]) is Fraction
 
 
 def test_artin_operators_refuse_non_artin_operands():
