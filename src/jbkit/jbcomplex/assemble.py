@@ -647,12 +647,16 @@ class JBComplex(GradedComplex):
         parity = [factor_parity(sela, f) for f in factors]
         degree = [factor_degree(sela, f) for f in factors]
         # each word extended by every rank not below its last, an odd one
-        # not repeated: combinations_with_replacement order, odd squares out
-        level, words = [((), 0, 0)], {}  # word, degree, lowest next rank
+        # not repeated: combinations_with_replacement order, odd squares
+        # out.  (word, degree) pairs, not triples with the next rank:
+        # CPython's 3-tuple free list kept ~2 000 dead triples, 60 kB,
+        # alive through the peak of the cohomology job list
+        after = [r + parity[r] for r in range(len(factors))]  # lowest rank after r
+        level, words = [((), 0)], {}
         for _ in range(1, self.order):
-            level = [(w + (r,), d + degree[r], r + parity[r])
-                     for w, d, lo in level for r in range(lo, len(factors))]
-            for w, d, _ in level:
+            level = [(w + (r,), d + degree[r])
+                     for w, d in level for r in range(after[w[-1]] if w else 0, len(factors))]
+            for w, d in level:
                 words.setdefault(d, []).append(w)
         self._words = words
         last = [None, ()]  # the last word and its d, tags dropped
