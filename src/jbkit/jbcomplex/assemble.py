@@ -648,9 +648,7 @@ class JBComplex(GradedComplex):
         degree = [factor_degree(sela, f) for f in factors]
         # each word extended by every rank not below its last, an odd one
         # not repeated: combinations_with_replacement order, odd squares
-        # out.  (word, degree) pairs, not triples with the next rank:
-        # CPython's 3-tuple free list kept ~2 000 dead triples, 60 kB,
-        # alive through the peak of the cohomology job list
+        # out; pairs, as dead triples would stay on the 3-tuple free list
         after = [r + parity[r] for r in range(len(factors))]  # lowest rank after r
         level, words = [((), 0)], {}
         for _ in range(1, self.order):
