@@ -23,33 +23,34 @@ and serves every later degree.  Then
 
 and one peel into the Lyndon basis per degree gives beta_n; that peel
 also certifies that B_n is the expansion of a Lie element.  Components
-are integer word sums over one denominator, and every output word is
-divided once.
+are integer word sums over one denominator (``exactnum._linear``), and
+every output word is divided once.
 
 One route, ``_log_of_exps``, computes log(exp f_1 ... exp f_m) in the
-associative span and pulls the result back through the left-normed
-bracketing projection.  It is the independent oracle for the bivariate
-and trivariate series, and it composes the trivariate table from the
-bivariate one.  One evaluator, ``eval_bch``, sums the bigraded parts on
-two elements of a nilpotent Lie algebra or the trigraded parts on three.
+associative span, with ``exp_assoc`` and ``log_assoc`` summed by
+``exactnum._power_sum``, and pulls the result back through the
+left-normed bracketing projection.  It is the independent oracle for the
+bivariate and trivariate series, and it composes the trivariate table
+from the bivariate one.  One evaluator, ``eval_bch``, sums the bigraded
+parts on two elements of a nilpotent Lie algebra or the trigraded parts
+on three, through ``freelie.evaluate_elements``.
 """
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial, gcd, lcm
+from math import factorial, gcd
 
-from .exactnum import ONE, bernoulli_normalized
+from .exactnum import ONE, _linear, _power_sum, bernoulli_normalized
 from .freelie import (
     Alphabet,
     AssocPoly,
     FreeLieElement,
     _commutator,
-    _integer_form,
     _peel,
     _ranked,
     _word_products,
     dynkin_lie,
-    evaluate_lie,
+    evaluate_elements,
     expand_associative,
 )
 
@@ -135,17 +136,6 @@ def build_table(max_degree: int, tri: bool = False) -> BchTable:
     return table
 
 
-def _linear(parts) -> tuple:
-    """sum c * (v / d) over (Fraction c, (d, v)) in ``parts``, as an integer word sum."""
-    den = lcm(*(c.denominator * d for c, (d, _) in parts))
-    out: dict = {}
-    for c, (d, v) in parts:
-        f = c.numerator * (den // (c.denominator * d))
-        for w, x in v.items():
-            out[w] = out.get(w, 0) + f * x
-    return den, {w: x for w, x in out.items() if x}
-
-
 def _bracket_sum(pairs) -> tuple:
     """sum ab - ba over pairs (a, b) of integer word sums, in lowest terms."""
     return _lowest(*_linear([(ONE, (da * db, _commutator(a, b))) for (da, a), (db, b) in pairs]))
@@ -178,34 +168,18 @@ def _compose_trivariate(table: BchTable) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def _power_series(u: AssocPoly, cap: int, coeff, acc: AssocPoly) -> AssocPoly:
-    """acc + sum_{k >= 1} coeff(k) u^k, truncated above ``cap``.
-
-    With u = v / d for an integer word sum v, the k-th power is the
-    integer word sum v^k over d^k; the sum is kept over one common
-    denominator and each output word is divided once.
-    """
-    d, v = _integer_form(u.terms)
-    right = _ranked(v, cap)
-    den, total = _integer_form(acc.terms)
-    power = {(): 1}
-    k = 0
-    while True:
-        power = _word_products(power, right, cap)
-        if not power:
-            break
-        k += 1
-        den, total = _linear([(ONE, (den, total)), (coeff(k), (d**k, power))])
-    return AssocPoly._of(u.alphabet, {w: Fraction(c, den) for w, c in total.items()})
+def _power_series(u: AssocPoly, cap: int, coeff, start: dict) -> AssocPoly:
+    """start + sum_{k >= 1} coeff(k) u^k, truncated above ``cap``."""
+    def times(p, v):
+        return _word_products(p, _ranked(v, cap), cap)
+    return AssocPoly._of(u.alphabet, _power_sum(u.terms, (), times, coeff, start))
 
 
 def exp_assoc(p: AssocPoly, cap: int) -> AssocPoly:
     """exp of a constant-term-free associative polynomial, truncated."""
     if () in p.terms:
         raise ValueError("exp needs a zero constant term")
-    return _power_series(
-        p, cap, lambda k: Fraction(1, factorial(k)), AssocPoly.unit(p.alphabet)
-    )
+    return _power_series(p, cap, lambda k: Fraction(1, factorial(k)), {(): ONE})
 
 
 def log_assoc(p: AssocPoly, cap: int) -> AssocPoly:
@@ -213,9 +187,7 @@ def log_assoc(p: AssocPoly, cap: int) -> AssocPoly:
     u = p - AssocPoly.unit(p.alphabet)
     if () in u.terms:
         raise ValueError("log needs constant term exactly 1")
-    return _power_series(
-        u, cap, lambda k: Fraction((-1) ** (k + 1), k), AssocPoly.zero(p.alphabet)
-    )
+    return _power_series(u, cap, lambda k: Fraction((-1) ** (k + 1), k), {})
 
 
 def _log_of_exps(factors, cap: int) -> dict:
@@ -281,14 +253,6 @@ def eval_bch(table: BchTable, *args, nilpotency_order: int):
     zero = args[0].scale(0)
     acc = zero
     for md, part in sorted(parts.items()):
-        if sum(md) > cap:
-            continue
-        acc = acc + evaluate_lie(
-            part,
-            assignment,
-            bracket=lambda a, b: a.bracket(b),
-            add=lambda a, b: a + b,
-            scale=lambda c, a: a.scale(c),
-            zero=zero,
-        )
+        if sum(md) <= cap:
+            acc = acc + evaluate_elements(part, assignment, zero)
     return acc

@@ -185,17 +185,20 @@ def _load_family(data):
     return sela, chains["phi"], chains["psi"]
 
 
-def _class_json(sela, cls):
-    out = []
-    for (simplex, b), coeff in sorted(cls.items(), key=lambda kv: (len(kv[0][0]), kv[0])):
-        out.append(
-            {
-                "simplex": _simplex_name(simplex),
-                "basis": sela.algebra(simplex).names[b],
-                "coeff": format_rational(coeff),
-            }
-        )
-    return out
+def _step_json(sela, res):
+    """One obstruction step: its power, whether it vanishes, and its class."""
+    cls = [
+        {"simplex": _simplex_name(simplex), "basis": sela.algebra(simplex).names[b],
+         "coeff": format_rational(coeff)}
+        for (simplex, b), coeff in sorted(res.cls.items(), key=lambda kv: (len(kv[0][0]), kv[0]))
+    ]
+    return {"power": res.power, "vanishes": res.vanishes, "class": cls}
+
+
+def _complex_json(pc):
+    """The variables, degrees and ranks of a polynomial complex."""
+    degrees = list(pc.degrees())
+    return {"vars": list(pc.vars), "degrees": degrees, "ranks": [pc.rank(d) for d in degrees]}
 
 
 def _order_pair(args):
@@ -279,13 +282,7 @@ def cmd_jb(args):
     lifted = True
     for k in range(args.from_order, args.to_order):
         res = obstruction(cocycle, k + 1)
-        steps.append(
-            {
-                "power": res.power,
-                "vanishes": res.vanishes,
-                "class": _class_json(cocycle.sela, res.cls),
-            }
-        )
+        steps.append(_step_json(cocycle.sela, res))
         if not res.vanishes:
             lifted = False
             break
@@ -317,12 +314,7 @@ def cmd_tangent_dgla(args):
     tc = hypersurface_tangent_dgla(f)
     pc = tc.complex
     ideal = tc.h1_ideal()
-    report = {
-        "vars": list(pc.vars),
-        "degrees": list(pc.degrees()),
-        "ranks": [pc.rank(d) for d in pc.degrees()],
-        "h1_ideal": [str(g) for g in ideal],
-    }
+    report = dict(_complex_json(pc), h1_ideal=[str(g) for g in ideal])
     try:
         report["h1_dimension"] = quotient_dimension(ideal)
     except ValueError as e:
@@ -348,14 +340,7 @@ def cmd_deform(args):
             "equation": None if eq is None else str(eq),
             "from_order": rep.from_order,
             "to_order": rep.to_order,
-            "steps": [
-                {
-                    "power": s.power,
-                    "vanishes": s.vanishes,
-                    "class": _class_json(rep.sela, s.cls),
-                }
-                for s in rep.steps
-            ],
+            "steps": [_step_json(rep.sela, s) for s in rep.steps],
             "lifted": rep.succeeded,
         }
     )
@@ -369,14 +354,7 @@ def cmd_resolution(args):
     except ValueError as e:
         _emit({"ok": False, "error": str(e)})
         return 1
-    _emit(
-        {
-            "ok": True,
-            "vars": list(pc.vars),
-            "degrees": list(pc.degrees()),
-            "ranks": [pc.rank(d) for d in pc.degrees()],
-        }
-    )
+    _emit(dict(_complex_json(pc), ok=True))
     return 0
 
 

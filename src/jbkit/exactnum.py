@@ -3,7 +3,10 @@
 Everything in this package computes over Q.  The rational scalar type is
 the standard-library ``fractions.Fraction`` (always normalized, hashable,
 totally ordered), re-exported here as ``Rational`` so callers do not
-depend on the backing type.
+depend on the backing type.  Exact integer sums live here once:
+``_integer_form`` writes a sparse map as integers over one denominator,
+``_linear`` combines such maps, and ``_power_sum`` sums coeff(k) u^k
+until a power is empty, for the word series of ``bch`` and ``exp_chain``.
 """
 from __future__ import annotations
 
@@ -71,6 +74,41 @@ def _add_maps(u: dict, v: dict) -> dict:
         s = out.get(c)
         out[c] = w if s is None else s + w
     return {c: w for c, w in out.items() if w}
+
+
+def _integer_form(terms: dict) -> tuple:
+    """(d, {key: int}) with d the lcm of the denominators: terms = ints / d."""
+    d = lcm(*(c.denominator for c in terms.values()))
+    return d, {k: c.numerator * (d // c.denominator) for k, c in terms.items()}
+
+
+def _linear(parts) -> tuple:
+    """sum c * (v / d) over (Fraction c, (d, v)) in ``parts``, as (den, {key: int})."""
+    den = lcm(*(c.denominator * d for c, (d, _) in parts))
+    out: dict = {}
+    for c, (d, v) in parts:
+        f = c.numerator * (den // (c.denominator * d))
+        for k, x in v.items():
+            out[k] = out.get(k, 0) + f * x
+    return den, {k: x for k, x in out.items() if x}
+
+
+def _power_sum(terms: dict, unit, times, coeff, start: dict) -> dict:
+    """start + sum_{k >= 1} coeff(k) u^k for the sparse map u = terms, until a power is empty.
+
+    ``times`` multiplies integer maps, with unit ``{unit: 1}``; the first
+    power is ``times({unit: 1}, v)``, so it drops what ``times`` drops.
+    With u = v / d the k-th power is an integer map over d^k, the sum is
+    kept over one denominator and each key is divided once, keys in
+    order of first insertion.
+    """
+    d, v = _integer_form(terms)
+    den, total = _integer_form(start)
+    power, k = times({unit: 1}, v), 1
+    while power:
+        den, total = _linear([(ONE, (den, total)), (coeff(k), (d**k, power))])
+        power, k = times(power, v), k + 1
+    return {key: Fraction(c, den) for key, c in total.items()}
 
 
 def format_rational(x: Fraction) -> str:
@@ -149,7 +187,7 @@ class SparseRatMatrix:
         i, j = key
         if not (0 <= i < self.nrows and 0 <= j < self.ncols):
             raise IndexError(f"entry {key} outside {self.nrows}x{self.ncols} matrix")
-        v = Fraction(value)
+        v = value if type(value) is Fraction else exact_scalar(value)
         if v == 0:
             self.entries.pop(key, None)
         else:
@@ -188,7 +226,7 @@ class SparseRatMatrix:
         return m
 
     def scale(self, c) -> "SparseRatMatrix":
-        c = Fraction(c)
+        c = exact_scalar(c)
         m = SparseRatMatrix(self.nrows, self.ncols)
         if c != 0:
             m.entries = {key: c * v for key, v in self.entries.items()}
@@ -286,7 +324,7 @@ class SparseRatMatrix:
                 raise ValueError("ragged rows")
             for j, v in enumerate(row):
                 if v:
-                    m[i, j] = Fraction(v)
+                    m[i, j] = v
         return m
 
 
@@ -301,8 +339,7 @@ def _primitive(row: dict[int, int]) -> dict[int, int]:
 
 def _integer_row(row: dict[int, Fraction]) -> dict[int, int]:
     """Clear the denominators of one row and divide out its content."""
-    scale = lcm(*(v.denominator for v in row.values()))
-    return _primitive({j: v.numerator * (scale // v.denominator) for j, v in row.items()})
+    return _primitive(_integer_form(row)[1])
 
 
 def _combine(p: int, r: dict[int, int], a: int, q: dict[int, int]) -> dict[int, int]:

@@ -14,17 +14,21 @@ sums, scaling, truncation, multidegree parts).  ``AssocPoly``
 adds only the unit and the capped product; ``FreeLieElement`` adds only
 the Lyndon check, the bracket and serialization.  Products, expansions
 and the peeling into the Lyndon basis run on integer numerators over one
-common denominator (``_integer_form``) and divide once per output word.
+common denominator (``exactnum._integer_form``) and divide once per
+output word.  ``evaluate_elements`` evaluates an element on values that
+carry their own ``.bracket``, ``+`` and ``.scale``.
 """
 from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
-from math import factorial, lcm
+from math import factorial
 from itertools import permutations
 
-from .exactnum import ZERO, ONE, _add_maps, format_rational, parse_rational
+from .exactnum import (
+    ZERO, ONE, _add_maps, _integer_form, exact_scalar, format_rational, parse_rational,
+)
 
 Word = tuple  # tuple[int, ...]
 
@@ -182,7 +186,7 @@ class _WordSum:
         return self + other.scale(-1)
 
     def scale(self, c):
-        c = Fraction(c)
+        c = exact_scalar(c)
         if not c:
             return self._of(self.alphabet, {})
         return self._of(self.alphabet, {w: c * v for w, v in self.terms.items()})
@@ -208,7 +212,7 @@ class AssocPoly(_WordSum):
     def __init__(self, alphabet: Alphabet, terms=None):
         clean = {}
         for w, c in dict(terms or {}).items():
-            c = Fraction(c)
+            c = exact_scalar(c)
             if c:
                 clean[tuple(w)] = c
         self.alphabet = alphabet
@@ -230,12 +234,6 @@ class AssocPoly(_WordSum):
         out = _word_products(left, _ranked(right, degree_cap), degree_cap)
         ab = a * b
         return AssocPoly._of(self.alphabet, {w: Fraction(s, ab) for w, s in out.items()})
-
-
-def _integer_form(terms: dict) -> tuple:
-    """(d, {word: int}) with d the lcm of the denominators: terms = ints / d."""
-    d = lcm(*(c.denominator for c in terms.values()))
-    return d, {w: c.numerator * (d // c.denominator) for w, c in terms.items()}
 
 
 def _ranked(terms: dict, degree_cap) -> tuple:
@@ -339,7 +337,7 @@ class FreeLieElement(_WordSum):
         clean = {}
         for w, c in dict(terms or {}).items():
             w = tuple(w)
-            c = Fraction(c)
+            c = exact_scalar(c)
             if not is_lyndon(w):
                 raise ValueError(f"{w} is not a Lyndon word")
             if c:
@@ -558,6 +556,12 @@ def evaluate_lie(element: FreeLieElement, assignment: dict, bracket, add, scale,
     for word, coeff in sorted(element.terms.items()):
         acc = add(acc, scale(coeff, _evaluate_node(_bracketing(word), labels, assignment, bracket)))
     return acc
+
+
+def evaluate_elements(element: FreeLieElement, assignment: dict, zero):
+    """``evaluate_lie`` on values that carry their own ``.bracket``, ``+`` and ``.scale``."""
+    return evaluate_lie(element, assignment, lambda a, b: a.bracket(b), lambda a, b: a + b,
+                        lambda c, a: a.scale(c), zero)
 
 
 def _evaluate_node(node, labels, assignment, bracket):

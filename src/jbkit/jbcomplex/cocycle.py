@@ -24,23 +24,25 @@ nothing.
 
 bernoulli_transport is liecore.adjoint_series with Bernoulli
 coefficients.  chain_mul, the Koszul product of sparse chains, takes
-the powers of exp_chain and the factor products of induced_chain_map,
-the chain map of per-simplex Lie morphisms.
+the powers of exp_chain, which exactnum._power_sum sums over one
+denominator, and the factor products of induced_chain_map, the chain
+map of per-simplex Lie morphisms.  family_chain is the union of the
+element chains, whose keys never meet across simplices.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from fractions import Fraction
-from math import lcm
+from math import factorial
 
 from ..bch import eval_bch
-from ..exactnum import ONE, ZERO, SparseRatMatrix, bernoulli_normalized
+from ..exactnum import ONE, SparseRatMatrix, _power_sum, bernoulli_normalized
 from ..liecore import ArtinLine, LieElement, adjoint_series
 from .assemble import (
     _shared_table, chain_differential, factor_key, factor_parity, format_monomial,
 )
-from .sela import coface_sign, _acc, _simplex_name
+from .sela import coface_sign, _simplex_name
 
 __all__ = [
     "SpecialCocycle",
@@ -88,21 +90,15 @@ def element_chain(sela, simplex, elt):
 
 
 def family_chain(sela, elements):
-    """Sum of the one-factor chains of {simplex: element}, zero elements skipped."""
-    w = {}
-    for simplex, elt in elements.items():
-        if elt.coeffs:
-            for key, val in element_chain(sela, simplex, elt).items():
-                w[key] = w.get(key, ZERO) + val
-    return w
+    """Union of the one-factor chains of {simplex: element}; no two simplices share a key."""
+    return {k: c for s, elt in elements.items() for k, c in element_chain(sela, s, elt).items()}
 
 
 def exp_chain(sela, w):
     """sum_{k >= 1} w^k / k!; terminates because every tag is in 1..N-1.
 
-    With w = v / d for an integer chain v, the k-th power is the integer
-    chain v^k over d^k, so the products run on ints and each term of
-    each power is divided once, by d^k k!.
+    The powers are chain_mul products summed by exactnum._power_sum, in
+    integers over one common denominator.
     """
     order = sela.artin_order
     for mono in w:
@@ -111,20 +107,9 @@ def exp_chain(sela, w):
                 "cannot exponentiate %s: its tag is outside 1..%d"
                 % (format_monomial(sela, mono), order - 1)
             )
-    coeffs = [Fraction(c) for c in w.values()]
-    d = lcm(*(c.denominator for c in coeffs))
-    v = {key: c.numerator * (d // c.denominator) for key, c in zip(w, coeffs)}
-    out = {}
-    power = v
-    den = d
-    k = 1
-    while power:
-        for key, c in power.items():
-            _acc(out, key, Fraction(c, den))
-        k += 1
-        den *= d * k
-        power = chain_mul(sela, power, v)
-    return out
+    return _power_sum(
+        w, ((), 0), lambda p, v: chain_mul(sela, p, v), lambda k: Fraction(1, factorial(k)), {}
+    )
 
 
 # -- the gluing conditions ------------------------------------------------

@@ -27,7 +27,7 @@ from .exactnum import (
     ONE, ZERO, SparseRatMatrix, _add_maps, exact_scalar, format_rational, insert, json_int,
     json_rational, rank,
 )
-from .freelie import FreeLieElement, evaluate_lie
+from .freelie import FreeLieElement, evaluate_elements
 
 
 def t_power_slots(zero, order: int, k: int, c) -> tuple:
@@ -201,7 +201,7 @@ class StructLie:
         self.index = {n: i for i, n in enumerate(self.names)}
         self.brackets = {}
         for (a, b), targets in brackets.items():
-            cleaned = {c: Fraction(v) for c, v in targets.items() if v}
+            cleaned = {c: exact_scalar(v) for c, v in targets.items() if v}
             if cleaned:
                 self.brackets[(a, b)] = cleaned
         self.differential = differential
@@ -555,14 +555,7 @@ def evaluate(element: FreeLieElement, assignment: dict) -> LieElement:
     ]
     if missing:
         raise ValueError(f"no image for generators {missing}")
-    return evaluate_lie(
-        element,
-        assignment,
-        bracket=lambda a, b: a.bracket(b),
-        add=lambda a, b: a + b,
-        scale=lambda c, a: a.scale(c),
-        zero=LieElement.zero(first.lie, first.ring),
-    )
+    return evaluate_elements(element, assignment, LieElement.zero(first.lie, first.ring))
 
 
 # ad(psi) applied more often than this without dying counts as not nilpotent

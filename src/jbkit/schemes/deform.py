@@ -21,7 +21,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from ..bch import eval_bch
-from ..exactnum import _add_maps
+from ..exactnum import _add_maps, exact_scalar
 from ..liecore import ArtinLine, LieElement, StructLie, TruncElt, exp_conjugate, t_power_slots
 from ..jbcomplex.assemble import _shared_table
 from ..jbcomplex.cocycle import special_cocycle
@@ -180,7 +180,7 @@ class GlueGauge:
         return self + other.scale(Fraction(-1))
 
     def scale(self, c):
-        c = Fraction(c)
+        c = exact_scalar(c)
         fields = {name: p.scale(c) for name, p in self.fields.items()}
         twist = (self.twist[0].scale(c), self.twist[1].scale(c))
         return GlueGauge(self.vars, self.order, fields, twist)

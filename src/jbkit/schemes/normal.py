@@ -9,8 +9,7 @@ brackets of closed elements stay closed.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
+from ..exactnum import exact_scalar
 from .complexes import PolyComplex, _mat_mul, _zero_matrix
 from .poly import Poly
 
@@ -97,7 +96,7 @@ class HomElement:
         return self + other.scale(-1)
 
     def scale(self, c):
-        c = Fraction(c)
+        c = exact_scalar(c)
         return HomElement(
             self.dgla,
             self.degree,

@@ -33,10 +33,10 @@ class Poly:
         self.terms = {}
         n = len(self.vars)
         for exp, c in (terms or {}).items():
-            exp = tuple(int(e) for e in exp)
-            if len(exp) != n or any(e < 0 for e in exp):
+            exp = tuple(exp)
+            if len(exp) != n or any(type(e) is not int or e < 0 for e in exp):
                 raise ValueError("bad exponent vector %r" % (exp,))
-            c = Fraction(c)
+            c = c if type(c) is Fraction else exact_scalar(c)
             if c:
                 self.terms[exp] = c
 
@@ -48,7 +48,7 @@ class Poly:
 
     @staticmethod
     def constant(vars, c):
-        return Poly(vars, {(0,) * len(tuple(vars)): Fraction(c)})
+        return Poly(vars, {(0,) * len(tuple(vars)): c})
 
     @staticmethod
     def variable(vars, name):

@@ -646,3 +646,73 @@ def test_selfcheck_prints_the_same_bytes_on_every_run(capsys):
         first, second = run(capsys, *argv), run(capsys, *argv)
         assert first[0] == 0
         assert first == second
+
+
+# -- step reports, complexes and series, pinned ------------------------------
+
+# (exit code, sha256 of stdout), pinned on the code before the step and
+# complex reports of jb obstruct, deform lift, tangent-dgla and
+# resolution check were built by one helper each.  The obstruct run on
+# the tautological family stops at its first step with class e13 1/2.
+_TAUT = edge(("u0", 1, "1"))
+_PINNED = {
+    "jb-obstruct": (
+        ["jb", "obstruct", "--data", "{family}", "--from-order", "2", "--to-order", "4"],
+        (1, "6f9997bfab45619d9235ca08109cfa38b7208bc59b88dc38e0fbadd275ec5ddf"),
+    ),
+    "jb-cocycle": (
+        ["jb", "cocycle", "--data", "{family}"],
+        (0, "de62a7bee24876bdbddc54ab4b692f6a21cb00d5096dd3641d488984ab239bbc"),
+    ),
+    "deform-lift-x2+y": (
+        ["deform", "lift", "--vars", "x,y", "--poly", "x^2+y^3", "--direction", "x^2+y",
+         "--to-order", "4"],
+        (0, "1216db4baf57cbb3553768b9dfba86e7f3852a3b336546a72b377c47005f4734"),
+    ),
+    "deform-lift-y": (
+        ["deform", "lift", "--vars", "x,y", "--poly", "x^2+y^3", "--direction", "y",
+         "--to-order", "5"],
+        (0, "50d20c38b7ce5b87db4b4382fb41b5a1e99a524704e62bee253f7479cdb7ff93"),
+    ),
+    "deform-lift-xy": (
+        ["deform", "lift", "--vars", "x,y", "--poly", "x^4+y^5", "--direction", "x*y",
+         "--from-order", "3", "--to-order", "6"],
+        (0, "74feef5cdbdb480255772282dcdaeb865f8f63ce431a65b1d768fc9c790dcb2b"),
+    ),
+    "resolution-check": (
+        ["resolution", "check", "--file", "{resolution}"],
+        (0, "c1997a60c875921653ef7d779a42a1e945fb6bc56d9cbe3e563b74335da8eb54"),
+    ),
+    "tangent-dgla": (
+        ["tangent-dgla", "--vars", "x,y", "--poly", "x^3+y^4", "--truncate", "5"],
+        (0, "d8b84a4ebb2fd39e3042bc727abee24de441fd9e200f6721495785524c1016c3"),
+    ),
+    "bch-tri": (
+        ["bch", "--max-degree", "7", "--tri"],
+        (0, "5fda7b741404b2133b48900143c420686a499ad241c840b32ceb26a4090141bc"),
+    ),
+    "selfcheck-json": (
+        ["selfcheck", "--format", "json"],
+        (0, "babe54975a34704a7406f6ee1f0e283e31ae57b1c3a4f5cc290154f96f7bb1d7"),
+    ),
+    "jb-cohomology": (
+        ["jb", "cohomology", "--data", "{sela}", "--degree", "1"],
+        (0, "6538981c3aab09b1b798d1abce83128e597091b2c82288565f8b4971ad29d042"),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_PINNED))
+def test_reports_print_pinned_bytes(capsys, tmp_path, name):
+    sela = factories.obstructed_triangle(2).to_json()
+    paths = {
+        "family": write(tmp_path, "family.json",
+                        {"sela": sela, "psi": {"01": _TAUT, "02": _TAUT, "12": _TAUT}}),
+        "resolution": write(tmp_path, "resolution.json",
+                            {"vars": ["x", "y"], "maps": [[["x^2+y^3"]]], "ranks": [1, 1],
+                             "start": -1}),
+        "sela": write(tmp_path, "sela.json", sela),
+    }
+    argv, pinned = _PINNED[name]
+    rc, out, err = run(capsys, *(a.format(**paths) for a in argv))
+    assert (rc, hashlib.sha256(out.encode()).hexdigest(), err) == pinned + ("",)

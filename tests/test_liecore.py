@@ -11,8 +11,8 @@ import pytest
 
 from jbkit.bch import build_table, eval_bch
 from jbkit.exactnum import ONE, ZERO, SparseRatMatrix
-from jbkit.freelie import Alphabet, FreeLieElement, lie_normal_form
-from jbkit.schemes import parse_poly
+from jbkit.freelie import Alphabet, AssocPoly, FreeLieElement, lie_normal_form
+from jbkit.schemes import GlueGauge, HomDgla, HomElement, Poly, koszul_resolution, parse_poly
 from jbkit.liecore import (
     ArtinLine,
     LieElement,
@@ -186,6 +186,45 @@ def test_scale_factors_follow_the_json_rule():
             with pytest.raises(ValueError, match='malformed scalar \\(factor must be an integer'):
                 scale(bad)
     assert type(elt.scale(-1).coeffs[0]) is Fraction and type(poly.scale(3).terms[(0,)]) is Fraction
+
+
+_X = ("x",)
+_ALPHABET = Alphabet(["x", "y"])
+_SCALAR = 'malformed scalar \\(factor must be an integer'
+
+
+def _hom_element():
+    dgla = HomDgla(koszul_resolution([parse_poly("x", _X)]))
+    return HomElement(dgla, 0, {0: ((parse_poly("x", _X),),)})
+
+
+@pytest.mark.parametrize("build, bad, message", [
+    (lambda c: SparseRatMatrix(1, 1).__setitem__((0, 0), c), 0.1, _SCALAR),
+    (lambda c: SparseRatMatrix(1, 1, {(0, 0): c}), True, _SCALAR),
+    (lambda c: SparseRatMatrix.identity(1).scale(c), 0.1, _SCALAR),
+    (lambda c: SparseRatMatrix.from_dense([[c]]), 0.1, _SCALAR),
+    (lambda c: FreeLieElement.generator(_ALPHABET, "x").scale(c), 0.1, _SCALAR),
+    (lambda c: AssocPoly(_ALPHABET, {(0, 1): c}), 0.1, _SCALAR),
+    (lambda c: FreeLieElement(_ALPHABET, {(0, 1): c}), True, _SCALAR),
+    (lambda c: Poly(_X, {(1,): c}), 0.1, _SCALAR),
+    (lambda c: Poly.constant(_X, c), 0.1, _SCALAR),
+    (lambda c: GlueGauge(_X, 2).scale(c), 0.1, _SCALAR),
+    (lambda c: _hom_element().scale(c), 0.1, _SCALAR),
+    (lambda c: StructLie(["x", "y", "z"], [0, 0, 0], {(0, 1): {2: c}, (1, 0): {2: -1}}),
+     0.1, _SCALAR),
+    (lambda e: Poly(_X, {(e,): 1}), 2.5, "bad exponent vector"),
+    (lambda e: Poly(_X, {(e,): 1}), True, "bad exponent vector"),
+], ids=[
+    "matrix-setitem", "matrix-entries", "matrix-scale", "matrix-from-dense", "wordsum-scale",
+    "assoc-poly", "free-lie-element", "poly", "poly-constant", "glue-gauge-scale",
+    "hom-element-scale", "struct-lie-bracket", "poly-float-exponent", "poly-bool-exponent",
+])
+def test_constructors_and_scale_refuse_floats_and_bools(build, bad, message):
+    # each once stored 0.1 as 3602879701896397/36028797018963968, True as
+    # 1, or read the exponent 2.5 as 2 and True as 1
+    build(1)
+    with pytest.raises(ValueError, match=message):
+        build(bad)
 
 
 def test_artin_operators_refuse_non_artin_operands():
